@@ -14,6 +14,7 @@ __version__ = "0.1.0"
 from .expr import (
     Expr,
     Symbol,
+    compile_exact,
     diff,
     eval_exact,
     eval_float,

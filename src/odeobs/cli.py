@@ -17,8 +17,10 @@ import argparse
 import sys as _sys
 from typing import List, Optional
 
+from .embedding import AllPointsDegenerateError
 from .expr import ExprError
 from .graph import build_graph, export_dot, scc_condensation
+from .linalg import SingularMatrixError
 from .model import (
     ModelError,
     OdeSystem,
@@ -224,6 +226,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         return EXIT_INPUT
     except (ModelError, ExprError) as exc:
         _sys.stderr.write(f"analysis error: {exc}\n")
+        return EXIT_ANALYSIS
+    except AllPointsDegenerateError as exc:
+        _sys.stderr.write(f"analysis error: rank sampling: {exc}\n")
+        return EXIT_ANALYSIS
+    except SingularMatrixError as exc:
+        _sys.stderr.write(f"analysis error: elimination: {exc}\n")
         return EXIT_ANALYSIS
     except Exception as exc:  # noqa: BLE001 - CLI boundary
         _sys.stderr.write(f"internal error: {exc}\n")

@@ -5,7 +5,9 @@ the state space; the system is locally observable at a point exactly when the
 Jacobian of that stack has rank n there.  Generic rank is estimated by exact
 rational evaluation at random integer points followed by fraction-free
 elimination: a full-rank sample is a certificate, because rank can only drop
-on a measure-zero set.
+on a measure-zero set.  Each matrix is compiled once to a straight-line
+program (:func:`odeobs.expr.compile_exact`) that evaluates every distinct
+subexpression once per point.
 """
 
 from __future__ import annotations
@@ -20,12 +22,10 @@ from .expr import (
     DivisionByZeroError,
     Expr,
     Symbol,
-    contains_transcendental,
+    compile_exact,
     diff,
-    eval_exact,
     eval_float,
 )
-from .expr import free_symbols as _free_symbols
 from .model import ObservationSet, OdeSystem, lie_derivative
 
 AUTO_ORDER = "auto"
@@ -127,14 +127,9 @@ def generic_rank_of(
         n_cols = len(rows[0]) if n_rows else 0
     if n_rows == 0 or n_cols == 0:
         return RankVerdict(0, trials, (), (), EXACT_CONFIDENCE, n_rows, n_cols)
-    symbols = set()
-    for row in rows:
-        for entry in row:
-            symbols |= _free_symbols(entry)
-    symbols = tuple(sorted(symbols, key=lambda s: s.sort_key))
-    rational = not any(
-        contains_transcendental(entry) for row in rows for entry in row
-    )
+    program = compile_exact(rows)
+    symbols = tuple(sorted(program.symbols, key=lambda s: s.sort_key))
+    rational = program.rational
     rng = random.Random(seed)
     points: List[dict] = []
     ranks: List[int] = []
@@ -145,8 +140,7 @@ def generic_rank_of(
         point = {s: Fraction(rng.randint(-POINT_BOUND, POINT_BOUND)) for s in symbols}
         try:
             if rational:
-                matrix = [[eval_exact(entry, point) for entry in row] for row in rows]
-                r = linalg.rank(matrix)
+                r = linalg.rank(program.run(point))
             else:
                 r = _float_rank(rows, point)
         except (DivisionByZeroError, ZeroDivisionError):
@@ -195,8 +189,7 @@ def generic_rank(
 
 def rank_at_point(j: EmbeddingJacobian, point: Mapping[Symbol, Fraction]) -> int:
     """Exact rank of the Jacobian at one fully bound rational point."""
-    matrix = [[eval_exact(entry, point) for entry in row] for row in j.entries]
-    return linalg.rank(matrix)
+    return linalg.rank(compile_exact(j.entries).run(point))
 
 
 @dataclass(frozen=True)
@@ -229,9 +222,10 @@ def observability_verdict(
     jac = jacobian(embedding, sys)
     verdict = generic_rank(jac, seed=seed, trials=trials)
     probes = []
+    program = compile_exact(jac.entries) if probe_points else None
     for point in probe_points:
         try:
-            probes.append((dict(point), rank_at_point(jac, point)))
+            probes.append((dict(point), linalg.rank(program.run(point))))
         except (DivisionByZeroError, ZeroDivisionError):
             probes.append((dict(point), None))
     rank_growing: Optional[bool] = None

@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Union
+from typing import Mapping, Sequence, Union
 
 # Exact arithmetic substrate: always lowest terms, positive denominator.
 Rational = Fraction
@@ -386,46 +386,56 @@ def free_symbols(e: Expr) -> frozenset:
     return frozenset(found)
 
 
-def contains_transcendental(e: Expr) -> bool:
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Ln, Exp)):
-            return True
-        stack.extend(children(node))
-    return False
-
-
 def diff(e: Expr, v: Symbol) -> Expr:
-    """Partial derivative with respect to ``v``, structurally simplified."""
+    """Partial derivative with respect to ``v``, structurally simplified.
+
+    Each node object is differentiated once per call: subtrees shared by
+    identity are looked up in a memo, so their derivatives are shared too.
+    """
+    return _diff(e, v, {})
+
+
+def _diff(e: Expr, v: Symbol, memo: dict) -> Expr:
+    # The memo holds the node next to its derivative, so the id stays taken.
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
     if isinstance(e, Const):
-        return ZERO
-    if isinstance(e, Sym):
-        return ONE if e.symbol == v else ZERO
-    if isinstance(e, Add):
-        return add(*[diff(t, v) for t in e.terms])
-    if isinstance(e, Mul):
+        d = ZERO
+    elif isinstance(e, Sym):
+        d = ONE if e.symbol == v else ZERO
+    elif isinstance(e, Add):
+        d = add(*[_diff(t, v, memo) for t in e.terms])
+    elif isinstance(e, Mul):
         terms = []
         for i, f in enumerate(e.factors):
-            d = diff(f, v)
-            if isinstance(d, Const) and d.value == 0:
+            df = _diff(f, v, memo)
+            if isinstance(df, Const) and df.value == 0:
                 continue
-            terms.append(mul(*e.factors[:i], d, *e.factors[i + 1 :]))
-        return add(*terms)
-    if isinstance(e, Neg):
-        return neg(diff(e.arg, v))
-    if isinstance(e, Div):
-        dn, dd = diff(e.num, v), diff(e.den, v)
+            terms.append(mul(*e.factors[:i], df, *e.factors[i + 1 :]))
+        d = add(*terms)
+    elif isinstance(e, Neg):
+        d = neg(_diff(e.arg, v, memo))
+    elif isinstance(e, Div):
+        dn, dd = _diff(e.num, v, memo), _diff(e.den, v, memo)
         if isinstance(dd, Const) and dd.value == 0:
-            return div(dn, e.den)
-        return div(add(mul(dn, e.den), neg(mul(e.num, dd))), pow_int(e.den, 2))
-    if isinstance(e, PowInt):
-        return mul(Const(Fraction(e.exponent)), pow_int(e.base, e.exponent - 1), diff(e.base, v))
-    if isinstance(e, Ln):
-        return div(diff(e.arg, v), e.arg)
-    if isinstance(e, Exp):
-        return mul(e, diff(e.arg, v))
-    raise TypeError(f"unhandled node {e!r}")
+            d = div(dn, e.den)
+        else:
+            d = div(add(mul(dn, e.den), neg(mul(e.num, dd))), pow_int(e.den, 2))
+    elif isinstance(e, PowInt):
+        d = mul(
+            Const(Fraction(e.exponent)),
+            pow_int(e.base, e.exponent - 1),
+            _diff(e.base, v, memo),
+        )
+    elif isinstance(e, Ln):
+        d = div(_diff(e.arg, v, memo), e.arg)
+    elif isinstance(e, Exp):
+        d = mul(e, _diff(e.arg, v, memo))
+    else:
+        raise TypeError(f"unhandled node {e!r}")
+    memo[id(e)] = (e, d)
+    return d
 
 
 def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
@@ -453,40 +463,184 @@ def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
     raise TypeError(f"unhandled node {e!r}")
 
 
+# ---------------------------------------------------------------------------
+# exact evaluation: a matrix compiled once to a straight-line program
+
+# Opcodes of ExactProgram instructions.
+_ADD, _MUL, _NEG, _DIV, _NONZERO, _POW, _SYM, _CONST, _TRANSCENDENTAL = range(9)
+
+
+class ExactProgram:
+    """A matrix of expressions compiled to straight-line code over Fraction.
+
+    Each structurally distinct subexpression is one instruction, so a run
+    evaluates it once however often the trees repeat it.  Instructions write
+    into slots that are reused once their value is dead: a run holds only
+    the values still to be read, plus the matrix entries.
+    """
+
+    __slots__ = ("symbols", "rational", "_code", "_n_slots", "_outputs")
+
+    def __init__(self, symbols, rational, code, n_slots, outputs):
+        self.symbols: frozenset = symbols  # every symbol the matrix mentions
+        self.rational: bool = rational  # no ln/exp node
+        self._code: tuple = code
+        self._n_slots: int = n_slots
+        self._outputs: tuple = outputs
+
+    def run(self, point: Mapping[Symbol, Fraction]) -> list:
+        """Exact values of the entries at ``point``, as a list of rows.
+
+        Raises :class:`DivisionByZeroError` at the node where a tree walk of
+        the entries (row by row, each denominator checked before its
+        numerator is evaluated) would, and :class:`TranscendentalNodeError`
+        at an ln/exp node.
+        """
+        regs = [None] * self._n_slots
+        for op, out, args, payload in self._code:
+            if op == _MUL:
+                value = regs[args[0]]
+                for a in args[1:]:
+                    value *= regs[a]
+            elif op == _ADD:
+                value = regs[args[0]]
+                for a in args[1:]:
+                    value += regs[a]
+            elif op == _SYM:
+                try:
+                    value = Fraction(point[payload])
+                except KeyError:
+                    raise UnknownSymbolError(payload.name) from None
+            elif op == _CONST:
+                value = payload
+            elif op == _NEG:
+                value = -regs[args[0]]
+            elif op == _NONZERO:
+                if regs[args[0]] == 0:
+                    raise DivisionByZeroError(payload)
+                continue
+            elif op == _DIV:
+                value = regs[args[1]] / regs[args[0]]
+            elif op == _POW:
+                base = regs[args[0]]
+                if base == 0 and payload.exponent < 0:
+                    raise DivisionByZeroError(payload)
+                value = base**payload.exponent
+            else:
+                raise TranscendentalNodeError(payload)
+            regs[out] = value
+        return [[regs[slot] for slot in row] for row in self._outputs]
+
+
+class _Compiler:
+    """Walks expression trees once, emitting one instruction per distinct node.
+
+    A class rather than nested functions: a recursive closure is a reference
+    cycle, which would keep the compile-time tables alive until the cyclic
+    garbage collector ran.
+    """
+
+    def __init__(self):
+        self.instrs: list = []  # (op, value ids of the arguments, payload)
+        self.by_key: dict = {}  # (op, key, argument value ids) -> value id
+        self.by_id: dict = {}  # id(node) -> value id; the rows keep every node alive
+        self.symbols: set = set()
+        self.rational = True
+
+    def instr(self, op, key, args, payload) -> int:
+        full_key = (op, key, args)
+        value = self.by_key.get(full_key)
+        if value is None:
+            value = self.by_key[full_key] = len(self.instrs)
+            self.instrs.append((op, args, payload))
+        return value
+
+    def emit(self, e: Expr) -> int:
+        value = self.by_id.get(id(e))
+        if value is not None:
+            return value
+        if isinstance(e, Add):
+            value = self.instr(_ADD, None, tuple(self.emit(t) for t in e.terms), None)
+        elif isinstance(e, Mul):
+            value = self.instr(_MUL, None, tuple(self.emit(f) for f in e.factors), None)
+        elif isinstance(e, Sym):
+            self.symbols.add(e.symbol)
+            value = self.instr(_SYM, e.symbol, (), e.symbol)
+        elif isinstance(e, Const):
+            value = self.instr(_CONST, e.value, (), e.value)
+        elif isinstance(e, Neg):
+            value = self.instr(_NEG, None, (self.emit(e.arg),), None)
+        elif isinstance(e, Div):
+            den = self.emit(e.den)
+            # one check per denominator value: the first raises, if any does
+            self.instr(_NONZERO, None, (den,), e)
+            value = self.instr(_DIV, None, (den, self.emit(e.num)), None)
+        elif isinstance(e, PowInt):
+            value = self.instr(_POW, e.exponent, (self.emit(e.base),), e)
+        elif isinstance(e, (Ln, Exp)):
+            # never merged by structure: the key would hash the whole subtree
+            self.symbols.update(free_symbols(e))
+            self.rational = False
+            value = self.instr(_TRANSCENDENTAL, id(e), (), e)
+        else:
+            raise TypeError(f"unhandled node {e!r}")
+        self.by_id[id(e)] = value
+        return value
+
+
+def compile_exact(rows: Sequence[Sequence[Expr]]) -> ExactProgram:
+    """Compile a matrix (a sequence of rows of Expr) to an :class:`ExactProgram`.
+
+    Instructions follow a tree walk of the entries: children in order, and a
+    quotient's denominator, then its zero check, then its numerator.  Each
+    node object is compiled once (by identity), and structurally equal
+    subtrees share one instruction (keyed by operation and argument values).
+    An ln/exp node compiles, without its argument, to an instruction that
+    raises.
+    """
+    compiler = _Compiler()
+    outputs = [[compiler.emit(entry) for entry in row] for row in rows]
+    instrs = compiler.instrs
+
+    end = len(instrs)  # entries stay live to the end of the run
+    last_use = [-1] * len(instrs)
+    for i, (_, args, _) in enumerate(instrs):
+        for a in args:
+            last_use[a] = i
+    for row in outputs:
+        for value in row:
+            last_use[value] = end
+
+    slot_of = [0] * len(instrs)
+    free: list = []
+    n_slots = 0
+    code = []
+    for i, (op, args, payload) in enumerate(instrs):
+        arg_slots = tuple(slot_of[a] for a in args)
+        for a in set(args):
+            if last_use[a] == i:
+                free.append(slot_of[a])
+        out = None
+        if op != _NONZERO:
+            if free:
+                out = free.pop()
+            else:
+                out = n_slots
+                n_slots += 1
+            slot_of[i] = out
+        code.append((op, out, arg_slots, payload))
+    return ExactProgram(
+        frozenset(compiler.symbols),
+        compiler.rational,
+        tuple(code),
+        n_slots,
+        tuple(tuple(slot_of[v] for v in row) for row in outputs),
+    )
+
+
 def eval_exact(e: Expr, point: Mapping[Symbol, Fraction]) -> Fraction:
-    """Exact rational evaluation; rejects ln/exp nodes."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Sym):
-        try:
-            return Fraction(point[e.symbol])
-        except KeyError:
-            raise UnknownSymbolError(e.symbol.name) from None
-    if isinstance(e, Add):
-        total = Fraction(0)
-        for t in e.terms:
-            total += eval_exact(t, point)
-        return total
-    if isinstance(e, Mul):
-        total = Fraction(1)
-        for f in e.factors:
-            total *= eval_exact(f, point)
-        return total
-    if isinstance(e, Neg):
-        return -eval_exact(e.arg, point)
-    if isinstance(e, Div):
-        d = eval_exact(e.den, point)
-        if d == 0:
-            raise DivisionByZeroError(e)
-        return eval_exact(e.num, point) / d
-    if isinstance(e, PowInt):
-        b = eval_exact(e.base, point)
-        if b == 0 and e.exponent < 0:
-            raise DivisionByZeroError(e)
-        return b**e.exponent
-    if isinstance(e, (Ln, Exp)):
-        raise TranscendentalNodeError(e)
-    raise TypeError(f"unhandled node {e!r}")
+    """Exact rational evaluation; rejects ln/exp nodes.  One-entry :func:`compile_exact`."""
+    return compile_exact(((e,),)).run(point)[0][0]
 
 
 def eval_float(e: Expr, point: Mapping[Symbol, float]) -> float:

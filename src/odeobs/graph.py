@@ -26,9 +26,6 @@ class InferenceGraph:
     nodes: Tuple[Symbol, ...]
     edges: Tuple[Tuple[Symbol, Symbol], ...]  # sorted by node order, deterministic
 
-    def successors(self, node: Symbol) -> Tuple[Symbol, ...]:
-        return tuple(dst for src, dst in self.edges if src == node)
-
     def edge_names(self) -> Tuple[Tuple[str, str], ...]:
         return tuple((a.name, b.name) for a, b in self.edges)
 
@@ -41,12 +38,6 @@ class Condensation:
 
     def root_components(self) -> Tuple[Tuple[Symbol, ...], ...]:
         return tuple(self.components[i] for i in self.roots)
-
-    def component_of(self, node: Symbol) -> int:
-        for i, comp in enumerate(self.components):
-            if node in comp:
-                return i
-        raise KeyError(node.name)
 
 
 @dataclass(frozen=True)
@@ -70,29 +61,32 @@ class GraphicalVerdict:
     missing_roots: Tuple[Tuple[Symbol, ...], ...]
 
 
-def _depends_on(rhs: Expr, var: Symbol, seed: int) -> bool:
-    """Semantic dependence of an expression on a state variable."""
-    if var not in free_symbols(rhs):
-        return False
+def _dependencies(rhs: Expr, states: Tuple[Symbol, ...], seed: int) -> Set[Symbol]:
+    """The states an expression semantically depends on."""
+    candidates = free_symbols(rhs).intersection(states)
+    if not candidates:
+        return set()
     try:
         form = normalize_rational(rhs)
     except TranscendentalNodeError:
-        return not is_zero(diff(rhs, var), seed=seed).is_zero_like
-    for poly in (form.num, form.den):
-        if var in poly.vars and poly.degree_in(poly.vars.index(var)) > 0:
-            return True
-    return False
+        return {
+            var for var in candidates
+            if not is_zero(diff(rhs, var), seed=seed).is_zero_like
+        }
+    return {
+        var
+        for poly in (form.num, form.den)
+        for i, var in enumerate(poly.vars)
+        if var in candidates and poly.degree_in(i) > 0
+    }
 
 
 def build_graph(sys: OdeSystem, seed: int = 0) -> InferenceGraph:
     """Edge x_i -> x_j iff x_j enters dx_i/dt after simplification."""
-    index = {s: i for i, s in enumerate(sys.states)}
     edges = []
     for src, rhs in zip(sys.states, sys.rhs):
-        for dst in sys.states:
-            if _depends_on(rhs, dst, seed):
-                edges.append((src, dst))
-    edges.sort(key=lambda e: (index[e[0]], index[e[1]]))
+        deps = _dependencies(rhs, sys.states, seed)
+        edges.extend((src, dst) for dst in sys.states if dst in deps)
     return InferenceGraph(nodes=sys.states, edges=tuple(edges))
 
 

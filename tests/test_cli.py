@@ -46,6 +46,31 @@ class TestAnalyze:
         assert code == 1
         assert "parse error" in err
 
+    def test_all_sample_points_at_poles_is_named_analysis_error(self, tmp_path, capsys):
+        # the rhs of x has a denominator that is identically zero; ln keeps it
+        # out of the exact normal form, so only rank sampling meets the pole
+        model = tmp_path / "pole.model"
+        model.write_text(
+            "model: pole\nparams: k\nstates: x, z\n"
+            "dx/dt = x*ln(x)/(k - k)\ndz/dt = -z\nobserve x: x\n"
+        )
+        code, _, err = run(capsys, "analyze", str(model), "--trials", "1")
+        assert code == 2
+        assert err.startswith("analysis error: rank sampling: ")
+        assert "internal error" not in err
+
+    def test_singular_elimination_is_named_analysis_error(self, capsys, monkeypatch):
+        import odeobs.cli
+        from odeobs.linalg import SingularMatrixError
+
+        def singular(*args, **kwargs):
+            raise SingularMatrixError("singular at column 0")
+
+        monkeypatch.setattr(odeobs.cli, "build_report", singular)
+        code, _, err = run(capsys, "analyze", str(model_path("sir")))
+        assert code == 2
+        assert err == "analysis error: elimination: singular at column 0\n"
+
     def test_reports_byte_identical_across_runs(self, tmp_path, capsys):
         for name in ("sir", "mm", "toy", "lv"):
             paths = []

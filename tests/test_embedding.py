@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -24,7 +25,13 @@ from odeobs.expr import (
     parse_expr,
     sym,
 )
-from odeobs.model import ObservationSet, OdeSystem, reduce_by_conserved, verify_all_conserved
+from odeobs.model import (
+    ObservationSet,
+    OdeSystem,
+    parse_model,
+    reduce_by_conserved,
+    verify_all_conserved,
+)
 from odeobs.poly import is_zero, normalize_rational
 
 
@@ -231,6 +238,63 @@ class TestObservabilityVerdict:
         }
         v = observability_verdict(sir, obs_named(sir, "R"), seed=0, probe_points=[point])
         assert v.probe_ranks[0][1] == 2
+
+    def test_probe_at_pole_is_none_and_others_match_rank_at_point(self):
+        x, y, k = Symbol("x", "state"), Symbol("y", "state"), Symbol("k", "parameter")
+        rhs = (parse_expr("k/(x - 1)", {"x": x, "k": k}), parse_expr("x*y", {"x": x, "y": y}))
+        sys = OdeSystem(name="pole", states=(x, y), params=(k,), rhs=rhs)
+        obs = ObservationSet((sym(x),), "x")
+        regular = {x: Fraction(3), y: Fraction(2), k: Fraction(5)}
+        pole = {x: Fraction(1), y: Fraction(2), k: Fraction(5)}
+        v = observability_verdict(sys, obs, seed=0, probe_points=[regular, pole])
+        jac = jacobian(build_embedding(sys, obs), sys)
+        assert v.probe_ranks == ((regular, rank_at_point(jac, regular)), (pole, None))
+
+
+CHAIN6 = """model: chain6
+params: k1, k2, k3, k4, k5
+states: x1, x2, x3, x4, x5, x6
+dx1/dt = -k1*x1
+dx2/dt = k1*x1 - k2*x2
+dx3/dt = k2*x2 - k3*x3
+dx4/dt = k3*x3 - k4*x4
+dx5/dt = k4*x4 - k5*x5
+dx6/dt = k5*x5
+conserved T: x1 + x2 + x3 + x4 + x5 + x6
+observe end: x6
+"""
+
+# sha256 of the sorted sample points, as recorded by the tree-walking
+# evaluator this program compiler replaced; the draws must not move
+PINNED_POINTS = {
+    ("chain6", "end", 0): "2269d319cfb3d7c5361c6ee406b80df34352caa1ed9399d42bb0e4cfa187f5a3",
+    ("chain6", "end", 3): "284c1cbd1c3ac97a5b68c3fada1f1823cdd6c969fad66705ea3bdb349bfb1188",
+    ("mm", "p", 0): "275a443deeb6431df5e1ad07677399048c39e4a6b6eee7e2e38131d5d7023863",
+    ("mm", "p", 3): "ca51c97e26a483a8dce420ef557fbff3f55407c3785f0d81ae7dfa66ffaf35b3",
+    ("mm", "ec", 0): "275a443deeb6431df5e1ad07677399048c39e4a6b6eee7e2e38131d5d7023863",
+    ("mm", "ec", 3): "ca51c97e26a483a8dce420ef557fbff3f55407c3785f0d81ae7dfa66ffaf35b3",
+}
+PINNED_RANKS = {"end": (6, "exact"), "p": (4, "exact"), "ec": (3, "probabilistic")}
+
+
+def points_digest(points):
+    text = ";".join(
+        ",".join(f"{s.name}={v}" for s, v in sorted(p.items(), key=lambda kv: kv[0].name))
+        for p in points
+    )
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestPinnedSampling:
+    @pytest.mark.parametrize("model, label, seed", sorted(PINNED_POINTS))
+    def test_sample_points_and_ranks_unchanged(self, model, label, seed, mm):
+        sys = parse_model(CHAIN6) if model == "chain6" else mm
+        jac = jacobian(build_embedding(sys, obs_named(sys, label)), sys)
+        verdict = generic_rank_of(jac.entries, seed=seed, n_cols=jac.n)
+        rank, confidence = PINNED_RANKS[label]
+        assert verdict.point_ranks == (rank,) * 8
+        assert (verdict.generic_rank, verdict.confidence) == (rank, confidence)
+        assert points_digest(verdict.sample_points) == PINNED_POINTS[(model, label, seed)]
 
 
 class TestLinearSystemOracle:

@@ -10,20 +10,25 @@ from odeobs.expr import (
     Div,
     DivisionByZeroError,
     DomainError,
+    Exp,
     ExprSyntaxError,
     Ln,
     Mul,
     Neg,
     NonIntegerExponentError,
+    ONE,
     PowInt,
     Sym,
     Symbol,
     TranscendentalNodeError,
     UnknownSymbolError,
     add,
+    compile_exact,
     diff,
+    div,
     eval_exact,
     eval_float,
+    exp,
     free_symbols,
     ln,
     mul,
@@ -35,7 +40,9 @@ from odeobs.expr import (
     to_str,
 )
 
-from conftest import GEN_SYMBOLS, X, Y, random_expr, random_point
+from odeobs.poly import normalize_rational
+
+from conftest import A, GEN_SYMBOLS, X, Y, Z, random_expr, random_point
 
 S = Symbol("S", "state")
 I = Symbol("I", "state")
@@ -324,3 +331,178 @@ class TestStructure:
     def test_free_symbols(self):
         e = parse_expr("beta*S*I - lam*I", SIR_SYMS)
         assert free_symbols(e) == frozenset({BETA, S, I, LAM})
+
+
+def tree_walk_exact(e, point):
+    """Reference evaluator: a plain recursive walk, children left to right and
+    the denominator of a quotient before its numerator."""
+    if isinstance(e, Const):
+        return e.value
+    if isinstance(e, Sym):
+        return Fraction(point[e.symbol])
+    if isinstance(e, Add):
+        return sum((tree_walk_exact(t, point) for t in e.terms), Fraction(0))
+    if isinstance(e, Mul):
+        total = Fraction(1)
+        for f in e.factors:
+            total *= tree_walk_exact(f, point)
+        return total
+    if isinstance(e, Neg):
+        return -tree_walk_exact(e.arg, point)
+    if isinstance(e, Div):
+        d = tree_walk_exact(e.den, point)
+        if d == 0:
+            raise DivisionByZeroError(e)
+        return tree_walk_exact(e.num, point) / d
+    if isinstance(e, PowInt):
+        b = tree_walk_exact(e.base, point)
+        if b == 0 and e.exponent < 0:
+            raise DivisionByZeroError(e)
+        return b**e.exponent
+    raise TranscendentalNodeError(e)
+
+
+def walk_outcome(evaluate):
+    """A value, or the class and subexpression of the error it raised."""
+    try:
+        return evaluate()
+    except (DivisionByZeroError, TranscendentalNodeError) as exc:
+        return type(exc), exc.subexpr
+
+
+def shared_matrix(rng):
+    """A 3x2 matrix whose entries share subtrees, both as one object reused and
+    as structurally equal copies, with denominators that vanish at small
+    integer points."""
+    table = {s.name: s for s in GEN_SYMBOLS}
+    a = random_expr(rng, depth=3)
+    b = random_expr(rng, depth=2)
+    a_copy = parse_expr(to_str(a), table)  # equal structure, distinct objects
+    pole = add(sym(rng.choice(GEN_SYMBOLS)), Const(Fraction(rng.randint(-2, 2))))
+    return (
+        (add(mul(a, b), a_copy), div(a, pole)),
+        (pow_int(add(a, b), -2), mul(div(b, pole), a_copy, a)),
+        (neg(a_copy), add(a, neg(b))),
+    )
+
+
+class TestCompileExact:
+    def test_matches_tree_walk_on_shared_dags(self):
+        rng = random.Random(41)
+        outcomes = []
+        for _ in range(150):
+            rows = shared_matrix(rng)
+            program = compile_exact(rows)
+            for _ in range(4):
+                point = {s: Fraction(rng.randint(-3, 3)) for s in GEN_SYMBOLS}
+                got = walk_outcome(lambda: program.run(point))
+                expected = walk_outcome(
+                    lambda: [[tree_walk_exact(e, point) for e in row] for row in rows]
+                )
+                assert got == expected  # same values, or the same error at the same node
+                outcomes.append(isinstance(got, tuple))
+        assert 50 < sum(outcomes) < len(outcomes) - 200  # poles and values both seen
+
+    def test_single_expressions_agree_with_canonical_form(self):
+        rng = random.Random(43)
+        values = 0
+        for _ in range(300):
+            e = random_expr(rng, depth=3)
+            point = {s: Fraction(rng.randint(-3, 3)) for s in GEN_SYMBOLS}
+            expected = walk_outcome(lambda: tree_walk_exact(e, point))
+            assert walk_outcome(lambda: eval_exact(e, point)) == expected
+            if isinstance(expected, tuple):
+                continue
+            try:
+                reference = normalize_rational(e).eval(point)
+            except ZeroDivisionError:
+                continue  # a pole of the canonical form the tree does not have
+            assert expected == reference
+            values += 1
+        assert values > 150
+
+    def test_denominator_is_evaluated_before_numerator(self):
+        inner = div(ONE, add(sym(X), neg(sym(X))))  # 1/(x - x): always a pole
+        outer = div(inner, add(sym(Y), neg(sym(Y))))
+        with pytest.raises(DivisionByZeroError) as err:
+            eval_exact(outer, {X: Fraction(1), Y: Fraction(2)})
+        assert err.value.subexpr is outer
+
+    def test_exponential_tree_size_evaluates_once_per_node(self):
+        # e_k = x/(1 + k x) built as e_{k+1} = e_k / (e_k + 1): a tree of 2^60
+        # nodes, which no tree walk could finish, and 121 distinct ones
+        e = sym(X)
+        for _ in range(60):
+            e = div(e, add(e, ONE))
+        assert eval_exact(e, {X: Fraction(1)}) == Fraction(1, 61)
+        assert eval_exact(e, {X: Fraction(2)}) == Fraction(2, 121)
+
+    def test_transcendental_nodes_raise_without_evaluating_their_argument(self):
+        bad = ln(div(ONE, add(sym(X), neg(sym(X)))))
+        with pytest.raises(TranscendentalNodeError):
+            eval_exact(bad, {X: Fraction(1)})
+        program = compile_exact(((sym(Y), exp(sym(Z))),))
+        assert not program.rational
+        assert program.symbols == frozenset({Y, Z})
+        with pytest.raises(TranscendentalNodeError) as err:
+            program.run({Y: Fraction(1), Z: Fraction(0)})
+        assert isinstance(err.value.subexpr, Exp)
+
+    def test_symbols_and_missing_binding(self):
+        program = compile_exact(((mul(sym(X), sym(A)), ONE), (sym(Y), ONE)))
+        assert program.rational
+        assert program.symbols == frozenset({X, A, Y})
+        with pytest.raises(UnknownSymbolError):
+            program.run({X: Fraction(1), A: Fraction(2)})
+
+    def test_runs_are_independent(self):
+        rows = ((div(ONE, sym(X)), pow_int(sym(X), 3)),)
+        program = compile_exact(rows)
+        assert program.run({X: Fraction(2)}) == [[Fraction(1, 2), Fraction(8)]]
+        with pytest.raises(DivisionByZeroError):
+            program.run({X: Fraction(0)})
+        assert program.run({X: Fraction(-1)}) == [[Fraction(-1), Fraction(-1)]]
+
+
+class TestDiffMemo:
+    def test_shared_dag_differentiates_in_linear_work(self):
+        # d/dx x/(1 + k x) = 1/(1 + k x)^2; without the memo the 2^40-node
+        # tree would be walked once per path
+        e = sym(X)
+        for _ in range(40):
+            e = div(e, add(e, ONE))
+        d = diff(e, X)
+        assert eval_exact(d, {X: Fraction(1)}) == Fraction(1, 41**2)
+        assert eval_exact(d, {X: Fraction(3)}) == Fraction(1, 121**2)
+
+    def test_shared_subtree_derivative_is_one_object(self):
+        a = pow_int(add(sym(X), ONE), 3)
+        d = diff(add(mul(a, sym(Y)), mul(a, sym(Z))), X)
+        first, second = d.terms
+        shared = [f for f in first.factors if any(f is g for g in second.factors)]
+        assert shared and isinstance(shared[0], PowInt)
+
+    def test_memo_matches_structure_of_unshared_copy(self):
+        rng = random.Random(47)
+        table = {s.name: s for s in GEN_SYMBOLS}
+        for _ in range(100):
+            a = random_expr(rng, depth=3, allow_ln=True)
+            shared = add(mul(a, sym(Y)), a)
+            unshared = add(mul(a, sym(Y)), parse_expr(to_str(a), table))
+            v = rng.choice(GEN_SYMBOLS)
+            assert diff(shared, v) == diff(unshared, v)
+
+    def test_agrees_with_sympy_after_normalization(self):
+        sympy = pytest.importorskip("sympy")
+        names = {s.name: sympy.Symbol(s.name) for s in GEN_SYMBOLS}
+
+        def to_sympy(text):
+            return sympy.sympify(text.replace("^", "**"), locals=names)
+
+        rng = random.Random(53)
+        for _ in range(60):
+            e = random_expr(rng, depth=3)
+            v = rng.choice(GEN_SYMBOLS)
+            ours = to_sympy(str(normalize_rational(diff(e, v))))
+            theirs = sympy.diff(to_sympy(to_str(e)), names[v.name])
+            assert sympy.cancel(ours - theirs) == 0

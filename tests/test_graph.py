@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 
-from odeobs.expr import Const, Symbol, mul, parse_expr
+from odeobs.expr import Const, Symbol, add, diff, ln, mul, neg, parse_expr, sym
 from odeobs.graph import (
     InferenceGraph,
     build_graph,
@@ -12,6 +12,9 @@ from odeobs.graph import (
     scc_condensation,
 )
 from odeobs.model import OdeSystem, reduce_by_conserved, verify_all_conserved
+from odeobs.poly import is_zero
+
+from conftest import random_expr
 
 
 def names(symbols):
@@ -56,6 +59,34 @@ class TestBuildGraph:
         )
         g = build_graph(sys)
         assert g.edge_names() == (("x", "y"), ("y", "y"))
+
+    def test_edges_are_nonzero_partial_derivatives(self):
+        # independent oracle: x_j enters dx_i/dt iff d(rhs_i)/dx_j is not zero,
+        # tested variable by variable
+        rng = random.Random(59)
+        states = tuple(Symbol(n, "state") for n in ("x", "y", "z"))
+        k = Symbol("a", "parameter")
+        symbols = states + (k,)
+        for trial in range(40):
+            rhs = []
+            for _ in states:
+                e = random_expr(rng, depth=3, symbols=symbols, allow_ln=trial % 4 == 0)
+                v = sym(rng.choice(states))
+                rhs.append(add(e, mul(v, sym(k)), neg(mul(v, sym(k)))))  # v cancels
+            sys = OdeSystem(name="random", states=states, params=(k,), rhs=tuple(rhs))
+            expected = tuple(
+                (src, dst)
+                for src, f in zip(states, rhs)
+                for dst in states
+                if not is_zero(diff(f, dst)).is_zero_like
+            )
+            assert build_graph(sys).edges == expected
+
+    def test_transcendental_rhs_uses_sampled_dependence(self):
+        x, y = Symbol("x", "state"), Symbol("y", "state")
+        rhs = (add(ln(sym(y)), neg(ln(sym(y))), sym(x)), mul(ln(sym(x)), sym(y)))
+        sys = OdeSystem(name="logs", states=(x, y), params=(), rhs=rhs)
+        assert build_graph(sys).edge_names() == (("x", "x"), ("y", "x"), ("y", "y"))
 
     def test_scaling_invariance(self, sir):
         scaled = OdeSystem(
