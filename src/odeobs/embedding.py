@@ -8,12 +8,19 @@ elimination: a full-rank sample is a certificate, because rank can only drop
 on a measure-zero set.  Each matrix is compiled once to a straight-line
 program (:func:`odeobs.expr.compile_exact`) that evaluates every distinct
 subexpression once per point.
+
+Each derivative is taken once per verdict.  An embedding keeps one
+:func:`odeobs.expr.diff` memo per state and the gradient of every component
+it has differentiated: the gradient that forms the next component is also
+that component's Jacobian row, so :func:`jacobian` differentiates only each
+output's last component.  The order k+1 check extends the order k embedding
+and its Jacobian by one order instead of rebuilding them.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -26,7 +33,7 @@ from .expr import (
     diff,
     eval_float,
 )
-from .model import ObservationSet, OdeSystem, lie_derivative
+from .model import ObservationSet, OdeSystem, along_field
 
 AUTO_ORDER = "auto"
 DEFAULT_TRIALS = 8
@@ -42,11 +49,19 @@ class AllPointsDegenerateError(Exception):
 
 @dataclass(frozen=True)
 class EmbeddingMap:
-    """Outputs and their iterated Lie derivatives, grouped per output."""
+    """Outputs and their iterated Lie derivatives, grouped per output.
+
+    ``gradients`` holds the gradient over ``states`` of every component but
+    each output's last, grouped the same way; ``memos`` holds one diff memo
+    per state, shared with every embedding extended from this one.
+    """
 
     components: Tuple[Expr, ...]
     order: int
     n_outputs: int
+    states: Tuple[Symbol, ...] = field(repr=False, compare=False)
+    gradients: Tuple[Tuple[Expr, ...], ...] = field(repr=False, compare=False)
+    memos: Tuple[dict, ...] = field(repr=False, compare=False)
 
     def component(self, output_index: int, derivative: int) -> Expr:
         return self.components[output_index * (self.order + 1) + derivative]
@@ -85,22 +100,55 @@ def build_embedding(
         k = sys.n - 1
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"embedding order must be a non-negative integer, got {k!r}")
+    embedding = EmbeddingMap(
+        tuple(obs.outputs),
+        order=0,
+        n_outputs=len(obs.outputs),
+        states=sys.states,
+        gradients=(),
+        memos=tuple({} for _ in sys.states),
+    )
+    for _ in range(k):
+        embedding = _extend(sys, embedding, _gradients(embedding))
+    return embedding
+
+
+def _gradients(embedding: EmbeddingMap) -> Tuple[Tuple[Expr, ...], ...]:
+    """The gradient of every component: those kept, and each output's last."""
+    k = embedding.order
+    rows: List[Tuple[Expr, ...]] = []
+    for o in range(embedding.n_outputs):
+        rows.extend(embedding.gradients[o * k : (o + 1) * k])
+        last = embedding.component(o, k)
+        rows.append(
+            tuple(diff(last, s, memo) for s, memo in zip(embedding.states, embedding.memos))
+        )
+    return tuple(rows)
+
+
+def _extend(
+    sys: OdeSystem, embedding: EmbeddingMap, rows: Sequence[Tuple[Expr, ...]]
+) -> EmbeddingMap:
+    """The embedding one order higher, given the gradients of its components."""
+    k = embedding.order
     components: List[Expr] = []
-    for output in obs.outputs:
-        current = output
-        components.append(current)
-        for _ in range(k):
-            current = lie_derivative(sys, current)
-            components.append(current)
-    return EmbeddingMap(tuple(components), order=k, n_outputs=len(obs.outputs))
+    for o in range(embedding.n_outputs):
+        components.extend(embedding.components[o * (k + 1) : (o + 1) * (k + 1)])
+        components.append(along_field(sys, rows[o * (k + 1) + k]))
+    return EmbeddingMap(
+        tuple(components),
+        order=k + 1,
+        n_outputs=embedding.n_outputs,
+        states=embedding.states,
+        gradients=tuple(rows),
+        memos=embedding.memos,
+    )
 
 
 def jacobian(embedding: EmbeddingMap, sys: OdeSystem) -> EmbeddingJacobian:
-    rows = tuple(
-        tuple(diff(component, s) for s in sys.states)
-        for component in embedding.components
-    )
-    return EmbeddingJacobian(rows, sys.states)
+    if sys.states != embedding.states:
+        raise ValueError("the embedding was built over other states")
+    return EmbeddingJacobian(_gradients(embedding), sys.states)
 
 
 def _point_key(point: Mapping[Symbol, Fraction]) -> tuple:
@@ -216,7 +264,7 @@ def observability_verdict(
     ``probe_points`` are user-supplied full assignments at which the local
     rank is also reported (degenerate loci are found by inspection, not
     solved for).  When the generic rank falls short of n, the embedding is
-    re-run one order higher to flag whether the rank was still growing.
+    extended one order higher to flag whether the rank was still growing.
     """
     embedding = build_embedding(sys, obs, k)
     jac = jacobian(embedding, sys)
@@ -230,7 +278,7 @@ def observability_verdict(
             probes.append((dict(point), None))
     rank_growing: Optional[bool] = None
     if verdict.generic_rank < sys.n:
-        higher = build_embedding(sys, obs, embedding.order + 1)
+        higher = _extend(sys, embedding, jac.entries)
         higher_verdict = generic_rank(jacobian(higher, sys), seed=seed, trials=trials)
         rank_growing = higher_verdict.generic_rank > verdict.generic_rank
     return ObservabilityAssessment(

@@ -30,7 +30,7 @@ import math
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Mapping, Optional, Sequence, Union
 
 # Exact arithmetic substrate: always lowest terms, positive denominator.
 Rational = Fraction
@@ -61,20 +61,31 @@ class UnknownSymbolError(ExprError):
         self.name = name
 
 
-class DivisionByZeroError(ExprError):
+class _NodeError(ExprError):
+    """An error at a recorded subexpression, printed only when asked for.
+
+    Printing walks the tree, which takes time exponential in the depth of a
+    DAG that shares subtrees, and the rank sampler raises one of these at
+    every point it rejects.
+    """
+
+    def __init__(self, subexpr: "Expr"):
+        super().__init__(subexpr)
+        self.subexpr = subexpr
+
+
+class DivisionByZeroError(_NodeError):
     """Division by zero while evaluating, at the recorded subexpression."""
 
-    def __init__(self, subexpr: "Expr"):
-        super().__init__(f"division by zero in {subexpr}")
-        self.subexpr = subexpr
+    def __str__(self) -> str:
+        return f"division by zero in {self.subexpr}"
 
 
-class TranscendentalNodeError(ExprError):
+class TranscendentalNodeError(_NodeError):
     """An operation restricted to the rational subset met ln/exp."""
 
-    def __init__(self, subexpr: "Expr"):
-        super().__init__(f"transcendental node {subexpr} not supported here")
-        self.subexpr = subexpr
+    def __str__(self) -> str:
+        return f"transcendental node {self.subexpr} not supported here"
 
 
 class DomainError(ExprError):
@@ -247,17 +258,18 @@ def sym(symbol: Symbol) -> Sym:
 def add(*terms: ExprLike) -> Expr:
     """Sum with flattening, constant folding, and zero-term removal."""
     flat = []
-    c = Fraction(0)
+    c = 0  # a Fraction once a nonzero constant is met
     stack = [as_expr(t) for t in reversed(terms)]
     while stack:
         t = stack.pop()
         if isinstance(t, Add):
             stack.extend(reversed(t.terms))
         elif isinstance(t, Const):
-            c += t.value
+            if t.value:
+                c = c + t.value if c else t.value
         else:
             flat.append(t)
-    if c != 0:
+    if c:
         flat.append(Const(c))
     if not flat:
         return ZERO
@@ -273,7 +285,7 @@ def mul(*factors: ExprLike) -> Expr:
     so a Mul node never directly contains a Neg child or a negative constant.
     """
     flat = []
-    c = Fraction(1)
+    c = 1  # the int 1 or -1 until a constant other than 1 is met
     stack = [as_expr(f) for f in reversed(factors)]
     while stack:
         f = stack.pop()
@@ -283,7 +295,8 @@ def mul(*factors: ExprLike) -> Expr:
             c = -c
             stack.append(f.arg)
         elif isinstance(f, Const):
-            c *= f.value
+            if f.value != 1:
+                c *= f.value
         else:
             flat.append(f)
     if c == 0:
@@ -292,7 +305,7 @@ def mul(*factors: ExprLike) -> Expr:
     if abs(c) != 1:
         core = [Const(abs(c))] + core
     if not core:
-        return Const(c)
+        return Const(Fraction(c))
     result = core[0] if len(core) == 1 else Mul(tuple(core))
     return neg(result) if c < 0 else result
 
@@ -386,13 +399,15 @@ def free_symbols(e: Expr) -> frozenset:
     return frozenset(found)
 
 
-def diff(e: Expr, v: Symbol) -> Expr:
+def diff(e: Expr, v: Symbol, memo: Optional[dict] = None) -> Expr:
     """Partial derivative with respect to ``v``, structurally simplified.
 
-    Each node object is differentiated once per call: subtrees shared by
-    identity are looked up in a memo, so their derivatives are shared too.
+    Each node object is differentiated once: subtrees shared by identity are
+    looked up in a memo, so their derivatives are shared too.  The memo lasts
+    one call, or as long as the caller keeps the dict passed as ``memo``; one
+    dict serves one variable, and it keeps every node it has seen alive.
     """
-    return _diff(e, v, {})
+    return _diff(e, v, {} if memo is None else memo)
 
 
 def _diff(e: Expr, v: Symbol, memo: dict) -> Expr:
@@ -470,13 +485,24 @@ def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
 _ADD, _MUL, _NEG, _DIV, _NONZERO, _POW, _SYM, _CONST, _TRANSCENDENTAL = range(9)
 
 
+def _exact(value):
+    """``value`` as an int when it is integral, else as a Fraction."""
+    if type(value) is int:
+        return value
+    if type(value) is not Fraction:
+        value = Fraction(value)
+    return value.numerator if value.denominator == 1 else value
+
+
 class ExactProgram:
-    """A matrix of expressions compiled to straight-line code over Fraction.
+    """A matrix of expressions compiled to straight-line exact code.
 
     Each structurally distinct subexpression is one instruction, so a run
     evaluates it once however often the trees repeat it.  Instructions write
     into slots that are reused once their value is dead: a run holds only
-    the values still to be read, plus the matrix entries.
+    the values still to be read, plus the matrix entries.  Integral values
+    are Python ints; a value becomes a Fraction only at a quotient that does
+    not divide or a negative power, or through a non-integral constant.
     """
 
     __slots__ = ("symbols", "rational", "_code", "_n_slots", "_outputs")
@@ -489,7 +515,8 @@ class ExactProgram:
         self._outputs: tuple = outputs
 
     def run(self, point: Mapping[Symbol, Fraction]) -> list:
-        """Exact values of the entries at ``point``, as a list of rows.
+        """Exact values of the entries at ``point``, as a list of rows of int
+        and Fraction.
 
         Raises :class:`DivisionByZeroError` at the node where a tree walk of
         the entries (row by row, each denominator checked before its
@@ -508,7 +535,7 @@ class ExactProgram:
                     value += regs[a]
             elif op == _SYM:
                 try:
-                    value = Fraction(point[payload])
+                    value = _exact(point[payload])
                 except KeyError:
                     raise UnknownSymbolError(payload.name) from None
             elif op == _CONST:
@@ -520,12 +547,20 @@ class ExactProgram:
                     raise DivisionByZeroError(payload)
                 continue
             elif op == _DIV:
-                value = regs[args[1]] / regs[args[0]]
+                num, den = regs[args[1]], regs[args[0]]
+                if type(num) is int and type(den) is int and num % den == 0:
+                    value = num // den
+                else:
+                    value = _exact(Fraction(num, den))
             elif op == _POW:
                 base = regs[args[0]]
-                if base == 0 and payload.exponent < 0:
+                exponent = payload.exponent
+                if exponent >= 0:
+                    value = base**exponent
+                elif base == 0:
                     raise DivisionByZeroError(payload)
-                value = base**payload.exponent
+                else:
+                    value = _exact(Fraction(1, base**-exponent))
             else:
                 raise TranscendentalNodeError(payload)
             regs[out] = value
@@ -567,7 +602,7 @@ class _Compiler:
             self.symbols.add(e.symbol)
             value = self.instr(_SYM, e.symbol, (), e.symbol)
         elif isinstance(e, Const):
-            value = self.instr(_CONST, e.value, (), e.value)
+            value = self.instr(_CONST, e.value, (), _exact(e.value))
         elif isinstance(e, Neg):
             value = self.instr(_NEG, None, (self.emit(e.arg),), None)
         elif isinstance(e, Div):
@@ -640,7 +675,7 @@ def compile_exact(rows: Sequence[Sequence[Expr]]) -> ExactProgram:
 
 def eval_exact(e: Expr, point: Mapping[Symbol, Fraction]) -> Fraction:
     """Exact rational evaluation; rejects ln/exp nodes.  One-entry :func:`compile_exact`."""
-    return compile_exact(((e,),)).run(point)[0][0]
+    return Fraction(compile_exact(((e,),)).run(point)[0][0])
 
 
 def eval_float(e: Expr, point: Mapping[Symbol, float]) -> float:

@@ -91,40 +91,51 @@ def build_graph(sys: OdeSystem, seed: int = 0) -> InferenceGraph:
 
 
 def scc_condensation(g: InferenceGraph) -> Condensation:
-    """Tarjan's strongly connected components plus the condensation DAG."""
+    """Tarjan's strongly connected components plus the condensation DAG.
+
+    The depth-first search keeps its own stack of (node, successor iterator)
+    frames, so a long path costs no Python recursion.
+    """
+    succ: Dict[Symbol, List[Symbol]] = {n: [] for n in g.nodes}
+    for a, b in g.edges:
+        succ[a].append(b)
     index_of: Dict[Symbol, int] = {}
     lowlink: Dict[Symbol, int] = {}
     on_stack: Set[Symbol] = set()
     stack: List[Symbol] = []
-    counter = itertools.count()
     sccs: List[Set[Symbol]] = []
-    succ: Dict[Symbol, List[Symbol]] = {n: [] for n in g.nodes}
-    for a, b in g.edges:
-        succ[a].append(b)
-
-    def strongconnect(v: Symbol) -> None:
-        index_of[v] = lowlink[v] = next(counter)
-        stack.append(v)
-        on_stack.add(v)
-        for w in succ[v]:
-            if w not in index_of:
-                strongconnect(w)
-                lowlink[v] = min(lowlink[v], lowlink[w])
-            elif w in on_stack:
-                lowlink[v] = min(lowlink[v], index_of[w])
-        if lowlink[v] == index_of[v]:
-            comp = set()
-            while True:
-                w = stack.pop()
-                on_stack.discard(w)
-                comp.add(w)
-                if w == v:
+    for root in g.nodes:
+        if root in index_of:
+            continue
+        index_of[root] = lowlink[root] = len(index_of)
+        stack.append(root)
+        on_stack.add(root)
+        frames = [(root, iter(succ[root]))]
+        while frames:
+            v, successors = frames[-1]
+            for w in successors:
+                if w not in index_of:
+                    index_of[w] = lowlink[w] = len(index_of)
+                    stack.append(w)
+                    on_stack.add(w)
+                    frames.append((w, iter(succ[w])))
                     break
-            sccs.append(comp)
-
-    for v in g.nodes:
-        if v not in index_of:
-            strongconnect(v)
+                if w in on_stack:
+                    lowlink[v] = min(lowlink[v], index_of[w])
+            else:
+                frames.pop()
+                if frames:
+                    parent = frames[-1][0]
+                    lowlink[parent] = min(lowlink[parent], lowlink[v])
+                if lowlink[v] == index_of[v]:
+                    comp = set()
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp.add(w)
+                        if w == v:
+                            break
+                    sccs.append(comp)
 
     node_order = {s: i for i, s in enumerate(g.nodes)}
     ordered = sorted(

@@ -2,6 +2,7 @@
 
 Rank uses fraction-free (Bareiss) elimination on an integer-scaled copy of
 the matrix, so intermediate values stay integral and the result is exact.
+Rows that hold only ints are copied as they are.
 """
 
 from __future__ import annotations
@@ -18,6 +19,9 @@ class SingularMatrixError(Exception):
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
     out = []
     for row in rows:
+        if all(type(x) is int for x in row):
+            out.append(list(row))
+            continue
         fracs = [Fraction(x) for x in row]
         scale = lcm(*[f.denominator for f in fracs]) if fracs else 1
         out.append([int(f * scale) for f in fracs])

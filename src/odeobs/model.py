@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .expr import (
     Const,
@@ -310,13 +310,18 @@ class ConservedVerdict:
 
 def lie_derivative(sys: OdeSystem, y: Expr) -> Expr:
     """Time derivative of ``y`` along the vector field: sum_i f_i * dy/dx_i."""
-    terms = []
-    for s, f in zip(sys.states, sys.rhs):
-        dy = diff(y, s)
-        if isinstance(dy, Const) and dy.value == 0:
-            continue
-        terms.append(mul(f, dy))
-    return add(*terms)
+    return along_field(sys, [diff(y, s) for s in sys.states])
+
+
+def along_field(sys: OdeSystem, gradient: Sequence[Expr]) -> Expr:
+    """Time derivative of an expression, given its gradient over the states."""
+    return add(
+        *[
+            mul(f, g)
+            for f, g in zip(sys.rhs, gradient)
+            if not (isinstance(g, Const) and g.value == 0)
+        ]
+    )
 
 
 def verify_conserved(

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from odeobs import linalg
+from odeobs import embedding, linalg
 from odeobs.embedding import (
     AllPointsDegenerateError,
     build_embedding,
@@ -20,14 +20,17 @@ from odeobs.expr import (
     Sym,
     Symbol,
     add,
+    diff,
     mul,
     neg,
     parse_expr,
     sym,
+    to_str,
 )
 from odeobs.model import (
     ObservationSet,
     OdeSystem,
+    lie_derivative,
     parse_model,
     reduce_by_conserved,
     verify_all_conserved,
@@ -283,6 +286,50 @@ def points_digest(points):
         for p in points
     )
     return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestSharedDerivatives:
+    def test_entries_and_components_print_as_fresh_derivatives(self, sir, mm, lv):
+        for sys in (sir, mm, lv, parse_model(CHAIN6)):
+            for obs in sys.observations:
+                emb = build_embedding(sys, obs)
+                jac = jacobian(emb, sys)
+                for o, output in enumerate(obs.outputs):
+                    component = output
+                    for d in range(emb.order + 1):
+                        assert to_str(emb.component(o, d)) == to_str(component)
+                        row = jac.entries[o * (emb.order + 1) + d]
+                        assert [to_str(e) for e in row] == [
+                            to_str(diff(component, s)) for s in sys.states
+                        ]
+                        component = lie_derivative(sys, component)
+
+    def test_verdict_differentiates_each_order_once(self, monkeypatch):
+        # x2 and x3 see only x1..x3 of the six compartments: the rank is
+        # short, so the verdict also takes order n
+        sys = parse_model(CHAIN6.replace("observe end: x6", "observe mid: x2, x3"))
+        calls = {"diff": 0, "build_embedding": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(embedding, "diff", counted("diff", embedding.diff))
+        monkeypatch.setattr(
+            embedding, "build_embedding", counted("build_embedding", embedding.build_embedding)
+        )
+        v = observability_verdict(sys, sys.observations[0], seed=0, trials=2)
+        assert (v.k, v.rank.generic_rank, v.rank_growing) == (5, 3, False)
+        assert calls["build_embedding"] == 1
+        n_outputs, n = 2, 6
+        assert calls["diff"] == n_outputs * n * (v.k + 2)
+
+    def test_other_states_are_refused(self, sir, toy):
+        with pytest.raises(ValueError):
+            jacobian(build_embedding(sir, obs_named(sir, "R"), 1), toy)
 
 
 class TestPinnedSampling:

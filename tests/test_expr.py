@@ -1,5 +1,7 @@
+import hashlib
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -23,6 +25,7 @@ from odeobs.expr import (
     TranscendentalNodeError,
     UnknownSymbolError,
     add,
+    children,
     compile_exact,
     diff,
     div,
@@ -462,6 +465,114 @@ class TestCompileExact:
         with pytest.raises(DivisionByZeroError):
             program.run({X: Fraction(0)})
         assert program.run({X: Fraction(-1)}) == [[Fraction(-1), Fraction(-1)]]
+
+
+    def test_integral_values_stay_int(self):
+        rng = random.Random(59)
+        for _ in range(200):
+            a, b = random_expr(rng, depth=3), random_expr(rng, depth=2)
+            rows = (
+                (div(a, b), pow_int(a, -3)),
+                (mul(Const(Fraction(2, 3)), a), add(a, pow_int(b, -1))),
+            )
+            program = compile_exact(rows)
+            for point in (
+                {s: Fraction(rng.randint(-3, 3)) for s in GEN_SYMBOLS},
+                random_point(rng, bound=3),
+            ):
+                expected = walk_outcome(
+                    lambda: [[tree_walk_exact(e, point) for e in row] for row in rows]
+                )
+                assert walk_outcome(lambda: program.run(point)) == expected
+        program = compile_exact(
+            (
+                (
+                    mul(sym(X), sym(Y)),
+                    div(sym(X), sym(Y)),
+                    div(sym(Y), sym(X)),
+                    pow_int(sym(X), -2),
+                    pow_int(sym(Y), -1),
+                    add(sym(X), Const(Fraction(1, 2))),
+                ),
+            )
+        )
+        values = program.run({X: Fraction(4), Y: -1})[0]
+        assert values == [-4, -4, Fraction(-1, 4), Fraction(1, 16), -1, Fraction(9, 2)]
+        assert [type(v) for v in values] == [int, int, Fraction, Fraction, int, Fraction]
+
+    def test_eval_exact_returns_fraction(self):
+        assert type(eval_exact(mul(sym(X), sym(Y)), {X: Fraction(2), Y: 3})) is Fraction
+        assert type(eval_exact(div(sym(X), sym(Y)), {X: 1, Y: 2})) is Fraction
+
+
+class TestNodeErrors:
+    def test_pole_over_deep_shared_dag_raises_at_once(self):
+        # the numerator prints as a tree of 2^40 nodes
+        e = sym(X)
+        for _ in range(40):
+            e = div(e, add(e, ONE))
+        bad = div(e, add(sym(X), neg(sym(X))))
+        start = time.perf_counter()
+        with pytest.raises(DivisionByZeroError) as err:
+            eval_exact(bad, {X: Fraction(1)})
+        assert time.perf_counter() - start < 0.5
+        assert err.value.subexpr is bad
+
+    def test_messages_of_small_expressions(self):
+        with pytest.raises(DivisionByZeroError) as err:
+            eval_exact(div(sym(X), add(sym(Y), ONE)), {X: 1, Y: -1})
+        assert str(err.value) == "division by zero in x/(y + 1)"
+        with pytest.raises(TranscendentalNodeError) as err:
+            eval_exact(ln(sym(X)), {X: 1})
+        assert str(err.value) == "transcendental node ln(x) not supported here"
+
+
+def constants(e):
+    stack, found = [e], []
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Const):
+            found.append(node)
+        stack.extend(children(node))
+    return found
+
+
+class TestConstantFolding:
+    def test_folded_constants_are_fractions(self):
+        half = Const(Fraction(1, 2))
+        cases = [
+            add(),
+            mul(),
+            add(half, neg(half)),
+            add(half, half, sym(X)),
+            mul(Const(Fraction(2)), half),
+            mul(Neg(ONE), ONE),
+            mul(neg(half), Const(Fraction(-2)), sym(X)),
+            mul(ONE, ONE, Const(Fraction(3))),
+            mul(Neg(sym(X)), ONE),
+        ]
+        rng = random.Random(61)
+        for _ in range(200):
+            e = random_expr(rng, depth=4, allow_ln=True)
+            cases += [e] + [diff(e, v) for v in GEN_SYMBOLS]
+        for e in cases:
+            for c in constants(e):
+                assert type(c.value) is Fraction
+        assert [to_str(e) for e in cases[:9]] == [
+            "0", "1", "0", "x + 1", "1", "-1", "x", "3", "-x"
+        ]
+
+    def test_printed_corpus_unchanged(self):
+        # the print/parse round-trip corpus and its derivatives, as printed
+        # before constants were folded over int accumulators
+        rng = random.Random(19)
+        lines = []
+        for _ in range(400):
+            e = random_expr(rng, depth=4, allow_ln=True)
+            lines.append(to_str(e))
+            lines.extend(to_str(diff(e, v)) for v in GEN_SYMBOLS)
+        digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
+        assert digest == "e1da1308cf3a0a2ed0544424b8877fd65f3e5ea56d8e61fa363643f4c576e837"
 
 
 class TestDiffMemo:

@@ -136,6 +136,21 @@ class TestCondensation:
                             frontier.append(dst)
             assert seen == len(c.components)
 
+    def test_long_paths_need_no_recursion(self):
+        # x_i depends on x_(i-1), declared from x5000 down: the search from
+        # the first node runs 5000 deep
+        xs = [Symbol(f"x{i}", "state") for i in range(1, 5001)]
+        nodes = tuple(reversed(xs))
+        chain = tuple((b, a) for a, b in zip(xs, xs[1:]))
+        c = scc_condensation(InferenceGraph(nodes=nodes, edges=chain))
+        assert c.components == tuple((x,) for x in nodes)
+        assert c.dag_edges == tuple((i, i + 1) for i in range(4999))
+        assert c.roots == (0,)
+        ring = chain + ((xs[0], xs[-1]),)
+        c = scc_condensation(InferenceGraph(nodes=nodes, edges=ring))
+        assert c.components == (nodes,)
+        assert (c.dag_edges, c.roots) == ((), (0,))
+
     def test_against_brute_force_scc_oracle(self):
         rng = random.Random(73)
         for _ in range(120):

@@ -34,6 +34,18 @@ class TestRank:
             expected = int(np.linalg.matrix_rank(np.array(m, dtype=float)))
             assert rank(m) == expected
 
+    def test_int_and_fraction_rows_agree_and_input_is_kept(self):
+        rng = random.Random(45)
+        for _ in range(100):
+            ints = [[rng.randint(-6, 6) for _ in range(4)] for _ in range(rng.randint(1, 4))]
+            mixed = [
+                [Fraction(x, 3) for x in row] if rng.random() < 0.5 else list(row)
+                for row in ints
+            ]
+            copy = [list(row) for row in ints]
+            assert rank(ints) == rank(mixed) == rank([[Fraction(x) for x in r] for r in ints])
+            assert ints == copy
+
     def test_rank_deficient_products(self):
         rng = random.Random(47)
         for _ in range(50):
