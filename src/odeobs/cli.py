@@ -172,7 +172,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     for quantity in sys_model.conserved:
         try:
             drift = conserved_drift(traj, quantity)
-        except (ZeroDivisionError, ValueError) as exc:
+        except (ArithmeticError, ValueError) as exc:  # a pole, an overflow, ln of x <= 0
             _sys.stdout.write(f"drift {quantity.level_name}: not evaluable ({exc})\n")
             continue
         _sys.stdout.write(f"drift {quantity.level_name}: {drift:.3e}\n")

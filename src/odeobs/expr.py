@@ -17,7 +17,9 @@ Grammar accepted by :func:`parse_expr` (whitespace insignificant)::
 ``-`` is left-associative, ``^`` binds tighter than unary minus, implicit
 multiplication is not allowed, and the only recognized functions are ``ln``
 and ``exp``.  Numbers are decimal integers; fractions are written ``p/q``
-and fold to a single rational constant.
+and fold to a single rational constant.  At most :data:`MAX_NESTING`
+parentheses (those of ``ln(``/``exp(`` included) and unary minus signs may
+be open at once; deeper input is a syntax error, not a recursion failure.
 
 Construction goes through the smart constructors (:func:`add`, :func:`mul`,
 ...), which fold constants and remove neutral elements but perform no other
@@ -38,6 +40,8 @@ Rational = Fraction
 ExprLike = Union["Expr", int, Fraction]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+
+MAX_NESTING = 100  # open parentheses (calls included) plus unary minus signs
 
 
 class ExprError(Exception):
@@ -824,6 +828,7 @@ class _Parser:
         self.tokens = tokens
         self.i = 0
         self.symbols = symbols
+        self.depth = 0  # parentheses and unary minus signs open at the cursor
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -837,6 +842,11 @@ class _Parser:
         tok = self.advance()
         if tok.kind != "op" or tok.text != op:
             raise ExprSyntaxError(f"expected {op!r}", tok.pos)
+
+    def enter(self, tok: _Token) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
 
     def expr(self) -> Expr:
         e = self.term()
@@ -857,8 +867,10 @@ class _Parser:
     def factor(self) -> Expr:
         tok = self.peek()
         if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return neg(self.factor())
+            self.enter(self.advance())
+            e = neg(self.factor())
+            self.depth -= 1
+            return e
         a = self.atom()
         if self.peek().kind == "op" and self.peek().text == "^":
             self.advance()
@@ -880,8 +892,10 @@ class _Parser:
     def atom(self) -> Expr:
         tok = self.advance()
         if tok.kind == "op" and tok.text == "(":
+            self.enter(tok)
             e = self.expr()
             self.expect_op(")")
+            self.depth -= 1
             return e
         if tok.kind == "int":
             return Const(Fraction(int(tok.text)))
@@ -892,9 +906,10 @@ class _Parser:
         if tok.kind == "name":
             nxt = self.peek()
             if tok.text in ("ln", "exp") and nxt.kind == "op" and nxt.text == "(":
-                self.advance()
+                self.enter(self.advance())
                 arg = self.expr()
                 self.expect_op(")")
+                self.depth -= 1
                 return ln(arg) if tok.text == "ln" else exp(arg)
             if tok.text not in self.symbols:
                 raise UnknownSymbolError(tok.text)

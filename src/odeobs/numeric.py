@@ -2,8 +2,13 @@
 
 The integrator is a deliberately plain fixed-step classical Runge-Kutta: the
 systems here are smooth and small, and a fixed grid keeps drift measurements
-and output comparisons deterministic.  Expressions are compiled to Python
-callables once per run, so stepping stays cheap.
+and output comparisons deterministic.  Each run compiles the whole step
+into one generated straight-line function of the n state scalars: the four
+stages, their inputs and the update, with structurally equal subexpressions
+computed once per stage.  The loop calls it once per step.  Drift and
+observed outputs run the same kind of program over the trajectory, reading
+Python floats a block of rows at a time; so a pole on the trajectory raises
+``ZeroDivisionError`` instead of turning into ``inf``.
 
 A search for an unobservability witness perturbs the base point only along
 state directions whose values cannot influence the observed outputs (states
@@ -16,15 +21,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from .expr import Add, Const, Div, Exp, Expr, Ln, Mul, Neg, PowInt, Sym, Symbol
+from .expr import Add, Const, Div, Exp, Expr, Ln, Mul, Neg, PowInt, Sym, Symbol, children
 from .graph import build_graph, forward_closure
 from .model import ConservedQuantity, ObservationSet, OdeSystem
 
 ZERO_DISTANCE = 1e-12  # outputs closer than this over the grid count as identical
+_ROW_BLOCK = 256  # trajectory rows read as Python floats at a time
 
 
 class EvaluationError(Exception):
@@ -56,31 +62,132 @@ class WitnessPair:
     direction: Optional[str] = None  # perturbed state name, when applicable
 
 
-def _emit(e: Expr, index: Mapping[Symbol, int], params: Mapping[Symbol, float]) -> str:
-    if isinstance(e, Const):
-        return repr(float(e.value))
-    if isinstance(e, Sym):
-        s = e.symbol
-        if s in index:
-            return f"x[{index[s]}]"
-        if s in params:
-            return repr(float(params[s]))
-        raise KeyError(f"unbound symbol {s.name!r}")
-    if isinstance(e, Add):
-        return "(" + " + ".join(_emit(t, index, params) for t in e.terms) + ")"
-    if isinstance(e, Mul):
-        return "(" + " * ".join(_emit(f, index, params) for f in e.factors) + ")"
-    if isinstance(e, Neg):
-        return "(-" + _emit(e.arg, index, params) + ")"
-    if isinstance(e, Div):
-        return f"({_emit(e.num, index, params)} / {_emit(e.den, index, params)})"
-    if isinstance(e, PowInt):
-        return f"({_emit(e.base, index, params)} ** {e.exponent})"
-    if isinstance(e, Ln):
-        return f"math.log({_emit(e.arg, index, params)})"
-    if isinstance(e, Exp):
-        return f"math.exp({_emit(e.arg, index, params)})"
-    raise TypeError(f"unhandled node {e!r}")
+# precedence of the printed Python operators, loosest first
+_SUM, _PRODUCT, _UNARY, _POWER, _ATOM = range(5)
+
+
+def _literal(value: float) -> Tuple[str, int]:
+    text = repr(value)  # round-trips exactly; inf and nan are names in the namespace
+    return text, _UNARY if text.startswith("-") else _ATOM
+
+
+class _Emitter:
+    """Prints expressions as straight-line Python source over float locals.
+
+    Operations keep the order in which the expression is written: terms and
+    factors left to right, a quotient's numerator before its denominator.
+    Parentheses appear only where Python's precedence needs them (its
+    parser refuses more than 200 nested ones), and the compiled operations
+    are those of the fully parenthesized tree.  Within
+    one :meth:`emit` call, a composite subtree that occurs more than once
+    (structurally equal subtrees built apart included) is computed at its
+    first use, bound there with ``:=``, and read by name after that.  The
+    evaluation order is unchanged, so every value is the one a plain tree walk
+    gives, bit for bit, and so is the first exception raised.  A ``Neg`` term
+    of a sum is printed as a subtraction: in IEEE arithmetic ``a + (-b)`` is
+    exactly ``a - b``.
+
+    A class rather than nested functions: a recursive closure is a reference
+    cycle, which would keep the tables alive until the cyclic collector ran.
+    """
+
+    def __init__(self, params: Mapping[Symbol, float]):
+        self.params = params
+        self.n_bound = 0
+        # id(node) -> structural class (the caller keeps the nodes alive), and
+        # (type, leaf, child classes) -> structural class
+        self.by_id: Dict[int, int] = {}
+        self.by_key: Dict[tuple, int] = {}
+        self.env: Mapping[Symbol, str] = {}
+        self.shared: set = set()  # classes occurring more than once in the current emit
+        self.names: Dict[int, str] = {}  # class -> local name, once bound
+
+    def _class(self, e: Expr) -> int:
+        c = self.by_id.get(id(e))
+        if c is None:
+            kids = []
+            for kid in children(e):
+                kids.append(self._class(kid))
+            leaf = (
+                e.value if isinstance(e, Const)
+                else e.symbol if isinstance(e, Sym)
+                else e.exponent if isinstance(e, PowInt)
+                else None
+            )
+            key = (type(e), leaf, tuple(kids))
+            c = self.by_id[id(e)] = self.by_key.setdefault(key, len(self.by_key))
+        return c
+
+    def _count(self, e: Expr, uses: Dict[int, int]) -> None:
+        c = self._class(e)
+        if c in uses:
+            uses[c] += 1  # printed once: its children are not counted again
+            return
+        uses[c] = 1
+        for kid in children(e):
+            self._count(kid, uses)
+
+    def emit(self, exprs: Sequence[Expr], env: Mapping[Symbol, str]) -> List[str]:
+        """Source of each expression, with ``env`` naming the state locals."""
+        uses: Dict[int, int] = {}
+        for e in exprs:
+            self._count(e, uses)
+        self.env = env
+        self.shared = {c for c, n in uses.items() if n > 1}
+        self.names = {}
+        return [self._emit(e, _SUM) for e in exprs]
+
+    def _emit(self, e: Expr, least: int) -> str:
+        """Source of ``e``, parenthesized unless it binds at least as tightly as ``least``."""
+        text, precedence = self._printed(e)
+        return text if precedence >= least else f"({text})"
+
+    def _printed(self, e: Expr) -> Tuple[str, int]:
+        # two frames per tree level (this and _emit), and no generator frames
+        if isinstance(e, Const):
+            return _literal(float(e.value))
+        if isinstance(e, Sym):
+            s = e.symbol
+            if s in self.env:
+                return self.env[s], _ATOM
+            if s in self.params:
+                return _literal(float(self.params[s]))
+            raise KeyError(f"unbound symbol {s.name!r}")
+        c = self.by_id[id(e)]
+        name = self.names.get(c)
+        if name is not None:
+            return name, _ATOM
+        if isinstance(e, Add):
+            parts = [self._emit(e.terms[0], _SUM)]
+            for t in e.terms[1:]:
+                if isinstance(t, Neg) and self.by_id[id(t)] not in self.shared:
+                    parts.append(" - " + self._emit(t.arg, _PRODUCT))
+                else:
+                    parts.append(" + " + self._emit(t, _PRODUCT))
+            text, precedence = "".join(parts), _SUM
+        elif isinstance(e, Mul):
+            parts = [self._emit(e.factors[0], _PRODUCT)]
+            for f in e.factors[1:]:
+                parts.append(" * " + self._emit(f, _UNARY))
+            text, precedence = "".join(parts), _PRODUCT
+        elif isinstance(e, Neg):
+            text, precedence = "-" + self._emit(e.arg, _UNARY), _UNARY
+        elif isinstance(e, Div):
+            num = self._emit(e.num, _PRODUCT)
+            text, precedence = f"{num} / {self._emit(e.den, _UNARY)}", _PRODUCT
+        elif isinstance(e, PowInt):
+            text, precedence = f"{self._emit(e.base, _ATOM)} ** {e.exponent}", _POWER
+        elif isinstance(e, Ln):
+            text, precedence = f"math.log({self._emit(e.arg, _SUM)})", _ATOM
+        elif isinstance(e, Exp):
+            text, precedence = f"math.exp({self._emit(e.arg, _SUM)})", _ATOM
+        else:
+            raise TypeError(f"unhandled node {e!r}")
+        if c not in self.shared:
+            return text, precedence
+        name = self.names[c] = f"c{self.n_bound}"
+        self.n_bound += 1
+        return f"({name} := {text})", _ATOM
 
 
 def _normalize_params(sys: OdeSystem, params: Mapping) -> Dict[Symbol, float]:
@@ -98,15 +205,54 @@ def _normalize_params(sys: OdeSystem, params: Mapping) -> Dict[Symbol, float]:
 
 
 def compile_functions(
-    sys: OdeSystem, exprs: Sequence[Expr], params: Mapping
-) -> Callable[[Sequence[float]], Tuple[float, ...]]:
-    """Compile expressions over the state vector with parameters inlined."""
-    bound = _normalize_params(sys, params)
-    index = {s: i for i, s in enumerate(sys.states)}
-    bodies = ", ".join(_emit(e, index, bound) for e in exprs)
-    src = f"def _compiled(x):\n    return ({bodies}{',' if len(exprs) == 1 else ''})\n"
-    namespace = {"math": math}
-    exec(src, namespace)
+    states: Sequence[Symbol],
+    exprs: Sequence[Expr],
+    params: Mapping[Symbol, float],
+    dt: Optional[float] = None,
+) -> Callable:
+    """Compile expressions over the state scalars ``x0 ... x{n-1}``, parameters inlined.
+
+    Without ``dt`` the result maps a list of state rows to a list of tuples:
+    each row's value of every expression.  With ``dt`` the expressions are the
+    right-hand sides and the result is one classical RK4 step: a function of
+    the n state scalars that returns the next state as a tuple.  Each stage
+    evaluates the right-hand sides at ``x + (dt/2)*k`` or ``x + dt*k``, and
+    the update is ``x + dt/6*(k1 + 2.0*k2 + 2.0*k3 + k4)``.
+    """
+    emit = _Emitter(params).emit
+    xs = [f"x{i}" for i in range(len(states))]
+    args = ", ".join(xs) + ","
+    if dt is None:
+        values = ", ".join(emit(exprs, dict(zip(states, xs))))
+        lines = [
+            "def _compiled(rows):",
+            "    out = []",
+            "    append = out.append",
+            f"    for {args} in rows:",
+            f"        append(({values},))",
+            "    return out",
+        ]
+    else:
+        # dt > 0, so every scale prints as a plain literal; repr round-trips
+        lines = [f"def _compiled({args}):"]
+        ks: List[List[str]] = []
+        for stage, scale in enumerate((None, dt / 2.0, dt / 2.0, dt), start=1):
+            inputs = xs
+            if scale is not None:
+                inputs = [f"u{stage}_{i}" for i in range(len(xs))]
+                lines += [
+                    f"    {u} = {x} + {scale!r} * {k}" for u, x, k in zip(inputs, xs, ks[-1])
+                ]
+            ks.append([f"k{stage}_{i}" for i in range(len(xs))])
+            values = emit(exprs, dict(zip(states, inputs)))
+            lines += [f"    {k} = {v}" for k, v in zip(ks[-1], values)]
+        update = ", ".join(
+            f"{x} + {dt / 6.0!r} * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+            for x, a, b, c, d in zip(xs, *ks)
+        )
+        lines.append(f"    return ({update},)")
+    namespace = {"math": math, "inf": math.inf, "nan": math.nan}
+    exec("\n".join(lines) + "\n", namespace)
     return namespace["_compiled"]
 
 
@@ -138,35 +284,26 @@ def integrate_rk4(
         raise ValueError("dt must be positive")
     if T < dt:
         raise ValueError("T must be at least dt")
-    f = compile_functions(sys, sys.rhs, params)
+    step = compile_functions(sys.states, sys.rhs, _normalize_params(sys, params), dt)
     steps = int(math.floor(T / dt + 1e-9))
-    x = [float(v) for v in _normalize_x0(sys, x0)]
+    x = _normalize_x0(sys, x0).tolist()
     values = np.empty((steps + 1, sys.n), dtype=float)
     values[0] = x
     diverged = False
-    half = dt / 2.0
-    sixth = dt / 6.0
     filled = steps + 1
+    isfinite = math.isfinite
     for i in range(steps):
-        t = i * dt
         try:
-            k1 = f(x)
-            k2 = f([xv + half * kv for xv, kv in zip(x, k1)])
-            k3 = f([xv + half * kv for xv, kv in zip(x, k2)])
-            k4 = f([xv + dt * kv for xv, kv in zip(x, k3)])
+            x = step(*x)
         except ZeroDivisionError:
-            raise EvaluationError(t, "division by zero") from None
+            raise EvaluationError(i * dt, "division by zero") from None
         except ValueError as exc:
-            raise EvaluationError(t, str(exc)) from None
+            raise EvaluationError(i * dt, str(exc)) from None
         except OverflowError:
             diverged = True
             filled = i + 1
             break
-        x = [
-            xv + sixth * (a + 2.0 * b + 2.0 * c + d)
-            for xv, a, b, c, d in zip(x, k1, k2, k3, k4)
-        ]
-        if not all(math.isfinite(v) for v in x):
+        if not all(map(isfinite, x)):
             diverged = True
             filled = i + 1
             break
@@ -184,21 +321,42 @@ def integrate_rk4(
     )
 
 
-def _scalar_on_trajectory(traj: Trajectory, expr: Expr) -> np.ndarray:
-    index = {s: i for i, s in enumerate(traj.states)}
+def _scalars(traj: Trajectory, exprs: Sequence[Expr]) -> Callable[[Trajectory], np.ndarray]:
+    """Evaluator of ``exprs`` on the grid, with the states and parameters of ``traj``.
+
+    It maps a trajectory to one row per grid point, one column per
+    expression.  Rows are read as Python floats, ``_ROW_BLOCK`` at a time, so
+    a pole raises ``ZeroDivisionError`` and an overflowing power
+    ``OverflowError``.
+    """
     params = {Symbol(name, "parameter"): value for name, value in traj.params.items()}
-    src = "def _compiled(x):\n    return " + _emit(expr, index, params) + "\n"
-    namespace = {"math": math}
-    exec(src, namespace)
-    f = namespace["_compiled"]
-    return np.array([f(row) for row in traj.values], dtype=float)
+    program = compile_functions(traj.states, exprs, params)
+
+    def series(run: Trajectory) -> np.ndarray:
+        values = run.values
+        out = np.empty((len(values), len(exprs)), dtype=float)
+        for a in range(0, len(values), _ROW_BLOCK):
+            out[a:a + _ROW_BLOCK] = program(values[a:a + _ROW_BLOCK].tolist())
+        return out
+
+    return series
 
 
 def conserved_drift(traj: Trajectory, quantity: Union[ConservedQuantity, Expr]) -> float:
     """max over the grid of |H(x(t)) - H(x(0))|."""
     expr = quantity.expr if isinstance(quantity, ConservedQuantity) else quantity
-    series = _scalar_on_trajectory(traj, expr)
+    series = _scalars(traj, [expr])(traj)[:, 0]
     return float(np.max(np.abs(series - series[0])))
+
+
+def _output_distance(series_a: np.ndarray, series_b: np.ndarray) -> float:
+    """Largest sup-norm distance of one output over the grid both series cover."""
+    shared = min(len(series_a), len(series_b))
+    distance = 0.0
+    for j in range(series_a.shape[1]):
+        gap = np.abs(series_a[:shared, j] - series_b[:shared, j])
+        distance = max(distance, float(np.max(gap)))
+    return distance
 
 
 def distinguishability(
@@ -210,19 +368,20 @@ def distinguishability(
     dt: float,
     T: float,
 ) -> WitnessPair:
-    """Sup-norm distance of the observed outputs from two initial states."""
+    """Sup-norm distance of the observed outputs from two initial states.
+
+    Outputs are evaluated over Python floats, so an output that cannot be
+    evaluated at some grid point raises: ``ZeroDivisionError`` at a pole,
+    ``ValueError`` for ln of a non-positive value, ``OverflowError`` when a
+    power or exp leaves the float range.
+    """
     traj_a = integrate_rk4(sys, x0_a, params, dt, T)
     traj_b = integrate_rk4(sys, x0_b, params, dt, T)
-    shared = min(len(traj_a.times), len(traj_b.times))
-    distance = 0.0
-    for output in obs.outputs:
-        series_a = _scalar_on_trajectory(traj_a, output)[:shared]
-        series_b = _scalar_on_trajectory(traj_b, output)[:shared]
-        distance = max(distance, float(np.max(np.abs(series_a - series_b))))
+    outputs = _scalars(traj_a, obs.outputs)
     return WitnessPair(
         x0_a=tuple(_normalize_x0(sys, x0_a)),
         x0_b=tuple(_normalize_x0(sys, x0_b)),
-        output_distance=distance,
+        output_distance=_output_distance(outputs(traj_a), outputs(traj_b)),
         horizon=T,
     )
 
@@ -244,25 +403,33 @@ def unobservability_witness(
     observed nodes' reachable set in the inference graph) are tried; the
     first perturbation whose output distance stays below ``threshold`` is
     returned.  ``None`` means every tried perturbation was detected, or there
-    was nothing to try; it is evidence, not a proof of observability.
+    was nothing to try; it is evidence, not a proof of observability.  The
+    base point is integrated, and its outputs evaluated, once per search.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
     graph = build_graph(sys, seed=seed)
     influencing = forward_closure(graph, obs.observed_states())
     hidden = [s for s in sys.states if s not in influencing]
+    if not hidden:
+        return None
     base = _normalize_x0(sys, base_point)
+    traj = integrate_rk4(sys, base, params, dt, T)
+    outputs = _scalars(traj, obs.outputs)
+    base_series = outputs(traj)
     for s in hidden:
         i = sys.state_index(s)
         for sign in (+1.0, -1.0):
             shifted = base.copy()
             shifted[i] += sign * delta
-            pair = distinguishability(sys, obs, base, shifted, params, dt, T)
-            if pair.output_distance < threshold:
+            distance = _output_distance(
+                base_series, outputs(integrate_rk4(sys, shifted, params, dt, T))
+            )
+            if distance < threshold:
                 return WitnessPair(
-                    x0_a=pair.x0_a,
-                    x0_b=pair.x0_b,
-                    output_distance=pair.output_distance,
+                    x0_a=tuple(base),
+                    x0_b=tuple(shifted),
+                    output_distance=distance,
                     horizon=T,
                     direction=s.name,
                 )

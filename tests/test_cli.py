@@ -1,9 +1,11 @@
 import json
+import warnings
 from pathlib import Path
 
 import pytest
 
 from odeobs.cli import main
+from odeobs.expr import MAX_NESTING
 from odeobs.report import render_text
 
 from conftest import model_path
@@ -210,7 +212,72 @@ class TestVerify:
         assert "refuted" in out and "witness" in out
 
 
+class TestModelNesting:
+    def _write(self, tmp_path, rhs):
+        model = tmp_path / "deep.model"
+        model.write_text(f"model: deep\nparams: a\nstates: x\ndx/dt = {rhs}\n")
+        return str(model)
+
+    def test_deepest_allowed_rhs_loads(self, tmp_path, capsys):
+        rhs = "(" * MAX_NESTING + "a*x" + ")" * MAX_NESTING
+        code, out, err = run(capsys, "verify", self._write(tmp_path, rhs))
+        assert (code, err) == (0, "")
+        assert out == "(no conserved quantities declared)\n"
+
+    def test_deepest_nested_product_simulates(self, tmp_path, capsys):
+        # a*x*(1 - a*x*(1 - ...)): the RK4 step of the deepest accepted rhs
+        # still compiles and runs
+        depth = MAX_NESTING
+        rhs = "a*x*(1 - " * depth + "x" + ")" * depth
+        code, out, err = run(
+            capsys, "simulate", self._write(tmp_path, rhs), "--x0", "0.5",
+            "--params", "a=0.1", "--dt", "0.1", "--T", "1",
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("integrated deep: 11 points")
+
+    @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 400])
+    def test_deeper_rhs_is_a_parse_error(self, tmp_path, capsys, depth):
+        rhs = "(" * depth + "a*x" + ")" * depth
+        code, _, err = run(capsys, "analyze", self._write(tmp_path, rhs))
+        assert code == 1
+        assert err.startswith("error: model parse error: ")
+        assert "nesting deeper than" in err
+        assert "internal error" not in err
+
+
 class TestSimulate:
+    def _still(self, tmp_path, quantity):
+        model = tmp_path / "still.model"
+        model.write_text(
+            "model: still\nparams: a\nstates: x, y\n"
+            f"dx/dt = 0*x\ndy/dt = 0*y\nconserved Q: {quantity}\n"
+        )
+        return str(model)
+
+    def test_pole_on_the_trajectory_is_not_evaluable(self, tmp_path, capsys):
+        # y stays at 1, the pole of Q; the drift must not read nan or inf
+        model = self._still(tmp_path, "x + 1/(y - 1)")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(
+                capsys, "simulate", model, "--x0", "1,1", "--params", "a=1",
+                "--dt", "0.1", "--T", "1",
+            )
+        assert code == 0
+        assert err == ""
+        assert out.splitlines()[-1] == "drift Q: not evaluable (float division by zero)"
+
+    def test_overflowing_quantity_is_not_evaluable(self, tmp_path, capsys):
+        model = self._still(tmp_path, "x^400 + y")
+        code, out, err = run(
+            capsys, "simulate", model, "--x0", "10,1", "--params", "a=1",
+            "--dt", "0.1", "--T", "1",
+        )
+        assert code == 0
+        assert "internal error" not in err
+        assert out.splitlines()[-1].startswith("drift Q: not evaluable (")
+
     def test_sir_run_with_csv_and_drift(self, tmp_path, capsys):
         out_path = tmp_path / "sir.csv"
         code, out, _ = run(

@@ -15,6 +15,7 @@ from odeobs.expr import (
     Exp,
     ExprSyntaxError,
     Ln,
+    MAX_NESTING,
     Mul,
     Neg,
     NonIntegerExponentError,
@@ -123,6 +124,21 @@ class TestParse:
     def test_only_ln_and_exp_are_functions(self):
         with pytest.raises(UnknownSymbolError):
             parse_expr("sin(S)", SIR_SYMS)
+
+    def test_nesting_limit_counts_parentheses_calls_and_minus_signs(self):
+        # the deepest accepted input parses, mixing all three kinds of level
+        third = MAX_NESTING // 3
+        rest = MAX_NESTING - 2 * third
+        deepest = "(" * third + "ln(" * third + "-" * rest + "S" + ")" * (2 * third)
+        assert count_nodes(parse_expr(deepest, SIR_SYMS), Ln) == third
+        for deeper in ("(" + deepest + ")", "-" + deepest, "exp(" + deepest + ")"):
+            with pytest.raises(ExprSyntaxError, match="nesting deeper than"):
+                parse_expr(deeper, SIR_SYMS)
+
+    def test_nesting_limit_is_not_a_total(self):
+        # levels close again: many shallow groups side by side are fine
+        text = " + ".join(["(" * 10 + "S" + ")" * 10] * (2 * MAX_NESTING))
+        assert parse_expr(text, SIR_SYMS).terms == (Sym(S),) * (2 * MAX_NESTING)
 
 
 class TestDiff:

@@ -1,18 +1,25 @@
+import dis
+import functools
 import math
+import operator
 import random
 
 import numpy as np
 import pytest
 
-from odeobs.expr import parse_expr
-from odeobs.model import reduce_by_conserved, verify_all_conserved
+import odeobs.numeric
+from odeobs.expr import Add, Const, Div, Exp, Ln, Mul, Neg, PowInt, Sym, children, parse_expr
+from odeobs.model import ObservationSet, parse_model, reduce_by_conserved, verify_all_conserved
 from odeobs.numeric import (
+    compile_functions,
     conserved_drift,
     distinguishability,
     integrate_rk4,
     trajectory_to_csv,
     unobservability_witness,
 )
+
+from conftest import A, B, X, Y, Z, random_expr
 
 SIR_PARAMS = {"beta": 0.0004, "lambda": 0.04}
 SIR_X0 = (997.0, 3.0, 0.0)
@@ -22,6 +29,42 @@ LV_X0 = (2.0, 1.0)  # off the stationary point (M/B, R/D) = (1, 2)
 
 def obs_named(sys, label):
     return next(o for o in sys.observations if o.label == label)
+
+
+def _tree_walk(e, point):
+    """Reference float evaluation: a plain left-to-right tree walk."""
+    kids = [_tree_walk(k, point) for k in children(e)]
+    if isinstance(e, Const):
+        return float(e.value)
+    if isinstance(e, Sym):
+        return point[e.symbol]
+    if isinstance(e, Add):
+        return functools.reduce(operator.add, kids)
+    if isinstance(e, Mul):
+        return functools.reduce(operator.mul, kids)
+    if isinstance(e, Neg):
+        return -kids[0]
+    if isinstance(e, Div):
+        return kids[0] / kids[1]
+    if isinstance(e, PowInt):
+        return kids[0] ** e.exponent
+    return math.log(kids[0]) if isinstance(e, Ln) else math.exp(kids[0])
+
+
+def _reference_step(states, rhs, params, dt, x):
+    """Reference classical RK4 step: the right-hand sides walked stage by stage."""
+    def f(values):
+        point = {**params, **dict(zip(states, values))}
+        return [_tree_walk(e, point) for e in rhs]
+
+    half = dt / 2.0
+    k1 = f(x)
+    k2 = f([xv + half * kv for xv, kv in zip(x, k1)])
+    k3 = f([xv + half * kv for xv, kv in zip(x, k2)])
+    k4 = f([xv + dt * kv for xv, kv in zip(x, k3)])
+    return tuple(
+        xv + dt / 6.0 * (a + 2.0 * b + 2.0 * c + d) for xv, a, b, c, d in zip(x, k1, k2, k3, k4)
+    )
 
 
 class TestIntegrateRk4:
@@ -81,6 +124,81 @@ class TestIntegrateRk4:
         )
         assert np.array_equal(a.values, b.values)
 
+    def test_negative_parameter_raised_to_a_power(self):
+        # k^2 - k^3 with k = -2 is 12: the inlined literal keeps its sign under **
+        sys = parse_model("model: p\nparams: k\nstates: x\ndx/dt = k^2 - k^3\n")
+        traj = integrate_rk4(sys, (0.0,), {"k": -2.0}, 0.25, 1.0)
+        assert traj.values[-1][0] == 12.0
+
+
+class TestCompiledPrograms:
+    SYMS = parse_model("model: s\nparams: k\nstates: x, y\ndx/dt = x\ndy/dt = y\n")
+
+    def _program(self, *texts, dt=None):
+        exprs = [parse_expr(t, self.SYMS.symbol_table()) for t in texts]
+        params = {self.SYMS.params[0]: 0.5}
+        return compile_functions(self.SYMS.states, exprs, params, dt)
+
+    def test_equal_subtrees_built_apart_are_computed_once(self):
+        f = self._program("ln(x + 1)*y - k", "y/ln(x + 1)", "ln(x + 1)")
+        logs = [i for i in dis.get_instructions(f) if i.argval == "log"]
+        assert len(logs) == 1
+        assert f([[math.e - 1.0, 2.0]]) == [(1.5, 2.0, 1.0)]
+        with pytest.raises(ZeroDivisionError):
+            f([[math.e - 1.0, 2.0], [0.0, 3.0]])  # ln(0 + 1) = 0 is a pole of y/ln(x + 1)
+
+    def test_names_bind_in_printing_order(self):
+        # x^2 first occurs inside the first factor, then as the last factor
+        f = self._program("ln(x^2 + 1)*y*x^2", "x^2")
+        assert f([[1.0, 2.0]]) == [(math.log(2.0) * 2.0, 1.0)]
+
+    def test_row_program_values(self):
+        f = self._program("x*y - k", "-x", "y^2/x")
+        assert f([[1.0, 2.0], [4.0, 0.5]]) == [(1.5, -1.0, 4.0), (1.5, -4.0, 0.0625)]
+
+    def test_one_state_step_returns_a_one_tuple(self):
+        sys = parse_model("model: d\nparams: a\nstates: x\ndx/dt = -a*x\n")
+        step = compile_functions(sys.states, sys.rhs, {sys.params[0]: 1.0}, 0.5)
+        x = step(1.0)
+        assert isinstance(x, tuple) and len(x) == 1
+        # classical RK4 for x' = -x over h = 1/2: 1 - h + h^2/2 - h^3/6 + h^4/24
+        assert x[0] == pytest.approx(1 - 0.5 + 0.125 - 0.125 / 6 + 0.0625 / 24, rel=1e-15)
+
+    def test_step_matches_a_tree_walk_bit_for_bit(self):
+        # random right-hand sides share subtrees by chance and negative
+        # parameters sit under powers; a failing step must raise what the
+        # walk raises, with the same text
+        rng = random.Random(7)
+        outcomes = set()
+        for _ in range(300):
+            rhs = [random_expr(rng, depth=4, allow_ln=True) for _ in range(3)]
+            params = {A: rng.choice([0.5, -1.5]), B: rng.choice([2.0, -0.25])}
+            # -1 and -2 are poles of the random denominators (symbol + 1..5)
+            x = tuple(rng.choice([-1.0, -2.0, rng.uniform(-2.0, 2.0)]) for _ in range(3))
+            step = compile_functions((X, Y, Z), rhs, params, 0.01)
+            for _ in range(3):
+                try:
+                    expected = _reference_step((X, Y, Z), rhs, params, 0.01, x)
+                except (ArithmeticError, ValueError) as exc:
+                    with pytest.raises(type(exc)) as info:
+                        step(*x)
+                    assert str(info.value) == str(exc)
+                    outcomes.add(type(exc).__name__)
+                    break
+                got = step(*x)
+                assert [v.hex() for v in got] == [v.hex() for v in expected]
+                outcomes.add("ok")
+                x = got
+        assert {"ok", "ZeroDivisionError", "OverflowError"} <= outcomes
+
+    def test_non_finite_parameter_is_a_value(self, toy):
+        traj = integrate_rk4(toy, (1.0, 1.0), {"a": math.inf}, 0.1, 1.0)
+        assert traj.diverged and len(traj.times) == 1
+
+    def test_unbound_symbol_rejected(self):
+        with pytest.raises(KeyError, match="unbound symbol 'k'"):
+            compile_functions(self.SYMS.states, [parse_expr("k*x", self.SYMS.symbol_table())], {})
+
 
 class TestConservedDrift:
     def test_sir_population_drift_tiny(self, sir):
@@ -115,6 +233,11 @@ class TestConservedDrift:
         # so this drift is float noise and does not scale with dt^4
         traj = integrate_rk4(sir, SIR_X0, SIR_PARAMS, 0.01, 100.0)
         assert conserved_drift(traj, sir.conserved[0]) < 1e-8
+
+    def test_pole_in_a_quantity_raises_instead_of_inf(self, toy):
+        traj = integrate_rk4(toy, (2.0, 5.0), {"a": 0.0}, 0.1, 1.0)
+        with pytest.raises(ZeroDivisionError):
+            conserved_drift(traj, parse_expr("R + 1/(S - 5)", toy.symbol_table()))
 
 
 class TestReductionPreservesDynamics:
@@ -168,8 +291,37 @@ class TestDistinguishability:
         )
         assert pair.output_distance == 0.0
 
+    def test_pole_in_an_output_raises(self, toy):
+        obs = ObservationSet((parse_expr("R/(S - 5)", toy.symbol_table()),), "pole")
+        with pytest.raises(ZeroDivisionError):
+            distinguishability(toy, obs, (2.0, 5.0), (2.0, 6.0), {"a": 0.0}, 0.1, 1.0)
+
 
 class TestUnobservabilityWitness:
+    def test_base_trajectory_integrated_once_per_search(self, monkeypatch):
+        # x2..x4 never feed x1, so six directions are tried; threshold 0
+        # rejects every one of them
+        chain = parse_model(
+            "model: c\nparams: k\nstates: x1, x2, x3, x4\n"
+            "dx1/dt = -k*x1\ndx2/dt = k*x1 - k*x2\ndx3/dt = k*x2 - k*x3\n"
+            "dx4/dt = k*x3\nobserve up: x1\n"
+        )
+        calls = []
+        original = odeobs.numeric.integrate_rk4
+
+        def counting(*args, **kwargs):
+            calls.append(args[1])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(odeobs.numeric, "integrate_rk4", counting)
+        witness = unobservability_witness(
+            chain, chain.observations[0], (1.0, 1.0, 1.0, 1.0), {"k": 1.0}, 0.1, 2.0, 0.5,
+            threshold=0.0,
+        )
+        assert witness is None
+        assert len(calls) == 1 + 6
+        assert list(calls[0]) == [1.0, 1.0, 1.0, 1.0]
+
     def test_sir_infected_observer_misses_recovered_direction(self, sir):
         witness = unobservability_witness(
             sir, obs_named(sir, "I"), SIR_X0, SIR_PARAMS, 0.01, 10.0, 5.0
