@@ -15,6 +15,12 @@ it has differentiated: the gradient that forms the next component is also
 that component's Jacobian row, so :func:`jacobian` differentiates only each
 output's last component.  The order k+1 check extends the order k embedding
 and its Jacobian by one order instead of rebuilding them.
+
+Differentiation is pruned: one :class:`odeobs.expr.SupportTable` per
+embedding records which states each subtree mentions, so a gradient entry
+walks only the subtrees that mention its state, and a subtree over
+parameters alone (or other states) is ``0`` at once.  The table is filled
+once per node for all n states and shared with every extended embedding.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from . import linalg
 from .expr import (
     DivisionByZeroError,
     Expr,
+    SupportTable,
     Symbol,
     compile_exact,
     diff,
@@ -53,7 +60,8 @@ class EmbeddingMap:
 
     ``gradients`` holds the gradient over ``states`` of every component but
     each output's last, grouped the same way; ``memos`` holds one diff memo
-    per state, shared with every embedding extended from this one.
+    per state and ``support`` the states each subtree mentions, both shared
+    with every embedding extended from this one.
     """
 
     components: Tuple[Expr, ...]
@@ -62,6 +70,7 @@ class EmbeddingMap:
     states: Tuple[Symbol, ...] = field(repr=False, compare=False)
     gradients: Tuple[Tuple[Expr, ...], ...] = field(repr=False, compare=False)
     memos: Tuple[dict, ...] = field(repr=False, compare=False)
+    support: SupportTable = field(repr=False, compare=False)
 
     def component(self, output_index: int, derivative: int) -> Expr:
         return self.components[output_index * (self.order + 1) + derivative]
@@ -107,6 +116,7 @@ def build_embedding(
         states=sys.states,
         gradients=(),
         memos=tuple({} for _ in sys.states),
+        support=SupportTable(sys.states),
     )
     for _ in range(k):
         embedding = _extend(sys, embedding, _gradients(embedding))
@@ -121,7 +131,10 @@ def _gradients(embedding: EmbeddingMap) -> Tuple[Tuple[Expr, ...], ...]:
         rows.extend(embedding.gradients[o * k : (o + 1) * k])
         last = embedding.component(o, k)
         rows.append(
-            tuple(diff(last, s, memo) for s, memo in zip(embedding.states, embedding.memos))
+            tuple(
+                diff(last, s, memo, embedding.support)
+                for s, memo in zip(embedding.states, embedding.memos)
+            )
         )
     return tuple(rows)
 
@@ -142,6 +155,7 @@ def _extend(
         states=embedding.states,
         gradients=tuple(rows),
         memos=embedding.memos,
+        support=embedding.support,
     )
 
 

@@ -18,8 +18,9 @@ Grammar accepted by :func:`parse_expr` (whitespace insignificant)::
 multiplication is not allowed, and the only recognized functions are ``ln``
 and ``exp``.  Numbers are decimal integers; fractions are written ``p/q``
 and fold to a single rational constant.  At most :data:`MAX_NESTING`
-parentheses (those of ``ln(``/``exp(`` included) and unary minus signs may
-be open at once; deeper input is a syntax error, not a recursion failure.
+parentheses (those of ``ln(``/``exp(`` included), unary minus signs and
+``/`` signs of a term's left-associative division chain may be open at
+once; deeper input is a syntax error, not a recursion failure.
 
 Construction goes through the smart constructors (:func:`add`, :func:`mul`,
 ...), which fold constants and remove neutral elements but perform no other
@@ -41,7 +42,7 @@ ExprLike = Union["Expr", int, Fraction]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
-MAX_NESTING = 100  # open parentheses (calls included) plus unary minus signs
+MAX_NESTING = 100  # open parentheses (calls included), unary minus and "/" signs
 
 
 class ExprError(Exception):
@@ -403,40 +404,118 @@ def free_symbols(e: Expr) -> frozenset:
     return frozenset(found)
 
 
-def diff(e: Expr, v: Symbol, memo: Optional[dict] = None) -> Expr:
+def _const_zero(e: Expr) -> bool:
+    """Whether ``div`` reads ``e`` as the denominator constant zero."""
+    if isinstance(e, Neg):
+        e = e.arg
+    return isinstance(e, Const) and e.value == 0
+
+
+class SupportTable:
+    """Which of a fixed tuple of variables each subtree mentions.
+
+    A node's support is an int bitmask over the positions of the variables,
+    kept by ``id(node)`` with the node held alive.  A subtree that divides by
+    a constant zero or takes ln of one has the mask -1: its derivative with
+    respect to anything is a structural ``0/0``, not ``0``, so it counts as
+    mentioning every variable.
+    """
+
+    __slots__ = ("bits", "masks", "_nodes")
+
+    def __init__(self, variables: Sequence[Symbol]):
+        self.bits = {v: 1 << i for i, v in enumerate(variables)}
+        self.masks: dict = {}  # id(node) -> support
+        self._nodes: list = []  # keeps every tabled node, so its id stays taken
+
+    def mask(self, e: Expr) -> int:
+        """The support of ``e``, tabling every subtree of ``e`` not seen yet."""
+        masks = self.masks
+        found = masks.get(id(e))
+        if found is not None:
+            return found
+        # post-order without recursion: a node stays on the stack until all
+        # of its children are tabled
+        stack = [e]
+        while stack:
+            node = stack[-1]
+            if id(node) in masks:  # pushed twice, by two parents
+                stack.pop()
+                continue
+            kids = children(node)
+            m = 0
+            waiting = False
+            for k in kids:
+                km = masks.get(id(k))
+                if km is None:
+                    stack.append(k)
+                    waiting = True
+                else:
+                    m |= km
+            if waiting:
+                continue
+            stack.pop()
+            if isinstance(node, Sym):
+                m = self.bits.get(node.symbol, 0)
+            elif isinstance(node, Div) and _const_zero(node.den) or (
+                isinstance(node, Ln) and _const_zero(node.arg)
+            ):
+                m = -1
+            elif not kids and not isinstance(node, Const):
+                raise TypeError(f"unhandled node {node!r}")
+            masks[id(node)] = m
+            self._nodes.append(node)
+        return masks[id(e)]
+
+
+def diff(
+    e: Expr,
+    v: Symbol,
+    memo: Optional[dict] = None,
+    support: Optional[SupportTable] = None,
+) -> Expr:
     """Partial derivative with respect to ``v``, structurally simplified.
 
-    Each node object is differentiated once: subtrees shared by identity are
-    looked up in a memo, so their derivatives are shared too.  The memo lasts
-    one call, or as long as the caller keeps the dict passed as ``memo``; one
-    dict serves one variable, and it keeps every node it has seen alive.
+    Only subtrees that mention ``v`` are differentiated: a :class:`SupportTable`
+    says which those are, and every other subtree has derivative ``ZERO`` at
+    once, as the full walk would find (a constant-zero quotient or ln, whose
+    derivative prints ``0/0``, is never skipped).  Each node object is
+    differentiated once: subtrees shared by identity are looked up in a memo,
+    so their derivatives are shared too.  The memo and the table last one
+    call, or as long as the caller keeps those passed as ``memo`` and
+    ``support``; one memo serves one variable, one table any of its
+    variables, and both keep every node they have seen alive.
     """
-    return _diff(e, v, {} if memo is None else memo)
+    if support is None:
+        support = SupportTable((v,))
+    support.mask(e)
+    return _diff(e, v, {} if memo is None else memo, support.bits[v], support.masks)
 
 
-def _diff(e: Expr, v: Symbol, memo: dict) -> Expr:
+def _diff(e: Expr, v: Symbol, memo: dict, bit: int, masks: dict) -> Expr:
+    # every subtree of the root is in ``masks``; one without v has derivative 0
+    if not masks[id(e)] & bit:
+        return ZERO
     # The memo holds the node next to its derivative, so the id stays taken.
     hit = memo.get(id(e))
     if hit is not None:
         return hit[1]
-    if isinstance(e, Const):
-        d = ZERO
-    elif isinstance(e, Sym):
-        d = ONE if e.symbol == v else ZERO
+    if isinstance(e, Sym):
+        d = ONE  # its support holds v, so it is v
     elif isinstance(e, Add):
-        d = add(*[_diff(t, v, memo) for t in e.terms])
+        d = add(*[_diff(t, v, memo, bit, masks) for t in e.terms])
     elif isinstance(e, Mul):
         terms = []
         for i, f in enumerate(e.factors):
-            df = _diff(f, v, memo)
+            df = _diff(f, v, memo, bit, masks)
             if isinstance(df, Const) and df.value == 0:
                 continue
             terms.append(mul(*e.factors[:i], df, *e.factors[i + 1 :]))
         d = add(*terms)
     elif isinstance(e, Neg):
-        d = neg(_diff(e.arg, v, memo))
+        d = neg(_diff(e.arg, v, memo, bit, masks))
     elif isinstance(e, Div):
-        dn, dd = _diff(e.num, v, memo), _diff(e.den, v, memo)
+        dn, dd = _diff(e.num, v, memo, bit, masks), _diff(e.den, v, memo, bit, masks)
         if isinstance(dd, Const) and dd.value == 0:
             d = div(dn, e.den)
         else:
@@ -445,12 +524,12 @@ def _diff(e: Expr, v: Symbol, memo: dict) -> Expr:
         d = mul(
             Const(Fraction(e.exponent)),
             pow_int(e.base, e.exponent - 1),
-            _diff(e.base, v, memo),
+            _diff(e.base, v, memo, bit, masks),
         )
     elif isinstance(e, Ln):
-        d = div(_diff(e.arg, v, memo), e.arg)
+        d = div(_diff(e.arg, v, memo, bit, masks), e.arg)
     elif isinstance(e, Exp):
-        d = mul(e, _diff(e.arg, v, memo))
+        d = mul(e, _diff(e.arg, v, memo, bit, masks))
     else:
         raise TypeError(f"unhandled node {e!r}")
     memo[id(e)] = (e, d)
@@ -857,11 +936,17 @@ class _Parser:
         return e
 
     def term(self) -> Expr:
+        # each '/' nests the quotient so far one level deeper in the tree
         e = self.factor()
+        divisions = 0
         while self.peek().kind == "op" and self.peek().text in "*/":
-            op = self.advance().text
+            tok = self.advance()
+            if tok.text == "/":
+                self.enter(tok)
+                divisions += 1
             rhs = self.factor()
-            e = mul(e, rhs) if op == "*" else div(e, rhs)
+            e = mul(e, rhs) if tok.text == "*" else div(e, rhs)
+        self.depth -= divisions
         return e
 
     def factor(self) -> Expr:

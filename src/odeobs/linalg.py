@@ -52,37 +52,9 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return r
 
 
-def solve(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> List[Fraction]:
-    """Solve the square system a x = b exactly."""
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
-        raise ValueError("solve expects a square system")
-    m = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(a, b)]
-    for c in range(n):
-        pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
-        if pivot_row is None:
-            raise SingularMatrixError(f"singular at column {c}")
-        m[c], m[pivot_row] = m[pivot_row], m[c]
-        pivot = m[c][c]
-        m[c] = [x / pivot for x in m[c]]
-        for i in range(n):
-            if i != c and m[i][c] != 0:
-                factor = m[i][c]
-                m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
-    return [m[i][n] for i in range(n)]
-
-
-def invert(a: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Exact inverse of a square rational matrix."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("invert expects a square matrix")
-    m = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(a)
-    ]
+def _gauss_jordan(m: List[List[Fraction]], n: int) -> List[List[Fraction]]:
+    """Reduce the augmented rows ``m`` (n x (n + extra)) so their left n x n
+    block is the identity; the right block is then the solution."""
     for c in range(n):
         pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
         if pivot_row is None:
@@ -95,6 +67,29 @@ def invert(a: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
                 factor = m[i][c]
                 m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
     return [row[n:] for row in m]
+
+
+def solve(
+    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
+) -> List[Fraction]:
+    """Solve the square system a x = b exactly."""
+    n = len(a)
+    if any(len(row) != n for row in a) or len(b) != n:
+        raise ValueError("solve expects a square system")
+    m = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(a, b)]
+    return [row[0] for row in _gauss_jordan(m, n)]
+
+
+def invert(a: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+    """Exact inverse of a square rational matrix."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("invert expects a square matrix")
+    m = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(a)
+    ]
+    return _gauss_jordan(m, n)
 
 
 def mat_mul(

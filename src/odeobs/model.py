@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .expr import (
     Const,
     Expr,
+    SupportTable,
     Sym,
     Symbol,
     UnknownSymbolError,
@@ -310,7 +311,8 @@ class ConservedVerdict:
 
 def lie_derivative(sys: OdeSystem, y: Expr) -> Expr:
     """Time derivative of ``y`` along the vector field: sum_i f_i * dy/dx_i."""
-    return along_field(sys, [diff(y, s) for s in sys.states])
+    support = SupportTable(sys.states)
+    return along_field(sys, [diff(y, s, support=support) for s in sys.states])
 
 
 def along_field(sys: OdeSystem, gradient: Sequence[Expr]) -> Expr:
@@ -407,10 +409,11 @@ def reduce_by_conserved(
         if s != solve_for:
             new_rhs[i] = substitute(sys.rhs[i], bound)
     partner_terms = []
+    support = SupportTable(sys.states)
     for i, s in enumerate(sys.states):
         if s == solve_for:
             continue
-        weight = diff(quantity.expr, s)
+        weight = diff(quantity.expr, s, support=support)
         if isinstance(weight, Const) and weight.value == 0:
             continue
         partner_terms.append(mul(weight, new_rhs[i]))

@@ -350,12 +350,18 @@ def conserved_drift(traj: Trajectory, quantity: Union[ConservedQuantity, Expr]) 
 
 
 def _output_distance(series_a: np.ndarray, series_b: np.ndarray) -> float:
-    """Largest sup-norm distance of one output over the grid both series cover."""
+    """Largest sup-norm distance of one output over the grid both series cover.
+
+    A ``nan`` gap (an output that is ``inf - inf`` on the grid, say) tells
+    nothing about the distance, so it reads as infinitely far.
+    """
     shared = min(len(series_a), len(series_b))
     distance = 0.0
     for j in range(series_a.shape[1]):
-        gap = np.abs(series_a[:shared, j] - series_b[:shared, j])
-        distance = max(distance, float(np.max(gap)))
+        gap = float(np.max(np.abs(series_a[:shared, j] - series_b[:shared, j])))
+        if math.isnan(gap):
+            return math.inf
+        distance = max(distance, gap)
     return distance
 
 

@@ -338,40 +338,53 @@ def _default_order(e: Expr) -> tuple:
     return tuple(sorted(free_symbols(e), key=lambda s: s.sort_key))
 
 
-def _to_fraction_pair(e: Expr, vars: tuple) -> tuple:
-    one = Poly.constant(vars, Fraction(1))
+def _times(a: Poly, b: Poly, one: Poly) -> Poly:
+    """``a * b``, skipping the product when either side is ``one`` itself."""
+    if b is one:
+        return a
+    if a is one:
+        return b
+    return a * b
+
+
+def _to_fraction_pair(e: Expr, vars: tuple, one: Poly) -> tuple:
+    """Numerator and denominator Poly of ``e``.
+
+    Every constant-1 denominator is the object ``one``, so a polynomial
+    ``e`` (the usual case) is expanded without multiplying by it.
+    """
     if isinstance(e, Const):
         return Poly.constant(vars, e.value), one
     if isinstance(e, Sym):
         return Poly.variable(vars, e.symbol), one
     if isinstance(e, Neg):
-        n, d = _to_fraction_pair(e.arg, vars)
+        n, d = _to_fraction_pair(e.arg, vars, one)
         return -n, d
     if isinstance(e, Add):
         n, d = Poly.zero(vars), one
         for t in e.terms:
-            tn, td = _to_fraction_pair(t, vars)
-            n = n * td + tn * d
-            d = d * td
+            tn, td = _to_fraction_pair(t, vars, one)
+            n = _times(n, td, one) + _times(tn, d, one)
+            d = _times(d, td, one)
         return n, d
     if isinstance(e, Mul):
         n, d = one, one
         for f in e.factors:
-            fn, fd = _to_fraction_pair(f, vars)
-            n = n * fn
-            d = d * fd
+            fn, fd = _to_fraction_pair(f, vars, one)
+            n = _times(n, fn, one)
+            d = _times(d, fd, one)
         return n, d
     if isinstance(e, Div):
-        nn, nd = _to_fraction_pair(e.num, vars)
-        dn, dd = _to_fraction_pair(e.den, vars)
+        nn, nd = _to_fraction_pair(e.num, vars, one)
+        dn, dd = _to_fraction_pair(e.den, vars, one)
         if dn.is_zero:
             raise DivisionByZeroError(e)
-        return nn * dd, nd * dn
+        return _times(nn, dd, one), _times(nd, dn, one)
     if isinstance(e, PowInt):
-        bn, bd = _to_fraction_pair(e.base, vars)
+        bn, bd = _to_fraction_pair(e.base, vars, one)
         k = e.exponent
         if k >= 0:
-            return bn.power(k), bd.power(k)
+            return bn.power(k), bd if bd is one else bd.power(k)
         if bn.is_zero:
             raise DivisionByZeroError(e)
         return bd.power(-k), bn.power(-k)
@@ -387,7 +400,7 @@ def normalize_rational(e: Expr, var_order: Optional[Sequence[Symbol]] = None) ->
     model-level callers pass the declared order for stable printing.
     """
     vars = tuple(var_order) if var_order is not None else _default_order(e)
-    num, den = _to_fraction_pair(e, vars)
+    num, den = _to_fraction_pair(e, vars, Poly.constant(vars, Fraction(1)))
     if den.is_zero:
         raise DivisionByZeroError(e)
     if num.is_zero:

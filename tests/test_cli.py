@@ -236,6 +236,29 @@ class TestModelNesting:
         assert (code, err) == (0, "")
         assert out.startswith("integrated deep: 11 points")
 
+    def test_longest_division_chain_verifies_and_simulates(self, tmp_path, capsys):
+        # x/a/a/.../a is not nested in the text, but its tree is as deep as
+        # the chain is long
+        model = self._write(tmp_path, "x" + "/a" * MAX_NESTING)
+        code, out, err = run(capsys, "verify", model)
+        assert (code, err) == (0, "")
+        code, out, err = run(
+            capsys, "simulate", model, "--x0", "0.5", "--params", "a=1",
+            "--dt", "0.1", "--T", "1",
+        )
+        assert (code, err) == (0, "")
+        assert out.startswith("integrated deep: 11 points")
+
+    @pytest.mark.parametrize("divisions", [MAX_NESTING + 1, 1500])
+    def test_longer_division_chain_is_a_parse_error(self, tmp_path, capsys, divisions):
+        model = self._write(tmp_path, "x" + "/a" * divisions)
+        simulate = ("simulate", model, "--x0", "0.5", "--params", "a=1", "--dt", "0.1", "--T", "1")
+        for command in (simulate, ("analyze", model)):
+            code, _, err = run(capsys, *command)
+            assert code == 1
+            assert err.startswith("error: model parse error: ")
+            assert "nesting deeper than" in err
+
     @pytest.mark.parametrize("depth", [MAX_NESTING + 1, 400])
     def test_deeper_rhs_is_a_parse_error(self, tmp_path, capsys, depth):
         rhs = "(" * depth + "a*x" + ")" * depth

@@ -21,6 +21,7 @@ from odeobs.expr import (
     NonIntegerExponentError,
     ONE,
     PowInt,
+    SupportTable,
     Sym,
     Symbol,
     TranscendentalNodeError,
@@ -43,10 +44,13 @@ from odeobs.expr import (
     sym,
     to_str,
 )
-
+import odeobs.embedding
+from odeobs.model import parse_model
 from odeobs.poly import normalize_rational
+from odeobs.report import build_report
 
-from conftest import A, GEN_SYMBOLS, X, Y, Z, random_expr, random_point
+from conftest import A, B, GEN_SYMBOLS, X, Y, Z, random_expr, random_point
+from test_generated_reports import chain, mm_tail
 
 S = Symbol("S", "state")
 I = Symbol("I", "state")
@@ -134,6 +138,19 @@ class TestParse:
         for deeper in ("(" + deepest + ")", "-" + deepest, "exp(" + deepest + ")"):
             with pytest.raises(ExprSyntaxError, match="nesting deeper than"):
                 parse_expr(deeper, SIR_SYMS)
+
+    def test_division_chain_counts_toward_the_limit(self):
+        longest = "S" + "/I" * MAX_NESTING
+        assert count_nodes(parse_expr(longest, SIR_SYMS), Div) == MAX_NESTING
+        inner = longest[2:]  # I/I/.../I, one division short
+        for deeper in (longest + "/I", "(" + longest + ")", "ln(" + longest + ")", "S/(" + inner + ")"):
+            with pytest.raises(ExprSyntaxError, match="nesting deeper than"):
+                parse_expr(deeper, SIR_SYMS)
+        # products do not count, and the levels close with the term
+        products = parse_expr("S" + "*I" * (2 * MAX_NESTING), SIR_SYMS)
+        assert count_nodes(products, Div) == 0
+        side_by_side = parse_expr(" + ".join([longest] * 3), SIR_SYMS)
+        assert count_nodes(side_by_side, Div) == 3 * MAX_NESTING
 
     def test_nesting_limit_is_not_a_total(self):
         # levels close again: many shallow groups side by side are fine
@@ -633,3 +650,188 @@ class TestDiffMemo:
             ours = to_sympy(str(normalize_rational(diff(e, v))))
             theirs = sympy.diff(to_sympy(to_str(e)), names[v.name])
             assert sympy.cancel(ours - theirs) == 0
+
+
+def _unpruned_diff(e, v, memo):
+    """Reference derivative: every subtree walked, memoized by node identity."""
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    if isinstance(e, Const):
+        d = Const(Fraction(0))
+    elif isinstance(e, Sym):
+        d = ONE if e.symbol == v else Const(Fraction(0))
+    elif isinstance(e, Add):
+        d = add(*[_unpruned_diff(t, v, memo) for t in e.terms])
+    elif isinstance(e, Mul):
+        terms = []
+        for i, f in enumerate(e.factors):
+            df = _unpruned_diff(f, v, memo)
+            if isinstance(df, Const) and df.value == 0:
+                continue
+            terms.append(mul(*e.factors[:i], df, *e.factors[i + 1 :]))
+        d = add(*terms)
+    elif isinstance(e, Neg):
+        d = neg(_unpruned_diff(e.arg, v, memo))
+    elif isinstance(e, Div):
+        dn, dd = _unpruned_diff(e.num, v, memo), _unpruned_diff(e.den, v, memo)
+        if isinstance(dd, Const) and dd.value == 0:
+            d = div(dn, e.den)
+        else:
+            d = div(add(mul(dn, e.den), neg(mul(e.num, dd))), pow_int(e.den, 2))
+    elif isinstance(e, PowInt):
+        d = mul(
+            Const(Fraction(e.exponent)),
+            pow_int(e.base, e.exponent - 1),
+            _unpruned_diff(e.base, v, memo),
+        )
+    elif isinstance(e, Ln):
+        d = div(_unpruned_diff(e.arg, v, memo), e.arg)
+    else:
+        d = mul(e, _unpruned_diff(e.arg, v, memo))
+    memo[id(e)] = (e, d)
+    return d
+
+
+ZERO_CONST = Const(Fraction(0))
+
+
+def _pruning_expr(rng, depth, pool):
+    """Random expression rich in what pruning must get right: parameter-only
+    subtrees, quotients by and ln of constant zeros (written raw, behind a
+    Neg too), and subtrees shared by identity through ``pool``."""
+    if pool and rng.random() < 0.2:
+        return rng.choice(pool)
+    if depth <= 0 or rng.random() < 0.2:
+        r = rng.random()
+        if r < 0.15:
+            return Const(Fraction(rng.randint(-1, 1)))
+        return sym(rng.choice((A, B) if r < 0.55 else (X, Y, Z)))
+
+    def sub():
+        return _pruning_expr(rng, depth - 1, pool)
+
+    kind = rng.randrange(10)
+    if kind == 0:
+        e = add(sub(), sub(), sub())
+    elif kind == 1:
+        e = mul(sub(), sub())
+    elif kind == 2:
+        e = neg(sub())
+    elif kind == 3:
+        e = div(sub(), sub())
+    elif kind == 4:
+        e = Div(sub(), rng.choice((ZERO_CONST, Neg(ZERO_CONST), Neg(Neg(ZERO_CONST)))))
+    elif kind == 5:
+        e = pow_int(sub(), rng.choice((-2, 2, 3)))
+    elif kind == 6:
+        e = ln(sub())
+    elif kind == 7:
+        e = Ln(rng.choice((ZERO_CONST, Neg(ZERO_CONST), Const(Fraction(-2)))))
+    elif kind == 8:
+        e = exp(sub())
+    else:
+        e = mul(sub(), add(sub(), sym(rng.choice((A, B)))))
+    pool.append(e)
+    return e
+
+
+def _assert_same_derivative(pruned, reference):
+    assert to_str(pruned) == to_str(reference)
+    assert pruned == reference
+
+
+class TestPrunedDiff:
+    def test_matches_the_unpruned_walk_on_random_expressions(self):
+        rng = random.Random(71)
+        printed = set()
+        for _ in range(1500):
+            pool = []
+            e = _pruning_expr(rng, rng.randint(1, 4), pool)
+            for v in GEN_SYMBOLS:
+                reference = _unpruned_diff(e, v, {})
+                _assert_same_derivative(diff(e, v), reference)
+                printed.add(to_str(reference))
+        # the cases that must not be pruned to 0 did occur
+        assert any("0/0" in text for text in printed)
+
+    def test_shared_table_and_memos_match_the_unpruned_walk(self):
+        # one table and one memo per variable for a whole family of roots
+        # built over shared subtrees, as an embedding keeps them
+        rng = random.Random(73)
+        for _ in range(150):
+            pool = []
+            roots = [_pruning_expr(rng, 3, pool) for _ in range(4)]
+            table, table_alone = SupportTable(GEN_SYMBOLS), SupportTable(GEN_SYMBOLS)
+            memos = {v: {} for v in GEN_SYMBOLS}
+            for e in roots:
+                for v in GEN_SYMBOLS:
+                    reference = _unpruned_diff(e, v, {})
+                    _assert_same_derivative(diff(e, v, memos[v], table), reference)
+                    _assert_same_derivative(diff(e, v, support=table_alone), reference)
+
+    def test_constant_zero_denominators_keep_their_zero_over_zero(self):
+        x = sym(X)
+        cases = {
+            div(sym(A), ZERO_CONST): "0/0",
+            Div(sym(A), Neg(ZERO_CONST)): "-0/0",
+            Div(sym(A), Neg(Neg(ZERO_CONST))): "0",
+            Ln(ZERO_CONST): "0/0",
+            Ln(Neg(ZERO_CONST)): "-0/0",
+            mul(sym(B), div(sym(A), ZERO_CONST)): "b*(0/0)",
+            add(x, Ln(ZERO_CONST)): "0/0 + 1",
+            mul(sym(A), sym(B)): "0",
+        }
+        for e, text in cases.items():
+            assert to_str(diff(e, X)) == text == to_str(_unpruned_diff(e, X, {}))
+
+    def test_support_masks(self):
+        table = SupportTable((X, Y))
+        assert table.mask(mul(sym(X), sym(A))) == 0b01
+        assert table.mask(add(sym(Y), mul(sym(X), sym(B)))) == 0b11
+        assert table.mask(mul(sym(A), Const(Fraction(3)))) == 0
+        assert table.mask(mul(sym(A), div(sym(B), ZERO_CONST))) == -1
+        assert table.mask(add(sym(X), Ln(ZERO_CONST))) == -1
+
+    def test_support_walk_does_not_recurse(self):
+        e = sym(X)
+        for _ in range(5000):
+            e = add(mul(e, sym(A)), sym(B))
+        assert SupportTable((X, Y)).mask(e) == 0b01
+
+    def test_parameter_only_subtrees_are_not_walked(self):
+        # a parameter-only factor is not differentiated: only x and the
+        # product mentioning it enter the memo
+        params = sym(A)
+        for _ in range(60):
+            params = mul(params, add(params, sym(B)))
+        e = mul(sym(X), params)
+        memo = {}
+        assert diff(e, X, memo) == params
+        assert sorted(type(node).__name__ for node, _ in memo.values()) == ["Mul", "Sym"]
+
+    def test_every_report_jacobian_matches_the_unpruned_walk(
+        self, monkeypatch, sir, mm, toy, lv
+    ):
+        recorded = []
+        original = odeobs.embedding.jacobian
+
+        def recording(embedding, sys):
+            jac = original(embedding, sys)
+            recorded.append((embedding, jac))
+            return jac
+
+        monkeypatch.setattr(odeobs.embedding, "jacobian", recording)
+        models = [sir, mm, toy, lv, parse_model(chain(6)), parse_model(mm_tail(2))]
+        for sys in models:
+            before = len(recorded)
+            build_report(sys, seed=0)
+            assert len(recorded) > before
+        for embedding, jac in recorded:
+            k = embedding.order
+            for o in range(embedding.n_outputs):
+                for d in range(k + 1):
+                    component = embedding.component(o, d)
+                    row = jac.entries[o * (k + 1) + d]
+                    for s, entry in zip(jac.states, row):
+                        _assert_same_derivative(entry, _unpruned_diff(component, s, {}))

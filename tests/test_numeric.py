@@ -291,6 +291,16 @@ class TestDistinguishability:
         )
         assert pair.output_distance == 0.0
 
+    def test_nan_output_reads_infinitely_far(self):
+        # inf - inf on the whole grid: the observed y differ by 1e100, so the
+        # pair must not read as indistinguishable
+        sys = parse_model("model: flat\nparams: k\nstates: y, z\ndy/dt = k\ndz/dt = k\n")
+        obs = ObservationSet((parse_expr("y*y*y*y - y*y*y*y", sys.symbol_table()),), "y4")
+        pair = distinguishability(
+            sys, obs, (1e100, 1.0), (1.0, 1.0), {"k": 0.0}, 0.1, 1.0
+        )
+        assert pair.output_distance == math.inf
+
     def test_pole_in_an_output_raises(self, toy):
         obs = ObservationSet((parse_expr("R/(S - 5)", toy.symbol_table()),), "pole")
         with pytest.raises(ZeroDivisionError):
@@ -321,6 +331,14 @@ class TestUnobservabilityWitness:
         assert witness is None
         assert len(calls) == 1 + 6
         assert list(calls[0]) == [1.0, 1.0, 1.0, 1.0]
+
+    def test_nan_output_is_never_a_witness(self):
+        sys = parse_model("model: flat\nparams: k\nstates: y, z\ndy/dt = k\ndz/dt = k\n")
+        obs = ObservationSet((parse_expr("y*y*y*y - y*y*y*y", sys.symbol_table()),), "y4")
+        witness = unobservability_witness(
+            sys, obs, (1e100, 1.0), {"k": 0.0}, 0.1, 1.0, 0.5
+        )
+        assert witness is None
 
     def test_sir_infected_observer_misses_recovered_direction(self, sir):
         witness = unobservability_witness(

@@ -4,8 +4,15 @@ from fractions import Fraction
 import pytest
 
 from odeobs.expr import (
+    ONE,
+    Add,
     Const,
+    Div,
     DivisionByZeroError,
+    Mul,
+    Neg,
+    PowInt,
+    Sym,
     Symbol,
     add,
     diff,
@@ -21,6 +28,8 @@ from odeobs.poly import (
     PROBABLY_ZERO,
     ZERO_EXACT,
     Poly,
+    _default_order,
+    _to_fraction_pair,
     is_zero,
     normalize_rational,
     poly_gcd,
@@ -215,3 +224,54 @@ class TestIsZero:
         a = is_zero(e, seed=5)
         b = is_zero(e, seed=5)
         assert a == b
+
+
+def _reference_pair(e, vars):
+    """Numerator and denominator with every product formed, unit ones too."""
+    one = Poly.constant(vars, Fraction(1))
+    if isinstance(e, Const):
+        return Poly.constant(vars, e.value), one
+    if isinstance(e, Sym):
+        return Poly.variable(vars, e.symbol), one
+    if isinstance(e, Neg):
+        n, d = _reference_pair(e.arg, vars)
+        return -n, d
+    if isinstance(e, Add):
+        n, d = Poly.zero(vars), one
+        for t in e.terms:
+            tn, td = _reference_pair(t, vars)
+            n = n * td + tn * d
+            d = d * td
+        return n, d
+    if isinstance(e, Mul):
+        n, d = one, one
+        for f in e.factors:
+            fn, fd = _reference_pair(f, vars)
+            n = n * fn
+            d = d * fd
+        return n, d
+    if isinstance(e, Div):
+        nn, nd = _reference_pair(e.num, vars)
+        dn, dd = _reference_pair(e.den, vars)
+        return nn * dd, nd * dn
+    assert isinstance(e, PowInt)
+    bn, bd = _reference_pair(e.base, vars)
+    k = e.exponent
+    return (bn.power(k), bd.power(k)) if k >= 0 else (bd.power(-k), bn.power(-k))
+
+
+class TestFractionPair:
+    def test_pairs_equal_a_reference_that_forms_every_product(self):
+        rng = random.Random(83)
+        cases = [random_expr(rng, depth=4, allow_div=i % 2 == 1) for i in range(400)]
+        # quotients by a unit constant and negative powers, written raw
+        cases += [Div(cases[0], ONE), PowInt(cases[1], -1), Div(ONE, cases[3])]
+        for e in cases:
+            vars = _default_order(e)
+            expected = _reference_pair(e, vars)
+            got = _to_fraction_pair(e, vars, Poly.constant(vars, Fraction(1)))
+            assert got == expected
+            # the same terms, in the same order
+            assert [list(p.coeffs.items()) for p in got] == [
+                list(p.coeffs.items()) for p in expected
+            ]
