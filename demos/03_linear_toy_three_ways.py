@@ -36,7 +36,8 @@ for s, f in zip(toy.states, toy.rhs):
 a = Fraction(3, 2)
 A = [[a, Fraction(0)], [-a, Fraction(0)]]
 for label, C in (("R", [[Fraction(1), Fraction(0)]]), ("S", [[Fraction(0), Fraction(1)]])):
-    stacked = [C[0], linalg.mat_mul(C, A)[0]]
+    ca = [sum(c * A[i][j] for i, c in enumerate(C[0])) for j in range(len(A))]
+    stacked = [C[0], ca]
     print(f"observing {label}: rank of (C; CA) = {linalg.rank(stacked)}")
 
 # -- the embedding rank reproduces both verdicts ----------------------------

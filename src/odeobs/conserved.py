@@ -24,7 +24,19 @@ from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
-from .expr import Const, Expr, SupportTable, Sym, Symbol, add, diff, mul, neg, substitute
+from .expr import (
+    Const,
+    Expr,
+    SupportTable,
+    Sym,
+    Symbol,
+    UnknownSymbolError,
+    add,
+    diff,
+    mul,
+    neg,
+    substitute,
+)
 from .embedding import (
     DEFAULT_TRIALS,
     ObservabilityAssessment,
@@ -36,13 +48,17 @@ from .graph import GraphicalVerdict, build_graph, graphical_observable, scc_cond
 from .model import (
     ConservedSet,
     ModelError,
+    NotAffineError,
     ObservationSet,
     OdeSystem,
     UNCHECKED,
-    reduce_by_conserved,
+    ZeroCoefficientError,
 )
 
 PARTITION_CAP = 1000
+
+# level equations with no unique affine solution for the block
+_UNSOLVABLE = (NotAffineError, ZeroCoefficientError, linalg.SingularMatrixError)
 
 
 class NotSquareError(Exception):
@@ -55,10 +71,6 @@ class NotSquareError(Exception):
         )
         self.n_quantities = n_quantities
         self.n_sufficient = n_sufficient
-
-
-class NotAffineSetError(ModelError):
-    """A quantity is not affine (with constant coefficients) in the block."""
 
 
 @dataclass(frozen=True)
@@ -186,7 +198,10 @@ def solve_affine(
     Requires every quantity to be affine in the s variables with constant
     coefficients, which covers the conservation laws that arise from
     stoichiometry and population balance; the result maps each s variable to
-    an expression in the r variables and the level symbols.
+    an expression in the r variables and the level symbols.  Raises
+    :class:`NotAffineError` for a non-constant coefficient,
+    :class:`ZeroCoefficientError` for an s variable no quantity mentions and
+    :class:`SingularMatrixError` when the coefficients are otherwise singular.
     """
     if len(g.quantities) != len(p.s_vars) or len(levels) != len(p.s_vars):
         raise NotSquareError(len(g.quantities), len(p.s_vars))
@@ -196,11 +211,12 @@ def solve_affine(
         for v in p.s_vars:
             coeff = diff(q.expr, v)
             if not isinstance(coeff, Const):
-                raise NotAffineSetError(
-                    f"{q.level_name} is not affine in {v.name}"
-                )
+                raise NotAffineError(v)
             row.append(coeff.value)
         matrix.append(row)
+    for j, v in enumerate(p.s_vars):
+        if all(row[j] == 0 for row in matrix):
+            raise ZeroCoefficientError(v)
     zeros = {v: Const(Fraction(0)) for v in p.s_vars}
     residuals = [
         add(Sym(level), neg(substitute(q.expr, zeros)))
@@ -220,21 +236,29 @@ def eliminate_states(
 ) -> OdeSystem:
     """Transform the system so the eliminated states become source nodes.
 
-    Single-variable elimination goes through
-    :func:`odeobs.model.reduce_by_conserved`.  For several variables the
-    level equations are solved jointly, because sequential substitution would
-    reintroduce previously eliminated variables.
+    The level equations G = levels are solved jointly for the eliminated
+    states (sequential substitution would reintroduce variables eliminated
+    earlier).  Every other equation gets the solution substituted in, and
+    each eliminated state's equation becomes the derivative of its solution
+    along the new field, so the level identities hold exactly.  The state
+    list keeps its dimension and the level symbols join the parameters.  One
+    quantity solved for one state names the result
+    ``<model>.<LEVEL>_for_<var>``; several name it ``<model>.joint_for_...``.
     """
     if len(g.quantities) != len(eliminate):
         raise NotSquareError(len(g.quantities), len(eliminate))
-    if len(eliminate) == 1:
-        return reduce_by_conserved(sys, g.quantities[0], eliminate[0])
+    for v in eliminate:
+        if v not in sys.states:
+            raise UnknownSymbolError(v.name)
     for q in g.quantities:
         if q.verified == UNCHECKED:
             raise ModelError("conserved quantities must be verified before reduction")
+    levels = g.levels()
+    for level in levels:
+        if level in sys.params or level in sys.states:
+            raise ModelError(f"level symbol {level.name!r} collides with the model")
     others = tuple(s for s in sys.states if s not in eliminate)
-    part = Partition(r_vars=others, s_vars=tuple(eliminate))
-    solution = solve_affine(g, [q.level_symbol() for q in g.quantities], part)
+    solution = solve_affine(g, levels, Partition(r_vars=others, s_vars=tuple(eliminate)))
     new_rhs: List[Expr] = list(sys.rhs)
     for i, s in enumerate(sys.states):
         if s not in eliminate:
@@ -246,31 +270,18 @@ def eliminate_states(
             for s in others
         ]
         new_rhs[sys.state_index(v)] = add(*terms)
-    levels = tuple(q.level_symbol() for q in g.quantities)
-    for level in levels:
-        if level in sys.params or level in sys.states:
-            raise ModelError(f"level symbol {level.name!r} collides with the model")
-    suffix = "_".join(v.name for v in eliminate)
+    if len(eliminate) == 1:
+        suffix = f"{g.quantities[0].level_name}_for_{eliminate[0].name}"
+    else:
+        suffix = "joint_for_" + "_".join(v.name for v in eliminate)
     return OdeSystem(
-        name=f"{sys.name}.joint_for_{suffix}",
+        name=f"{sys.name}.{suffix}",
         states=sys.states,
         params=sys.params + levels,
         rhs=tuple(new_rhs),
         conserved=tuple(q.with_verified(UNCHECKED) for q in sys.conserved),
         observations=sys.observations,
     )
-
-
-def _candidate_solvable(g: ConservedSet, sys: OdeSystem, candidate: Tuple[Symbol, ...]) -> bool:
-    """The level equations must be affine and invertible in the candidate block."""
-    others = tuple(s for s in sys.states if s not in candidate)
-    try:
-        solve_affine(
-            g, [q.level_symbol() for q in g.quantities], Partition(others, candidate)
-        )
-    except (NotAffineSetError, linalg.SingularMatrixError, NotSquareError):
-        return False
-    return True
 
 
 def alternative_observables(
@@ -356,10 +367,8 @@ def alternative_observables(
             )
             continue
         try:
-            solution = solve_affine(
-                g, [q.level_symbol() for q in g.quantities], part
-            )
-        except (NotAffineSetError, linalg.SingularMatrixError):
+            solution = solve_affine(g, g.levels(), part)
+        except _UNSOLVABLE:
             results.append(
                 AlternativeSensorResult(
                     "conditions hold, but the conserved set is not affine in the "
@@ -371,11 +380,12 @@ def alternative_observables(
             )
             continue
         r_pool = [v for v in part.r_vars if v in g_vars]
-        candidates = [
-            w
-            for w in itertools.combinations(r_pool, n_q)
-            if _candidate_solvable(g, sys, w)
-        ]
+        candidates = []
+        for w in itertools.combinations(r_pool, n_q):
+            try:
+                candidates.append((w, eliminate_states(sys, g, w)))
+            except _UNSOLVABLE:
+                pass
         if not candidates:
             results.append(
                 AlternativeSensorResult(
@@ -387,8 +397,7 @@ def alternative_observables(
                 )
             )
             continue
-        for w in candidates:
-            transformed = eliminate_states(sys, g, w)
+        for w, transformed in candidates:
             graph = build_graph(transformed, seed=seed)
             condensation = scc_condensation(graph)
             graphical = graphical_observable(condensation, w)

@@ -119,14 +119,6 @@ class Symbol:
         return self.name
 
 
-def state(name: str) -> Symbol:
-    return Symbol(name, "state")
-
-
-def param(name: str) -> Symbol:
-    return Symbol(name, "parameter")
-
-
 class Expr:
     """Immutable expression node; subclasses are the node kinds."""
 
@@ -250,10 +242,6 @@ def as_expr(value: ExprLike) -> Expr:
     if isinstance(value, (int, Fraction)):
         return Const(Fraction(value))
     raise TypeError(f"cannot coerce {value!r} to Expr")
-
-
-def const(value) -> Const:
-    return Const(Fraction(value))
 
 
 def sym(symbol: Symbol) -> Sym:

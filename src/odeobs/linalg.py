@@ -1,4 +1,4 @@
-"""Exact linear algebra over rationals: rank, solve, inverse.
+"""Exact linear algebra over rationals: rank and inverse.
 
 Rank uses fraction-free (Bareiss) elimination on an integer-scaled copy of
 the matrix, so intermediate values stay integral and the result is exact.
@@ -13,7 +13,7 @@ from typing import List, Sequence
 
 
 class SingularMatrixError(Exception):
-    """Square system with no unique solution."""
+    """Square matrix with no inverse."""
 
 
 def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
@@ -52,9 +52,16 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     return r
 
 
-def _gauss_jordan(m: List[List[Fraction]], n: int) -> List[List[Fraction]]:
-    """Reduce the augmented rows ``m`` (n x (n + extra)) so their left n x n
-    block is the identity; the right block is then the solution."""
+def invert(a: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
+    """Exact inverse of a square rational matrix, by Gauss-Jordan elimination
+    of the rows augmented with the identity."""
+    n = len(a)
+    if any(len(row) != n for row in a):
+        raise ValueError("invert expects a square matrix")
+    m = [
+        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
+        for i, row in enumerate(a)
+    ]
     for c in range(n):
         pivot_row = next((i for i in range(c, n) if m[i][c] != 0), None)
         if pivot_row is None:
@@ -67,38 +74,3 @@ def _gauss_jordan(m: List[List[Fraction]], n: int) -> List[List[Fraction]]:
                 factor = m[i][c]
                 m[i] = [x - factor * y for x, y in zip(m[i], m[c])]
     return [row[n:] for row in m]
-
-
-def solve(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
-) -> List[Fraction]:
-    """Solve the square system a x = b exactly."""
-    n = len(a)
-    if any(len(row) != n for row in a) or len(b) != n:
-        raise ValueError("solve expects a square system")
-    m = [[Fraction(x) for x in row] + [Fraction(v)] for row, v in zip(a, b)]
-    return [row[0] for row in _gauss_jordan(m, n)]
-
-
-def invert(a: Sequence[Sequence[Fraction]]) -> List[List[Fraction]]:
-    """Exact inverse of a square rational matrix."""
-    n = len(a)
-    if any(len(row) != n for row in a):
-        raise ValueError("invert expects a square matrix")
-    m = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(a)
-    ]
-    return _gauss_jordan(m, n)
-
-
-def mat_mul(
-    a: Sequence[Sequence[Fraction]], b: Sequence[Sequence[Fraction]]
-) -> List[List[Fraction]]:
-    return [
-        [
-            sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0))
-            for col in zip(*b)
-        ]
-        for row in a
-    ]

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass, replace
-from fractions import Fraction
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .expr import (
@@ -31,12 +30,9 @@ from .expr import (
     UnknownSymbolError,
     add,
     diff,
-    div,
     free_symbols,
     mul,
-    neg,
     parse_expr,
-    substitute,
 )
 from .poly import ZERO_EXACT, PROBABLY_ZERO, ZeroTestResult, is_zero
 
@@ -166,9 +162,6 @@ class OdeSystem:
 
     def symbol_table(self) -> Dict[str, Symbol]:
         return {s.name: s for s in self.states + self.params}
-
-    def declared_order(self) -> Tuple[Symbol, ...]:
-        return self.states + self.params
 
     def conserved_named(self, level_name: str) -> ConservedQuantity:
         for q in self.conserved:
@@ -364,66 +357,18 @@ def verify_all_conserved(
 # reduction through a conserved quantity
 
 
-def affine_coefficient(quantity: ConservedQuantity, var: Symbol) -> Fraction:
-    """Constant coefficient of ``var`` in the quantity; raises otherwise."""
-    coeff = diff(quantity.expr, var)
-    if not isinstance(coeff, Const):
-        raise NotAffineError(var)
-    if coeff.value == 0:
-        raise ZeroCoefficientError(var)
-    return coeff.value
-
-
-def solve_level_equation(quantity: ConservedQuantity, var: Symbol) -> Expr:
-    """Express ``var`` from H(x) = level, assuming H is affine in ``var``."""
-    a = affine_coefficient(quantity, var)
-    rest = substitute(quantity.expr, {var: Const(Fraction(0))})
-    level = Sym(quantity.level_symbol())
-    return div(add(level, neg(rest)), Const(a))
-
-
 def reduce_by_conserved(
     sys: OdeSystem, quantity: ConservedQuantity, solve_for: Symbol
 ) -> OdeSystem:
-    """Substitute ``solve_for`` out of the dynamics using a conserved quantity.
+    """Eliminate ``solve_for`` from the dynamics through one conserved quantity.
 
-    The state list keeps its dimension: every other equation gets the
-    substituted right-hand side, while the solved state's equation becomes
-    the negated weighted sum of its partners' (substituted) derivatives, so
-    the level identity holds exactly on the new vector field.  The level
-    constant joins the parameter list.
+    The one-quantity case of :func:`odeobs.conserved.eliminate_states`: the
+    level equation is solved for ``solve_for``, which is substituted into
+    every other equation, and the solved state's equation becomes the
+    derivative of that solution along the new field, so it becomes a source
+    node.  Raises :class:`NotAffineError` or :class:`ZeroCoefficientError`
+    when the quantity cannot be solved for ``solve_for``.
     """
-    if solve_for not in sys.states:
-        raise UnknownSymbolError(solve_for.name)
-    if quantity.verified == UNCHECKED:
-        raise ModelError("conserved quantity must be verified before reduction")
-    a = affine_coefficient(quantity, solve_for)
-    solution = solve_level_equation(quantity, solve_for)
-    level = quantity.level_symbol()
-    if level in sys.params or level in sys.states:
-        raise ModelError(f"level symbol {level.name!r} collides with the model")
+    from .conserved import eliminate_states  # conserved imports this module
 
-    bound = {solve_for: solution}
-    new_rhs: List[Expr] = list(sys.rhs)
-    for i, s in enumerate(sys.states):
-        if s != solve_for:
-            new_rhs[i] = substitute(sys.rhs[i], bound)
-    partner_terms = []
-    support = SupportTable(sys.states)
-    for i, s in enumerate(sys.states):
-        if s == solve_for:
-            continue
-        weight = diff(quantity.expr, s, support=support)
-        if isinstance(weight, Const) and weight.value == 0:
-            continue
-        partner_terms.append(mul(weight, new_rhs[i]))
-    new_rhs[sys.state_index(solve_for)] = neg(div(add(*partner_terms), Const(a)))
-
-    return OdeSystem(
-        name=f"{sys.name}.{quantity.level_name}_for_{solve_for.name}",
-        states=sys.states,
-        params=sys.params + (level,),
-        rhs=tuple(new_rhs),
-        conserved=tuple(q.with_verified(UNCHECKED) for q in sys.conserved),
-        observations=sys.observations,
-    )
+    return eliminate_states(sys, ConservedSet((quantity,)), (solve_for,))

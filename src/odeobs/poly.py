@@ -93,11 +93,6 @@ class Poly:
             return -1
         return max(m[index] for m in self.coeffs)
 
-    def total_degree(self) -> int:
-        if self.is_zero:
-            return -1
-        return max(sum(m) for m in self.coeffs)
-
     def leading(self) -> tuple:
         """(monomial, coefficient) that is graded-lex largest."""
         mono = max(self.coeffs, key=_grlex_key)
@@ -226,15 +221,6 @@ def _univar_coeffs(p: Poly, index: int) -> dict:
         bucket = out.setdefault(d, {})
         bucket[rest] = bucket.get(rest, Fraction(0)) + coeff
     return {d: Poly(p.vars, bucket) for d, bucket in out.items()}
-
-
-def _from_univar(vars: tuple, index: int, coeffs: Mapping[int, Poly]) -> Poly:
-    out: dict = {}
-    for d, poly in coeffs.items():
-        for mono, c in poly.coeffs.items():
-            m = mono[:index] + (mono[index] + d,) + mono[index + 1 :]
-            out[m] = out.get(m, Fraction(0)) + c
-    return Poly(vars, out)
 
 
 def _monic(p: Poly) -> Poly:

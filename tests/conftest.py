@@ -45,6 +45,14 @@ def model_path(name: str) -> Path:
     return MODELS / f"{name}.model"
 
 
+def mat_mul(a, b):
+    """Exact matrix product of two rational matrices given as row lists."""
+    return [
+        [sum((Fraction(x) * Fraction(y) for x, y in zip(row, col)), Fraction(0)) for col in zip(*b)]
+        for row in a
+    ]
+
+
 # ---------------------------------------------------------------------------
 # random expression generation for property tests
 

@@ -42,7 +42,7 @@ from odeobs.model import (
 )
 from odeobs.numeric import conserved_drift, integrate_rk4, unobservability_witness
 
-from conftest import model_path
+from conftest import mat_mul, model_path
 
 
 def obs_named(sys, label):
@@ -209,7 +209,7 @@ def test_10_linear_systems_match_power_stack_rank():
         rows, current = [], [list(c)]
         for _ in range(n):
             rows.append(current[0])
-            current = linalg.mat_mul(current, a)
+            current = mat_mul(current, a)
         oracle = linalg.rank(rows)
         emb = build_embedding(sys, ObservationSet((output,), "y"), n - 1)
         verdict = generic_rank(jacobian(emb, sys), seed=5, trials=2)

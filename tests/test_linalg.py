@@ -4,7 +4,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from odeobs.linalg import SingularMatrixError, invert, mat_mul, rank, solve
+from odeobs.linalg import SingularMatrixError, invert, rank
+
+from conftest import mat_mul
 
 
 class TestRank:
@@ -57,16 +59,8 @@ class TestRank:
 
 
 class TestSolveInvert:
-    def test_solve_known(self):
-        a = [[Fraction(2), Fraction(1)], [Fraction(1), Fraction(3)]]
-        b = [Fraction(5), Fraction(10)]
-        x = solve(a, b)
-        assert x == [Fraction(1), Fraction(3)]
-
     def test_singular_raises(self):
-        with pytest.raises(SingularMatrixError):
-            solve([[1, 1], [1, 1]], [1, 2])
-        with pytest.raises(SingularMatrixError):
+        with pytest.raises(SingularMatrixError, match="singular at column 1"):
             invert([[1, 1], [1, 1]])
 
     def test_invert_round_trip(self):
