@@ -6,8 +6,11 @@ Jacobian of that stack has rank n there.  Generic rank is estimated by exact
 rational evaluation at random integer points followed by fraction-free
 elimination: a full-rank sample is a certificate, because rank can only drop
 on a measure-zero set.  Each matrix is compiled once to a straight-line
-program (:func:`odeobs.expr.compile_exact`) that evaluates every distinct
-subexpression once per point.
+program (:func:`odeobs.expr.compile_exact`, the lowering that RK4 source is
+printed from too) that evaluates every distinct subexpression once per point.
+A matrix with ln/exp is ranked over floats instead, with a probabilistic
+verdict, at points from a narrower window; a point where an entry leaves the
+float domain halves that window and is drawn again.
 
 Each derivative is taken once per verdict.  An embedding keeps one
 :func:`odeobs.expr.diff` memo per state and the gradient of every component
@@ -33,6 +36,7 @@ from typing import List, Mapping, Optional, Sequence, Tuple, Union
 from . import linalg
 from .expr import (
     DivisionByZeroError,
+    DomainError,
     Expr,
     SupportTable,
     Symbol,
@@ -41,10 +45,12 @@ from .expr import (
     eval_float,
 )
 from .model import ObservationSet, OdeSystem, along_field
+from .poly import FLOAT_ZERO_RTOL
 
 AUTO_ORDER = "auto"
 DEFAULT_TRIALS = 8
 POINT_BOUND = 1000
+FLOAT_POINT_BOUND = 16  # exp of a coordinate stays within about 1e7
 
 EXACT_CONFIDENCE = "exact"
 PROBABILISTIC_CONFIDENCE = "probabilistic"
@@ -178,9 +184,12 @@ def generic_rank_of(
     """Generic rank of a symbolic matrix by exact sampling.
 
     Points draw integer coordinates uniformly from [-1000, 1000] for every
-    symbol appearing in the matrix; draws that hit a pole are retried.  The
-    verdict is exact when all entries are rational and the sampled maximum
-    reaches min(rows, cols): a nonzero minor at a rational point certifies it.
+    symbol appearing in the matrix; draws that hit a pole are retried.  An
+    ln/exp matrix draws from [-16, 16], which keeps exp within the range of
+    the rank tolerance; a draw where an entry is not a finite float halves
+    that window, down to [-4, 4], and is retried.  The verdict is exact
+    when all entries are rational and the sampled maximum reaches
+    min(rows, cols): a nonzero minor at a rational point certifies it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -192,6 +201,7 @@ def generic_rank_of(
     program = compile_exact(rows)
     symbols = tuple(sorted(program.symbols, key=lambda s: s.sort_key))
     rational = program.rational
+    bound = POINT_BOUND if rational else FLOAT_POINT_BOUND
     rng = random.Random(seed)
     points: List[dict] = []
     ranks: List[int] = []
@@ -199,13 +209,13 @@ def generic_rank_of(
     max_attempts = 200 * trials
     while len(ranks) < trials and attempts < max_attempts:
         attempts += 1
-        point = {s: Fraction(rng.randint(-POINT_BOUND, POINT_BOUND)) for s in symbols}
+        point = {s: Fraction(rng.randint(-bound, bound)) for s in symbols}
         try:
-            if rational:
-                r = linalg.rank(program.run(point))
-            else:
-                r = _float_rank(rows, point)
+            r = linalg.rank(program.run(point)) if rational else _float_rank(rows, point)
         except (DivisionByZeroError, ZeroDivisionError):
+            continue  # a pole
+        if r is None:  # an entry is not a finite float: as in poly's zero test
+            bound = max(4, bound // 2)
             continue
         points.append(point)
         ranks.append(r)
@@ -233,14 +243,27 @@ def generic_rank_of(
     )
 
 
-def _float_rank(rows: Sequence[Sequence[Expr]], point: Mapping[Symbol, Fraction]) -> int:
+def _float_rank(
+    rows: Sequence[Sequence[Expr]], point: Mapping[Symbol, Fraction]
+) -> Optional[int]:
+    """Numerical rank at ``point``, or None where an entry is not a finite float.
+
+    Singular values below FLOAT_ZERO_RTOL of the largest count as zero, as in
+    :func:`odeobs.poly.is_zero`: a zero entry reads as its terms' roundoff.
+    """
     import numpy as np
 
     fpoint = {s: float(v) for s, v in point.items()}
-    matrix = np.array(
-        [[eval_float(entry, fpoint) for entry in row] for row in rows], dtype=float
-    )
-    return int(np.linalg.matrix_rank(matrix))
+    try:
+        matrix = np.array(
+            [[eval_float(entry, fpoint) for entry in row] for row in rows], dtype=float
+        )
+    except (DomainError, OverflowError, ValueError):  # ValueError: fsum of inf - inf
+        return None
+    if not np.isfinite(matrix).all():
+        return None
+    singular = np.linalg.svd(matrix, compute_uv=False)
+    return int((singular > FLOAT_ZERO_RTOL * singular[0]).sum())
 
 
 def generic_rank(

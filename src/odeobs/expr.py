@@ -25,12 +25,21 @@ once; deeper input is a syntax error, not a recursion failure.
 Construction goes through the smart constructors (:func:`add`, :func:`mul`,
 ...), which fold constants and remove neutral elements but perform no other
 rewriting.  Semantic comparisons belong to :mod:`odeobs.poly`.
+
+Expression DAGs are lowered to code in one way, with two consumers: a
+structurally value-numbered instruction list in tree-walk order, which
+:class:`ExactProgram` runs over int/Fraction with one register per value
+and :class:`FloatPrinter` prints as Python float source.  ln/exp are lowered
+with their arguments; one check, placed where the walk meets the first of
+them, stops an exact run there.  The instruction format is private to this
+module.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
@@ -550,10 +559,12 @@ def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
 
 
 # ---------------------------------------------------------------------------
-# exact evaluation: a matrix compiled once to a straight-line program
+# lowering: expression DAGs to one straight-line instruction list, run over
+# int/Fraction by ExactProgram and printed as float source by FloatPrinter
 
-# Opcodes of ExactProgram instructions.
-_ADD, _MUL, _NEG, _DIV, _NONZERO, _POW, _SYM, _CONST, _TRANSCENDENTAL = range(9)
+# Opcodes.  _NONZERO (a quotient's zero check) and _TRANSCENDENTAL (the one
+# ln/exp check) are checks, not values: no instruction reads them.
+_ADD, _MUL, _NEG, _DIV, _NONZERO, _POW, _SYM, _CONST, _LN, _EXP, _TRANSCENDENTAL = range(11)
 
 
 def _exact(value):
@@ -565,93 +576,28 @@ def _exact(value):
     return value.numerator if value.denominator == 1 else value
 
 
-class ExactProgram:
-    """A matrix of expressions compiled to straight-line exact code.
-
-    Each structurally distinct subexpression is one instruction, so a run
-    evaluates it once however often the trees repeat it.  Instructions write
-    into slots that are reused once their value is dead: a run holds only
-    the values still to be read, plus the matrix entries.  Integral values
-    are Python ints; a value becomes a Fraction only at a quotient that does
-    not divide or a negative power, or through a non-integral constant.
-    """
-
-    __slots__ = ("symbols", "rational", "_code", "_n_slots", "_outputs")
-
-    def __init__(self, symbols, rational, code, n_slots, outputs):
-        self.symbols: frozenset = symbols  # every symbol the matrix mentions
-        self.rational: bool = rational  # no ln/exp node
-        self._code: tuple = code
-        self._n_slots: int = n_slots
-        self._outputs: tuple = outputs
-
-    def run(self, point: Mapping[Symbol, Fraction]) -> list:
-        """Exact values of the entries at ``point``, as a list of rows of int
-        and Fraction.
-
-        Raises :class:`DivisionByZeroError` at the node where a tree walk of
-        the entries (row by row, each denominator checked before its
-        numerator is evaluated) would, and :class:`TranscendentalNodeError`
-        at an ln/exp node.
-        """
-        regs = [None] * self._n_slots
-        for op, out, args, payload in self._code:
-            if op == _MUL:
-                value = regs[args[0]]
-                for a in args[1:]:
-                    value *= regs[a]
-            elif op == _ADD:
-                value = regs[args[0]]
-                for a in args[1:]:
-                    value += regs[a]
-            elif op == _SYM:
-                try:
-                    value = _exact(point[payload])
-                except KeyError:
-                    raise UnknownSymbolError(payload.name) from None
-            elif op == _CONST:
-                value = payload
-            elif op == _NEG:
-                value = -regs[args[0]]
-            elif op == _NONZERO:
-                if regs[args[0]] == 0:
-                    raise DivisionByZeroError(payload)
-                continue
-            elif op == _DIV:
-                num, den = regs[args[1]], regs[args[0]]
-                if type(num) is int and type(den) is int and num % den == 0:
-                    value = num // den
-                else:
-                    value = _exact(Fraction(num, den))
-            elif op == _POW:
-                base = regs[args[0]]
-                exponent = payload.exponent
-                if exponent >= 0:
-                    value = base**exponent
-                elif base == 0:
-                    raise DivisionByZeroError(payload)
-                else:
-                    value = _exact(Fraction(1, base**-exponent))
-            else:
-                raise TranscendentalNodeError(payload)
-            regs[out] = value
-        return [[regs[slot] for slot in row] for row in self._outputs]
-
-
-class _Compiler:
+class _Lowering:
     """Walks expression trees once, emitting one instruction per distinct node.
 
+    An instruction is ``(op, value ids of the arguments, payload)``, and its
+    value id is its index in ``instrs``.  Instructions follow a tree walk:
+    children in order, and a quotient's denominator, then its zero check,
+    then its numerator.  Each node object is lowered once (by identity), and
+    structurally equal subtrees share one instruction (keyed by operation and
+    argument values).  The first ln/exp met is preceded by the one
+    ``_TRANSCENDENTAL`` check, placed before its argument.
+
     A class rather than nested functions: a recursive closure is a reference
-    cycle, which would keep the compile-time tables alive until the cyclic
-    garbage collector ran.
+    cycle, which would keep the tables alive until the cyclic garbage
+    collector ran.
     """
 
     def __init__(self):
-        self.instrs: list = []  # (op, value ids of the arguments, payload)
+        self.instrs: list = []
         self.by_key: dict = {}  # (op, key, argument value ids) -> value id
-        self.by_id: dict = {}  # id(node) -> value id; the rows keep every node alive
+        self.by_id: dict = {}  # id(node) -> value id; the caller keeps the nodes alive
         self.symbols: set = set()
-        self.rational = True
+        self.rational = True  # no ln/exp node met
 
     def instr(self, op, key, args, payload) -> int:
         full_key = (op, key, args)
@@ -684,64 +630,199 @@ class _Compiler:
         elif isinstance(e, PowInt):
             value = self.instr(_POW, e.exponent, (self.emit(e.base),), e)
         elif isinstance(e, (Ln, Exp)):
-            # never merged by structure: the key would hash the whole subtree
-            self.symbols.update(free_symbols(e))
-            self.rational = False
-            value = self.instr(_TRANSCENDENTAL, id(e), (), e)
+            if self.rational:
+                self.rational = False
+                self.instr(_TRANSCENDENTAL, None, (), e)
+            op = _LN if isinstance(e, Ln) else _EXP
+            value = self.instr(op, None, (self.emit(e.arg),), None)
         else:
             raise TypeError(f"unhandled node {e!r}")
         self.by_id[id(e)] = value
         return value
 
 
+class ExactProgram:
+    """A matrix of expressions compiled to straight-line exact code.
+
+    Each structurally distinct subexpression is one instruction, so a run
+    evaluates it once however often the trees repeat it, into a register of
+    its own.  Integral values are Python ints; a value becomes a Fraction
+    only at a quotient that does not divide or a negative power, or through
+    a non-integral constant.
+    """
+
+    __slots__ = ("symbols", "rational", "_code", "_outputs")
+
+    def __init__(self, symbols, rational, code, outputs):
+        self.symbols: frozenset = symbols  # every symbol the matrix mentions
+        self.rational: bool = rational  # no ln/exp node
+        self._code: tuple = code
+        self._outputs: tuple = outputs
+
+    def run(self, point: Mapping[Symbol, Fraction]) -> list:
+        """Exact values of the entries at ``point``, as a list of rows of int
+        and Fraction.
+
+        Raises :class:`DivisionByZeroError` at the node where a tree walk of
+        the entries (row by row, each denominator checked before its
+        numerator is evaluated) would, and :class:`TranscendentalNodeError`
+        at the first ln/exp node of that walk, before its argument runs.
+        """
+        regs: list = []  # one register per instruction; checks store None
+        store = regs.append
+        for op, args, payload in self._code:
+            if op == _MUL:
+                value = regs[args[0]]
+                for a in args[1:]:
+                    value *= regs[a]
+            elif op == _ADD:
+                value = regs[args[0]]
+                for a in args[1:]:
+                    value += regs[a]
+            elif op == _SYM:
+                try:
+                    value = _exact(point[payload])
+                except KeyError:
+                    raise UnknownSymbolError(payload.name) from None
+            elif op == _CONST:
+                value = payload
+            elif op == _NEG:
+                value = -regs[args[0]]
+            elif op == _NONZERO:
+                if regs[args[0]] == 0:
+                    raise DivisionByZeroError(payload)
+                value = None
+            elif op == _DIV:
+                num, den = regs[args[1]], regs[args[0]]
+                if type(num) is int and type(den) is int and num % den == 0:
+                    value = num // den
+                else:
+                    value = _exact(Fraction(num, den))
+            elif op == _POW:
+                base = regs[args[0]]
+                exponent = payload.exponent
+                if exponent >= 0:
+                    value = base**exponent
+                elif base == 0:
+                    raise DivisionByZeroError(payload)
+                else:
+                    value = _exact(Fraction(1, base**-exponent))
+            else:  # _TRANSCENDENTAL: it precedes every _LN and _EXP
+                raise TranscendentalNodeError(payload)
+            store(value)
+        return [[regs[v] for v in row] for row in self._outputs]
+
+
 def compile_exact(rows: Sequence[Sequence[Expr]]) -> ExactProgram:
     """Compile a matrix (a sequence of rows of Expr) to an :class:`ExactProgram`.
 
-    Instructions follow a tree walk of the entries: children in order, and a
-    quotient's denominator, then its zero check, then its numerator.  Each
-    node object is compiled once (by identity), and structurally equal
-    subtrees share one instruction (keyed by operation and argument values).
-    An ln/exp node compiles, without its argument, to an instruction that
-    raises.
+    The program is the lowering of the entries, row by row, run as it stands.
     """
-    compiler = _Compiler()
-    outputs = [[compiler.emit(entry) for entry in row] for row in rows]
-    instrs = compiler.instrs
-
-    end = len(instrs)  # entries stay live to the end of the run
-    last_use = [-1] * len(instrs)
-    for i, (_, args, _) in enumerate(instrs):
-        for a in args:
-            last_use[a] = i
-    for row in outputs:
-        for value in row:
-            last_use[value] = end
-
-    slot_of = [0] * len(instrs)
-    free: list = []
-    n_slots = 0
-    code = []
-    for i, (op, args, payload) in enumerate(instrs):
-        arg_slots = tuple(slot_of[a] for a in args)
-        for a in set(args):
-            if last_use[a] == i:
-                free.append(slot_of[a])
-        out = None
-        if op != _NONZERO:
-            if free:
-                out = free.pop()
-            else:
-                out = n_slots
-                n_slots += 1
-            slot_of[i] = out
-        code.append((op, out, arg_slots, payload))
+    lowering = _Lowering()
+    outputs = tuple(tuple(lowering.emit(entry) for entry in row) for row in rows)
     return ExactProgram(
-        frozenset(compiler.symbols),
-        compiler.rational,
-        tuple(code),
-        n_slots,
-        tuple(tuple(slot_of[v] for v in row) for row in outputs),
+        frozenset(lowering.symbols), lowering.rational, tuple(lowering.instrs), outputs
     )
+
+
+# precedence of the printed Python operators, loosest first
+_SUM, _PRODUCT, _UNARY, _POWER, _ATOM = range(5)
+
+
+def _literal(value: float) -> tuple:
+    text = repr(value)  # round-trips exactly; inf and nan are names in the namespace
+    return text, _UNARY if text.startswith("-") else _ATOM
+
+
+class FloatPrinter:
+    """Expressions printed as straight-line Python source over float locals.
+
+    The expressions are lowered once, as for :func:`compile_exact`, and
+    :meth:`emit` prints them as often as asked, each time over other state
+    locals.  Operations keep the order in which the expression is written:
+    terms and factors left to right, a quotient's numerator before its
+    denominator.  Parentheses appear only where Python's precedence needs
+    them (its parser refuses more than 200 nested ones), and the compiled
+    operations are those of the fully parenthesized tree.  Within one
+    :meth:`emit` call, a composite value that the lowering's instructions and
+    the expressions read more than once (zero checks do not read) is
+    computed at its first use, bound there with ``:=``, and read by name
+    after that.  The evaluation order is unchanged, so every value is the
+    one a plain tree walk gives, bit for bit, and so is the first exception
+    raised.  A ``Neg`` term of a sum is printed as a subtraction: in IEEE
+    arithmetic ``a + (-b)`` is exactly ``a - b``.  Parameters are inlined as
+    float literals.
+    """
+
+    def __init__(self, exprs: Sequence[Expr], params: Mapping[Symbol, float]):
+        lowering = _Lowering()
+        self.outputs = [lowering.emit(e) for e in exprs]
+        self.instrs = lowering.instrs
+        uses = Counter(self.outputs)
+        for op, args, _ in self.instrs:
+            if op != _NONZERO:
+                uses.update(args)
+        self.shared = {v for v, n in uses.items() if n > 1}
+        self.params = params
+        self.n_bound = 0
+        self.env: Mapping[Symbol, str] = {}
+        self.names: dict = {}  # value id -> local name, once bound
+
+    def emit(self, env: Mapping[Symbol, str]) -> list:
+        """Source of each expression, with ``env`` naming the state locals."""
+        self.env = env
+        self.names = {}
+        return [self._emit(v, _SUM) for v in self.outputs]
+
+    def _emit(self, v: int, least: int) -> str:
+        """Source of value ``v``, parenthesized unless it binds at least as tightly as ``least``."""
+        text, precedence = self._printed(v)
+        return text if precedence >= least else f"({text})"
+
+    def _printed(self, v: int) -> tuple:
+        # two frames per tree level (this and _emit), and no generator frames
+        op, args, payload = self.instrs[v]
+        if op == _CONST:
+            return _literal(float(payload))
+        if op == _SYM:
+            if payload in self.env:
+                return self.env[payload], _ATOM
+            if payload in self.params:
+                return _literal(float(self.params[payload]))
+            raise KeyError(f"unbound symbol {payload.name!r}")
+        name = self.names.get(v)
+        if name is not None:
+            return name, _ATOM
+        if op == _ADD:
+            parts = [self._emit(args[0], _SUM)]
+            for a in args[1:]:
+                term_op, term_args, _ = self.instrs[a]
+                if term_op == _NEG and a not in self.shared:
+                    parts.append(" - " + self._emit(term_args[0], _PRODUCT))
+                else:
+                    parts.append(" + " + self._emit(a, _PRODUCT))
+            text, precedence = "".join(parts), _SUM
+        elif op == _MUL:
+            parts = [self._emit(args[0], _PRODUCT)]
+            for a in args[1:]:
+                parts.append(" * " + self._emit(a, _UNARY))
+            text, precedence = "".join(parts), _PRODUCT
+        elif op == _NEG:
+            text, precedence = "-" + self._emit(args[0], _UNARY), _UNARY
+        elif op == _DIV:
+            den, num = args
+            text = f"{self._emit(num, _PRODUCT)} / {self._emit(den, _UNARY)}"
+            precedence = _PRODUCT
+        elif op == _POW:
+            text, precedence = f"{self._emit(args[0], _ATOM)} ** {payload.exponent}", _POWER
+        else:
+            function = "math.log" if op == _LN else "math.exp"
+            text, precedence = f"{function}({self._emit(args[0], _SUM)})", _ATOM
+        if v not in self.shared:
+            return text, precedence
+        name = self.names[v] = f"c{self.n_bound}"
+        self.n_bound += 1
+        return f"({name} := {text})", _ATOM
 
 
 def eval_exact(e: Expr, point: Mapping[Symbol, Fraction]) -> Fraction:

@@ -16,7 +16,7 @@ from typing import Dict, Iterable, List, Set, Tuple
 
 from .expr import Expr, Symbol, TranscendentalNodeError, diff, free_symbols
 from .model import OdeSystem
-from .poly import is_zero, normalize_rational
+from .poly import ZeroTestUndecidedError, is_zero, normalize_rational
 
 DEFAULT_SENSOR_SET_CAP = 10_000
 
@@ -69,16 +69,22 @@ def _dependencies(rhs: Expr, states: Tuple[Symbol, ...], seed: int) -> Set[Symbo
     try:
         form = normalize_rational(rhs)
     except TranscendentalNodeError:
-        return {
-            var for var in candidates
-            if not is_zero(diff(rhs, var), seed=seed).is_zero_like
-        }
+        return {var for var in candidates if _nonzero(diff(rhs, var), seed)}
     return {
         var
         for poly in (form.num, form.den)
         for i, var in enumerate(poly.vars)
         if var in candidates and poly.degree_in(i) > 0
     }
+
+
+def _nonzero(e: Expr, seed: int) -> bool:
+    """Whether ``e`` is not identically zero; an undecided test says yes, as
+    an edge kept that may be absent is the conservative error."""
+    try:
+        return not is_zero(e, seed=seed).is_zero_like
+    except ZeroTestUndecidedError:
+        return True
 
 
 def build_graph(sys: OdeSystem, seed: int = 0) -> InferenceGraph:

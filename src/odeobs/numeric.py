@@ -8,7 +8,10 @@ stages, their inputs and the update, with structurally equal subexpressions
 computed once per stage.  The loop calls it once per step.  Drift and
 observed outputs run the same kind of program over the trajectory, reading
 Python floats a block of rows at a time; so a pole on the trajectory raises
-``ZeroDivisionError`` instead of turning into ``inf``.
+``ZeroDivisionError`` instead of turning into ``inf``.  The source is printed
+by :class:`odeobs.expr.FloatPrinter` from the lowering that
+:func:`odeobs.expr.compile_exact` runs: the expressions are lowered once per
+compiled function, and printed once per RK4 stage.
 
 A search for an unobservability witness perturbs the base point only along
 state directions whose values cannot influence the observed outputs (states
@@ -25,7 +28,7 @@ from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Uni
 
 import numpy as np
 
-from .expr import Add, Const, Div, Exp, Expr, Ln, Mul, Neg, PowInt, Sym, Symbol, children
+from .expr import Expr, FloatPrinter, Symbol
 from .graph import build_graph, forward_closure
 from .model import ConservedQuantity, ObservationSet, OdeSystem
 
@@ -62,134 +65,6 @@ class WitnessPair:
     direction: Optional[str] = None  # perturbed state name, when applicable
 
 
-# precedence of the printed Python operators, loosest first
-_SUM, _PRODUCT, _UNARY, _POWER, _ATOM = range(5)
-
-
-def _literal(value: float) -> Tuple[str, int]:
-    text = repr(value)  # round-trips exactly; inf and nan are names in the namespace
-    return text, _UNARY if text.startswith("-") else _ATOM
-
-
-class _Emitter:
-    """Prints expressions as straight-line Python source over float locals.
-
-    Operations keep the order in which the expression is written: terms and
-    factors left to right, a quotient's numerator before its denominator.
-    Parentheses appear only where Python's precedence needs them (its
-    parser refuses more than 200 nested ones), and the compiled operations
-    are those of the fully parenthesized tree.  Within
-    one :meth:`emit` call, a composite subtree that occurs more than once
-    (structurally equal subtrees built apart included) is computed at its
-    first use, bound there with ``:=``, and read by name after that.  The
-    evaluation order is unchanged, so every value is the one a plain tree walk
-    gives, bit for bit, and so is the first exception raised.  A ``Neg`` term
-    of a sum is printed as a subtraction: in IEEE arithmetic ``a + (-b)`` is
-    exactly ``a - b``.
-
-    A class rather than nested functions: a recursive closure is a reference
-    cycle, which would keep the tables alive until the cyclic collector ran.
-    """
-
-    def __init__(self, params: Mapping[Symbol, float]):
-        self.params = params
-        self.n_bound = 0
-        # id(node) -> structural class (the caller keeps the nodes alive), and
-        # (type, leaf, child classes) -> structural class
-        self.by_id: Dict[int, int] = {}
-        self.by_key: Dict[tuple, int] = {}
-        self.env: Mapping[Symbol, str] = {}
-        self.shared: set = set()  # classes occurring more than once in the current emit
-        self.names: Dict[int, str] = {}  # class -> local name, once bound
-
-    def _class(self, e: Expr) -> int:
-        c = self.by_id.get(id(e))
-        if c is None:
-            kids = []
-            for kid in children(e):
-                kids.append(self._class(kid))
-            leaf = (
-                e.value if isinstance(e, Const)
-                else e.symbol if isinstance(e, Sym)
-                else e.exponent if isinstance(e, PowInt)
-                else None
-            )
-            key = (type(e), leaf, tuple(kids))
-            c = self.by_id[id(e)] = self.by_key.setdefault(key, len(self.by_key))
-        return c
-
-    def _count(self, e: Expr, uses: Dict[int, int]) -> None:
-        c = self._class(e)
-        if c in uses:
-            uses[c] += 1  # printed once: its children are not counted again
-            return
-        uses[c] = 1
-        for kid in children(e):
-            self._count(kid, uses)
-
-    def emit(self, exprs: Sequence[Expr], env: Mapping[Symbol, str]) -> List[str]:
-        """Source of each expression, with ``env`` naming the state locals."""
-        uses: Dict[int, int] = {}
-        for e in exprs:
-            self._count(e, uses)
-        self.env = env
-        self.shared = {c for c, n in uses.items() if n > 1}
-        self.names = {}
-        return [self._emit(e, _SUM) for e in exprs]
-
-    def _emit(self, e: Expr, least: int) -> str:
-        """Source of ``e``, parenthesized unless it binds at least as tightly as ``least``."""
-        text, precedence = self._printed(e)
-        return text if precedence >= least else f"({text})"
-
-    def _printed(self, e: Expr) -> Tuple[str, int]:
-        # two frames per tree level (this and _emit), and no generator frames
-        if isinstance(e, Const):
-            return _literal(float(e.value))
-        if isinstance(e, Sym):
-            s = e.symbol
-            if s in self.env:
-                return self.env[s], _ATOM
-            if s in self.params:
-                return _literal(float(self.params[s]))
-            raise KeyError(f"unbound symbol {s.name!r}")
-        c = self.by_id[id(e)]
-        name = self.names.get(c)
-        if name is not None:
-            return name, _ATOM
-        if isinstance(e, Add):
-            parts = [self._emit(e.terms[0], _SUM)]
-            for t in e.terms[1:]:
-                if isinstance(t, Neg) and self.by_id[id(t)] not in self.shared:
-                    parts.append(" - " + self._emit(t.arg, _PRODUCT))
-                else:
-                    parts.append(" + " + self._emit(t, _PRODUCT))
-            text, precedence = "".join(parts), _SUM
-        elif isinstance(e, Mul):
-            parts = [self._emit(e.factors[0], _PRODUCT)]
-            for f in e.factors[1:]:
-                parts.append(" * " + self._emit(f, _UNARY))
-            text, precedence = "".join(parts), _PRODUCT
-        elif isinstance(e, Neg):
-            text, precedence = "-" + self._emit(e.arg, _UNARY), _UNARY
-        elif isinstance(e, Div):
-            num = self._emit(e.num, _PRODUCT)
-            text, precedence = f"{num} / {self._emit(e.den, _UNARY)}", _PRODUCT
-        elif isinstance(e, PowInt):
-            text, precedence = f"{self._emit(e.base, _ATOM)} ** {e.exponent}", _POWER
-        elif isinstance(e, Ln):
-            text, precedence = f"math.log({self._emit(e.arg, _SUM)})", _ATOM
-        elif isinstance(e, Exp):
-            text, precedence = f"math.exp({self._emit(e.arg, _SUM)})", _ATOM
-        else:
-            raise TypeError(f"unhandled node {e!r}")
-        if c not in self.shared:
-            return text, precedence
-        name = self.names[c] = f"c{self.n_bound}"
-        self.n_bound += 1
-        return f"({name} := {text})", _ATOM
-
-
 def _normalize_params(sys: OdeSystem, params: Mapping) -> Dict[Symbol, float]:
     by_name = {p.name: p for p in sys.params}
     out: Dict[Symbol, float] = {}
@@ -219,11 +94,11 @@ def compile_functions(
     evaluates the right-hand sides at ``x + (dt/2)*k`` or ``x + dt*k``, and
     the update is ``x + dt/6*(k1 + 2.0*k2 + 2.0*k3 + k4)``.
     """
-    emit = _Emitter(params).emit
+    emit = FloatPrinter(exprs, params).emit
     xs = [f"x{i}" for i in range(len(states))]
     args = ", ".join(xs) + ","
     if dt is None:
-        values = ", ".join(emit(exprs, dict(zip(states, xs))))
+        values = ", ".join(emit(dict(zip(states, xs))))
         lines = [
             "def _compiled(rows):",
             "    out = []",
@@ -244,7 +119,7 @@ def compile_functions(
                     f"    {u} = {x} + {scale!r} * {k}" for u, x, k in zip(inputs, xs, ks[-1])
                 ]
             ks.append([f"k{stage}_{i}" for i in range(len(xs))])
-            values = emit(exprs, dict(zip(states, inputs)))
+            values = emit(dict(zip(states, inputs)))
             lines += [f"    {k} = {v}" for k, v in zip(ks[-1], values)]
         update = ", ".join(
             f"{x} + {dt / 6.0!r} * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"

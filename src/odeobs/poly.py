@@ -26,6 +26,7 @@ from .expr import (
     DivisionByZeroError,
     Exp,
     Expr,
+    ExprError,
     Ln,
     Mul,
     Neg,
@@ -419,6 +420,14 @@ DEFAULT_TRIALS = 32
 FLOAT_ZERO_RTOL = 1e-9
 
 
+class ZeroTestUndecidedError(ExprError):
+    """No sample point of a sampled zero test was in the domain of ``args[0]``."""
+
+    def __str__(self) -> str:  # printed only when asked: a printed DAG can be long
+        e, draws = self.args
+        return f"zero test: none of {draws} sample points is in the domain of {e}"
+
+
 @dataclass(frozen=True)
 class ZeroTestResult:
     """Outcome of an identity-with-zero test.
@@ -451,7 +460,9 @@ def is_zero(e: Expr, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ZeroTestRes
     Rational expressions get an exact verdict through the canonical form,
     with a witness point attached to nonzero results when one is found.
     Expressions containing ln/exp are sampled at random points and compared
-    against a scale built from the magnitudes of their top-level terms.
+    against a scale built from the magnitudes of their top-level terms;
+    :class:`ZeroTestUndecidedError` says that no sample point was in their
+    domain.
     """
     symbols = tuple(sorted(free_symbols(e), key=lambda s: s.sort_key))
     rng = random.Random(seed)
@@ -494,4 +505,6 @@ def _sampled_zero_test(
         done += 1
         if abs(value) > FLOAT_ZERO_RTOL * scale:
             return ZeroTestResult(PROBABLY_NONZERO, trials=done, witness=point)
+    if not done:
+        raise ZeroTestUndecidedError(e, attempts)
     return ZeroTestResult(PROBABLY_ZERO, trials=done)

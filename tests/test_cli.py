@@ -61,6 +61,34 @@ class TestAnalyze:
         assert err.startswith("analysis error: rank sampling: ")
         assert "internal error" not in err
 
+    @pytest.mark.parametrize("rhs", ["exp(y)", "y*ln(y)"])
+    def test_points_outside_the_float_domain_are_drawn_again(self, tmp_path, capsys, rhs):
+        # exp(y) overflows for y > 709 and ln(y) needs y > 0: both are hit
+        # by the sample points of every seed below
+        model = tmp_path / "expo.model"
+        model.write_text(
+            f"model: expo\nparams: a\nstates: x, y\ndx/dt = {rhs}\n"
+            "dy/dt = -a*y\nobserve X: x\n"
+        )
+        for seed in ("0", "1", "2"):
+            code, out, err = run(capsys, "analyze", str(model), "--seed", seed)
+            assert (code, err) == (0, "")
+            assert "rank 2/2 at k=1 (probabilistic)" in out
+
+    def test_cancelling_exp_terms_do_not_raise_the_float_rank(self, tmp_path, capsys):
+        # y - z is conserved, so y and z reach X only through exp(y - z): the
+        # rank is 2/3, and the second derivative's y and z entries are sums of
+        # terms that cancel, which evaluate to roundoff instead of 0
+        model = tmp_path / "cancel.model"
+        model.write_text(
+            "model: cancel\nparams: a\nstates: x, y, z\ndx/dt = exp(y - z) + x/3\n"
+            "dy/dt = a*y/7\ndz/dt = a*y/7\nobserve X: x\n"
+        )
+        for seed in map(str, range(8)):
+            code, out, err = run(capsys, "analyze", str(model), "--seed", seed)
+            assert (code, err) == (0, "")
+            assert "rank 2/3 at k=2 (probabilistic)" in out
+
     def test_singular_elimination_is_named_analysis_error(self, capsys, monkeypatch):
         import odeobs.cli
         from odeobs.linalg import SingularMatrixError
@@ -210,6 +238,19 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(bad))
         assert code == 3
         assert "refuted" in out and "witness" in out
+
+
+    def test_zero_test_without_samples_is_named_analysis_error(self, tmp_path, capsys):
+        # every sample point is a pole of Q's derivative: no verdict, not "probabilistic"
+        model = tmp_path / "undecided.model"
+        model.write_text(
+            "model: undecided\nparams: k\nstates: x, z\ndx/dt = -z\ndz/dt = -z\n"
+            "conserved Q: x*ln(x)/(k - k)\nobserve x: x\n"
+        )
+        for command in ("verify", "analyze"):
+            code, out, err = run(capsys, command, str(model))
+            assert (code, out) == (2, "")
+            assert err.startswith("analysis error: zero test: none of 3200 sample points")
 
 
 class TestModelNesting:

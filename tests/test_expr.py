@@ -533,6 +533,44 @@ class TestCompileExact:
         assert values == [-4, -4, Fraction(-1, 4), Fraction(1, 16), -1, Fraction(9, 2)]
         assert [type(v) for v in values] == [int, int, Fraction, Fraction, int, Fraction]
 
+    def test_equal_ln_exp_subtrees_built_apart_are_one_instruction(self):
+        table = {s.name: s for s in GEN_SYMBOLS}
+        for text in ("ln(x^2 + 1)", "exp(y*ln(x + 2))", "ln(exp(x)/(y + 1))*z"):
+            first, second = parse_expr(text, table), parse_expr(text, table)
+            assert first is not second
+            once = compile_exact(((first,),))
+            twice = compile_exact(((first, second), (second, first)))
+            assert len(twice._code) == len(once._code)
+
+    def test_symbols_are_those_of_the_entries(self):
+        rng = random.Random(67)
+        for _ in range(200):
+            rows = [[random_expr(rng, depth=4, allow_ln=True) for _ in range(2)] for _ in range(2)]
+            program = compile_exact(rows)
+            assert program.symbols == frozenset().union(
+                *(free_symbols(e) for row in rows for e in row)
+            )
+
+    def test_pole_before_the_first_transcendental_node_is_reported(self):
+        pole = div(sym(Y), sym(X))
+        point = {X: Fraction(0), Y: Fraction(1)}
+        for rows in (((pole, ln(sym(Y))),), ((add(pole, exp(sym(Y))),),)):
+            with pytest.raises(DivisionByZeroError) as err:
+                compile_exact(rows).run(point)
+            assert err.value.subexpr is pole
+
+    def test_pole_after_the_first_transcendental_node_is_not_reached(self):
+        outer = ln(ln(sym(X)))
+        program = compile_exact(((outer, div(ONE, sym(X))),))
+        with pytest.raises(TranscendentalNodeError) as err:
+            program.run({X: Fraction(0)})
+        assert err.value.subexpr is outer
+        first = exp(sym(Y))
+        program = compile_exact(((mul(first, div(ONE, sym(X))), ln(sym(X))),))
+        with pytest.raises(TranscendentalNodeError) as err:
+            program.run({X: Fraction(0), Y: Fraction(1)})
+        assert err.value.subexpr is first
+
     def test_eval_exact_returns_fraction(self):
         assert type(eval_exact(mul(sym(X), sym(Y)), {X: Fraction(2), Y: 3})) is Fraction
         assert type(eval_exact(div(sym(X), sym(Y)), {X: 1, Y: 2})) is Fraction

@@ -88,6 +88,12 @@ class TestBuildGraph:
         sys = OdeSystem(name="logs", states=(x, y), params=(), rhs=rhs)
         assert build_graph(sys).edge_names() == (("x", "x"), ("y", "x"), ("y", "y"))
 
+    def test_undecidable_dependence_keeps_the_edge(self):
+        x, k = Symbol("x", "state"), Symbol("k", "parameter")
+        rhs = (parse_expr("x*ln(x)/(k - k)", (x, k)),)
+        sys = OdeSystem(name="pole", states=(x,), params=(k,), rhs=rhs)
+        assert build_graph(sys).edge_names() == (("x", "x"),)
+
     def test_scaling_invariance(self, sir):
         scaled = OdeSystem(
             name="scaled",

@@ -152,6 +152,16 @@ class TestCompiledPrograms:
         f = self._program("ln(x^2 + 1)*y*x^2", "x^2")
         assert f([[1.0, 2.0]]) == [(math.log(2.0) * 2.0, 1.0)]
 
+    def test_zero_checks_do_not_count_as_uses(self):
+        # a denominator read once is printed inline, one read twice is bound
+        once = self._program("y/(x + 1)")
+        assert not [n for n in once.__code__.co_varnames if n.startswith("c")]
+        assert once([[1.0, 3.0]]) == [(1.5,)]
+        twice = self._program("y/(x + 1)", "(x + 1)*y")
+        assert "c0" in twice.__code__.co_varnames
+        step = self._program("y/(x + 1)", "-x", dt=0.5)
+        assert not [n for n in step.__code__.co_varnames if n.startswith("c")]
+
     def test_row_program_values(self):
         f = self._program("x*y - k", "-x", "y^2/x")
         assert f([[1.0, 2.0], [4.0, 0.5]]) == [(1.5, -1.0, 4.0), (1.5, -4.0, 0.0625)]

@@ -28,6 +28,7 @@ from odeobs.poly import (
     PROBABLY_ZERO,
     ZERO_EXACT,
     Poly,
+    ZeroTestUndecidedError,
     _default_order,
     _to_fraction_pair,
     is_zero,
@@ -217,6 +218,13 @@ class TestIsZero:
         result = is_zero(e, seed=2)
         assert result.kind == PROBABLY_NONZERO
         assert result.witness is not None
+
+    def test_no_sample_in_the_domain_is_an_error(self):
+        k = Symbol("k", "parameter")
+        e = parse_expr("ln(x)/(k - k)", (X, k))
+        with pytest.raises(ZeroTestUndecidedError) as err:
+            is_zero(e)
+        assert err.value.args == (e, 3200)
 
     def test_seed_determinism(self):
         names = {"S": S, "I": I}
