@@ -14,6 +14,7 @@ Exit codes: 0 success (verdicts, including "insufficient", are data);
 from __future__ import annotations
 
 import argparse
+import math
 import sys as _sys
 from typing import List, Optional
 
@@ -66,6 +67,8 @@ def _parse_k(text: str):
 def cmd_analyze(args: argparse.Namespace) -> int:
     sys_model = _load(args.model)
     k = _parse_k(args.k)
+    if args.trials < 1:
+        raise _InputError(f"--trials must be at least 1, got {args.trials}")
     report = build_report(sys_model, seed=args.seed, k=k, trials=args.trials)
     if args.json:
         with open(args.json, "w", encoding="utf-8") as fh:
@@ -151,8 +154,17 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     sys_model = _load(args.model)
     x0 = _parse_x0(args.x0, sys_model.n)
     params = _parse_params(args.params)
+    for flag, value in (("--dt", args.dt), ("--T", args.T)):
+        if not math.isfinite(value):
+            raise _InputError(f"{flag} must be a finite number, got {value}")
     if args.dt <= 0 or args.T < args.dt:
         raise _InputError("need dt > 0 and T >= dt")
+    # the trajectory holds n float64 values per step, and numpy indexes at
+    # most sys.maxsize bytes
+    if not args.T / args.dt * sys_model.n * 8 < _sys.maxsize:
+        raise _InputError(
+            f"--T {args.T} over --dt {args.dt} is more steps than an array can index"
+        )
     try:
         traj = integrate_rk4(sys_model, x0, params, args.dt, args.T)
     except KeyError as exc:

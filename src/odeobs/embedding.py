@@ -8,9 +8,10 @@ elimination: a full-rank sample is a certificate, because rank can only drop
 on a measure-zero set.  Each matrix is compiled once to a straight-line
 program (:func:`odeobs.expr.compile_exact`, the lowering that RK4 source is
 printed from too) that evaluates every distinct subexpression once per point.
-A matrix with ln/exp is ranked over floats instead, with a probabilistic
-verdict, at points from a narrower window; a point where an entry leaves the
-float domain halves that window and is drawn again.
+A matrix with ln/exp is ranked over floats instead, by the float run of the
+same program, with a probabilistic verdict, at points from a narrower
+window; a point where an entry leaves the float domain halves that window
+and is drawn again.
 
 Each derivative is taken once per verdict.  An embedding keeps one
 :func:`odeobs.expr.diff` memo per state and the gradient of every component
@@ -37,12 +38,12 @@ from . import linalg
 from .expr import (
     DivisionByZeroError,
     DomainError,
+    ExactProgram,
     Expr,
     SupportTable,
     Symbol,
     compile_exact,
     diff,
-    eval_float,
 )
 from .model import ObservationSet, OdeSystem, along_field
 from .poly import FLOAT_ZERO_RTOL
@@ -211,7 +212,7 @@ def generic_rank_of(
         attempts += 1
         point = {s: Fraction(rng.randint(-bound, bound)) for s in symbols}
         try:
-            r = linalg.rank(program.run(point)) if rational else _float_rank(rows, point)
+            r = linalg.rank(program.run(point)) if rational else _float_rank(program, point)
         except (DivisionByZeroError, ZeroDivisionError):
             continue  # a pole
         if r is None:  # an entry is not a finite float: as in poly's zero test
@@ -243,21 +244,17 @@ def generic_rank_of(
     )
 
 
-def _float_rank(
-    rows: Sequence[Sequence[Expr]], point: Mapping[Symbol, Fraction]
-) -> Optional[int]:
-    """Numerical rank at ``point``, or None where an entry is not a finite float.
+def _float_rank(program: ExactProgram, point: Mapping[Symbol, Fraction]) -> Optional[int]:
+    """Numerical rank of the matrix ``program`` computes at ``point``, or None
+    where an entry is not a finite float.
 
     Singular values below FLOAT_ZERO_RTOL of the largest count as zero, as in
     :func:`odeobs.poly.is_zero`: a zero entry reads as its terms' roundoff.
     """
     import numpy as np
 
-    fpoint = {s: float(v) for s, v in point.items()}
     try:
-        matrix = np.array(
-            [[eval_float(entry, fpoint) for entry in row] for row in rows], dtype=float
-        )
+        matrix = np.array(program.run_float(point), dtype=float)
     except (DomainError, OverflowError, ValueError):  # ValueError: fsum of inf - inf
         return None
     if not np.isfinite(matrix).all():

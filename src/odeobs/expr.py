@@ -28,11 +28,12 @@ rewriting.  Semantic comparisons belong to :mod:`odeobs.poly`.
 
 Expression DAGs are lowered to code in one way, with two consumers: a
 structurally value-numbered instruction list in tree-walk order, which
-:class:`ExactProgram` runs over int/Fraction with one register per value
-and :class:`FloatPrinter` prints as Python float source.  ln/exp are lowered
-with their arguments; one check, placed where the walk meets the first of
-them, stops an exact run there.  The instruction format is private to this
-module.
+:class:`ExactProgram` runs over int/Fraction or over floats with one
+register per value, and :class:`FloatPrinter` prints as Python float source.
+:func:`eval_exact` and :func:`eval_float` are one-entry runs; no evaluator
+walks the tree.  ln/exp are lowered with their arguments; one check, placed
+where the walk meets the first of them, stops an exact run there.  The
+instruction format is private to this module.
 """
 
 from __future__ import annotations
@@ -389,14 +390,20 @@ def children(e: Expr) -> tuple:
 
 
 def free_symbols(e: Expr) -> frozenset:
-    """All symbols occurring structurally in the expression."""
+    """All symbols occurring structurally in the expression.
+
+    Each node object is visited once, so a DAG that shares subtrees costs
+    its distinct nodes, not its paths.
+    """
     found = set()
+    seen = set()  # ids of the other nodes visited; ``e`` keeps them all alive
     stack = [e]
     while stack:
         node = stack.pop()
         if isinstance(node, Sym):
             found.add(node.symbol)
-        else:
+        elif id(node) not in seen:
+            seen.add(id(node))
             stack.extend(children(node))
     return frozenset(found)
 
@@ -560,7 +567,8 @@ def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
 
 # ---------------------------------------------------------------------------
 # lowering: expression DAGs to one straight-line instruction list, run over
-# int/Fraction by ExactProgram and printed as float source by FloatPrinter
+# int/Fraction or floats by ExactProgram and printed as float source by
+# FloatPrinter
 
 # Opcodes.  _NONZERO (a quotient's zero check) and _TRANSCENDENTAL (the one
 # ln/exp check) are checks, not values: no instruction reads them.
@@ -642,13 +650,14 @@ class _Lowering:
 
 
 class ExactProgram:
-    """A matrix of expressions compiled to straight-line exact code.
+    """A matrix of expressions compiled to straight-line code.
 
     Each structurally distinct subexpression is one instruction, so a run
     evaluates it once however often the trees repeat it, into a register of
-    its own.  Integral values are Python ints; a value becomes a Fraction
-    only at a quotient that does not divide or a negative power, or through
-    a non-integral constant.
+    its own.  :meth:`run` is exact: integral values are Python ints, and a
+    value becomes a Fraction only at a quotient that does not divide or a
+    negative power, or through a non-integral constant.  :meth:`run_float`
+    runs the same instructions over IEEE doubles, ln/exp included.
     """
 
     __slots__ = ("symbols", "rational", "_code", "_outputs")
@@ -709,6 +718,61 @@ class ExactProgram:
                     value = _exact(Fraction(1, base**-exponent))
             else:  # _TRANSCENDENTAL: it precedes every _LN and _EXP
                 raise TranscendentalNodeError(payload)
+            store(value)
+        return [[regs[v] for v in row] for row in self._outputs]
+
+    def run_float(self, point: Mapping[Symbol, float]) -> list:
+        """IEEE double values of the entries at ``point``, as a list of rows.
+
+        Values and exceptions are those of a tree walk of the entries, row by
+        row: a sum is the :func:`math.fsum` of its terms, a product runs left
+        to right from ``1.0``, and each denominator is checked before its
+        numerator runs.  ln of a non-positive value raises
+        :class:`DomainError` and a negative power of zero
+        :class:`DivisionByZeroError`; overflow in ``**`` or exp raises
+        OverflowError, and fsum raises as it does.  One order differs from a
+        walk: all terms of a sum run before fsum, so where a partial sum
+        overflows, an error in a later term of the same sum is raised in
+        place of fsum's ``intermediate overflow``.
+        """
+        regs: list = []  # one register per instruction; checks store None
+        store = regs.append
+        for op, args, payload in self._code:
+            if op == _MUL:
+                value = 1.0
+                for a in args:
+                    value *= regs[a]
+            elif op == _ADD:
+                value = math.fsum([regs[a] for a in args])
+            elif op == _SYM:
+                try:
+                    value = float(point[payload])
+                except KeyError:
+                    raise UnknownSymbolError(payload.name) from None
+            elif op == _CONST:
+                value = payload.numerator / payload.denominator  # as float(Fraction) divides
+            elif op == _NEG:
+                value = -regs[args[0]]
+            elif op == _NONZERO:
+                if regs[args[0]] == 0.0:
+                    raise DivisionByZeroError(payload)
+                value = None
+            elif op == _DIV:
+                value = regs[args[1]] / regs[args[0]]
+            elif op == _POW:
+                base = regs[args[0]]
+                if base == 0.0 and payload.exponent < 0:
+                    raise DivisionByZeroError(payload)
+                value = base**payload.exponent
+            elif op == _LN:
+                value = regs[args[0]]
+                if value <= 0.0:
+                    raise DomainError(f"ln of non-positive value {value}")
+                value = math.log(value)
+            elif op == _EXP:
+                value = math.exp(regs[args[0]])
+            else:  # _TRANSCENDENTAL: a check of the exact run only
+                value = None
             store(value)
         return [[regs[v] for v in row] for row in self._outputs]
 
@@ -831,41 +895,11 @@ def eval_exact(e: Expr, point: Mapping[Symbol, Fraction]) -> Fraction:
 
 
 def eval_float(e: Expr, point: Mapping[Symbol, float]) -> float:
-    """IEEE double evaluation; ln requires a positive argument."""
-    if isinstance(e, Const):
-        return float(e.value)
-    if isinstance(e, Sym):
-        try:
-            return float(point[e.symbol])
-        except KeyError:
-            raise UnknownSymbolError(e.symbol.name) from None
-    if isinstance(e, Add):
-        return math.fsum(eval_float(t, point) for t in e.terms)
-    if isinstance(e, Mul):
-        total = 1.0
-        for f in e.factors:
-            total *= eval_float(f, point)
-        return total
-    if isinstance(e, Neg):
-        return -eval_float(e.arg, point)
-    if isinstance(e, Div):
-        d = eval_float(e.den, point)
-        if d == 0.0:
-            raise DivisionByZeroError(e)
-        return eval_float(e.num, point) / d
-    if isinstance(e, PowInt):
-        b = eval_float(e.base, point)
-        if b == 0.0 and e.exponent < 0:
-            raise DivisionByZeroError(e)
-        return b**e.exponent
-    if isinstance(e, Ln):
-        a = eval_float(e.arg, point)
-        if a <= 0.0:
-            raise DomainError(f"ln of non-positive value {a}")
-        return math.log(a)
-    if isinstance(e, Exp):
-        return math.exp(eval_float(e.arg, point))
-    raise TypeError(f"unhandled node {e!r}")
+    """IEEE double evaluation; ln requires a positive argument.
+
+    One-entry :meth:`ExactProgram.run_float`.
+    """
+    return compile_exact(((e,),)).run_float(point)[0][0]
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,11 @@ deterministic.
 
 GCD reduction uses the classic primitive polynomial-remainder-sequence
 recursion; degrees here are tiny, so no subresultant refinements are needed.
+
+An expression with ln/exp has no rational form; :func:`is_zero` samples it
+over floats instead.  The expression and its top-level terms are compiled
+once per test (:func:`odeobs.expr.compile_exact`), and one float run per
+draw gives both the value and the scale it is compared against.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ from .expr import (
     Sym,
     Symbol,
     TranscendentalNodeError,
-    eval_float,
+    compile_exact,
     free_symbols,
 )
 from .expr import DomainError as _DomainError
@@ -485,17 +490,18 @@ def is_zero(e: Expr, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ZeroTestRes
 def _sampled_zero_test(
     e: Expr, symbols: tuple, rng: random.Random, trials: int
 ) -> ZeroTestResult:
+    # one run gives the value and the top-level terms that make its scale
     terms = e.terms if isinstance(e, Add) else (e,)
+    program = compile_exact(((e, *terms),))
     done = 0
     attempts = 0
     bound = SAMPLE_BOUND
     while done < trials and attempts < 100 * max(trials, 1):
         attempts += 1
         point = {s: Fraction(rng.randint(-bound, bound)) for s in symbols}
-        fpoint = {s: float(v) for s, v in point.items()}
         try:
-            value = eval_float(e, fpoint)
-            scale = 1.0 + max(abs(eval_float(t, fpoint)) for t in terms)
+            value, *term_values = program.run_float(point)[0]
+            scale = 1.0 + max(abs(t) for t in term_values)
             if not (math.isfinite(value) and math.isfinite(scale)):
                 raise OverflowError
         except (_DomainError, DivisionByZeroError, OverflowError, ValueError):

@@ -89,6 +89,12 @@ class TestAnalyze:
             assert (code, err) == (0, "")
             assert "rank 2/3 at k=2 (probabilistic)" in out
 
+    @pytest.mark.parametrize("trials", ["0", "-3"])
+    def test_trials_below_one_is_input_error(self, capsys, trials):
+        code, out, err = run(capsys, "analyze", str(model_path("sir")), "--trials", trials)
+        assert (code, out) == (1, "")
+        assert err == f"error: --trials must be at least 1, got {trials}\n"
+
     def test_singular_elimination_is_named_analysis_error(self, capsys, monkeypatch):
         import odeobs.cli
         from odeobs.linalg import SingularMatrixError
@@ -400,3 +406,23 @@ class TestSimulate:
         )
         assert code == 1
         assert "--x0" in err
+
+    # none of these grids is allocated: each is refused before integration
+    @pytest.mark.parametrize(
+        "dt, T, message",
+        [
+            ("nan", "1", "--dt must be a finite number, got nan"),
+            ("0.1", "nan", "--T must be a finite number, got nan"),
+            ("inf", "1", "--dt must be a finite number, got inf"),
+            ("0.1", "inf", "--T must be a finite number, got inf"),
+            ("1e-200", "1e200", "--T 1e+200 over --dt 1e-200 is more steps than an array can index"),
+            ("1e-300", "1", "--T 1.0 over --dt 1e-300 is more steps than an array can index"),
+        ],
+    )
+    def test_grid_numpy_cannot_index_is_input_error(self, capsys, dt, T, message):
+        code, out, err = run(
+            capsys, "simulate", str(model_path("sir")), "--x0", "997,3,0",
+            "--params", "beta=0.0004,lambda=0.04", "--dt", dt, "--T", T,
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: {message}\n"

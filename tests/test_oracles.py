@@ -3,7 +3,10 @@
 ``linalg.rank`` is compared with ``sympy.Matrix.rank`` on generated integer
 and rational matrices, rank-deficient ones included, and ``ExactProgram.run``
 with sympy's exact evaluation of the same expressions at rational points,
-including whether the point is a pole.
+including whether the point is a pole.  ``poly.normalize_rational`` is
+compared with ``sympy.cancel`` on generated rational expressions, and the
+exact verdict of ``poly.is_zero`` with whether ``sympy.cancel`` gives 0,
+constructed zeros included.
 """
 
 import random
@@ -13,7 +16,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from odeobs import linalg  # noqa: E402
 from odeobs.expr import (  # noqa: E402
@@ -25,9 +28,15 @@ from odeobs.expr import (  # noqa: E402
     Neg,
     PowInt,
     Sym,
+    add,
     children,
     compile_exact,
+    div,
+    mul,
+    neg,
+    pow_int,
 )
+from odeobs.poly import NONZERO_EXACT, ZERO_EXACT, is_zero, normalize_rational  # noqa: E402
 
 from conftest import GEN_SYMBOLS, random_expr  # noqa: E402
 
@@ -133,3 +142,75 @@ def test_exact_program_matches_sympy(seed, point):
     expected = [[to_sympy(e).xreplace(sub) for e in row] for row in rows]
     got = program.run(point)
     assert [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in got] == expected
+
+
+def poly_to_sympy(p):
+    return sympy.Add(
+        *[
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[SYMPY_SYMBOLS[v] ** k for v, k in zip(p.vars, mono)])
+            for mono, c in p.coeffs.items()
+        ]
+    )
+
+
+def rational_expr(rng):
+    """A rational expression whose denominators are random polynomials (not
+    monic, in general), with a common factor of numerator and denominator
+    now and then."""
+    p, q, f = (random_expr(rng, depth=2) for _ in range(3))
+    pick = rng.randrange(4)
+    if pick == 0:
+        return random_expr(rng, depth=3)
+    if pick == 1:
+        return div(p, q)
+    if pick == 2:
+        return div(mul(p, f), mul(q, f))
+    return add(div(p, q), pow_int(f, -rng.randint(1, 2)))
+
+
+def defined(e):
+    """Whether no denominator of ``e`` is zero as a rational function."""
+    return all(sympy.cancel(to_sympy(d)) != 0 for d in denominators(e))
+
+
+@SETTINGS
+@given(st.integers(0, 2**32))
+def test_normalize_rational_matches_sympy_cancel(seed):
+    e = rational_expr(random.Random(seed))
+    assume(defined(e))
+    form = normalize_rational(e)
+    num, den = poly_to_sympy(form.num), poly_to_sympy(form.den)
+    p, q = sympy.fraction(sympy.cancel(to_sympy(e)))
+    assert sympy.expand(num * q - den * p) == 0  # the same rational function
+    gens = [SYMPY_SYMBOLS[v] for v in form.den.vars]
+    if not gens:
+        assert den == 1
+        return
+    assert sympy.Poly(sympy.gcd(num, den), *gens).is_ground
+    # monic in the graded-lex order over odeobs' variable order
+    assert sympy.Poly(den, *gens).LC(order="grlex") == 1
+
+
+def constructed_zero(rng):
+    """An expression that is zero as a rational function, but not as a tree."""
+    p, q, r = (random_expr(rng, depth=2) for _ in range(3))
+    pick = rng.randrange(3)
+    if pick == 0:  # p*q/q - p
+        return add(div(mul(p, q), q), neg(p))
+    if pick == 1:  # p/q - p*r/(q*r)
+        return add(div(p, q), neg(div(mul(p, r), mul(q, r))))
+    # (p + q)^2 - p^2 - 2*p*q - q^2
+    return add(pow_int(add(p, q), 2), neg(pow_int(p, 2)), mul(-2, p, q), neg(pow_int(q, 2)))
+
+
+@SETTINGS
+@given(st.integers(0, 2**32), st.booleans())
+def test_exact_is_zero_matches_sympy_cancel(seed, zero):
+    rng = random.Random(seed)
+    e = constructed_zero(rng) if zero else rational_expr(rng)
+    assume(defined(e))
+    expected = ZERO_EXACT if sympy.cancel(to_sympy(e)) == 0 else NONZERO_EXACT
+    assert is_zero(e, seed=seed).kind == expected
+    if zero:
+        assert expected == ZERO_EXACT
