@@ -26,6 +26,15 @@ Construction goes through the smart constructors (:func:`add`, :func:`mul`,
 ...), which fold constants and remove neutral elements but perform no other
 rewriting.  Semantic comparisons belong to :mod:`odeobs.poly`.
 
+Nodes are hash-consed: every node class interns its instances in one table,
+keyed by the class and the fields (children by identity, a constant by its
+numerator and denominator, a symbol by value).  Building a node that is
+structurally equal to a live one, by a constructor, the parser, a copy or
+an unpickling, returns the live one.  So structural equality is identity:
+nodes compare and hash by identity, and every memo keyed on a node sees a
+repeated subtree once.  The table refers to nodes weakly, and a node's entry
+leaves with the node.
+
 Expression DAGs are lowered to code in one way, with two consumers: a
 structurally value-numbered instruction list in tree-walk order, which
 :class:`ExactProgram` runs over int/Fraction or over floats with one
@@ -40,8 +49,9 @@ from __future__ import annotations
 
 import math
 import re
+import weakref
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -129,10 +139,94 @@ class Symbol:
         return self.name
 
 
-class Expr:
-    """Immutable expression node; subclasses are the node kinds."""
+# The intern table: one weak entry per live node.  A key holds the node's
+# children, which the node holds anyway, so the table keeps no node alive.
+_interned: dict = {}
 
-    __slots__ = ()
+_new_object = object.__new__
+_set_field = object.__setattr__
+
+
+class _Entry(weakref.ref):
+    """The intern table's weak reference to a node, with the node's key."""
+
+    __slots__ = ("key",)
+
+
+def _evict(entry: _Entry, table: dict = _interned) -> None:
+    # an entry made for the same key after this node died stays
+    if table.get(entry.key) is entry:
+        del table[entry.key]
+
+
+def _enter(cls, key) -> "Expr":
+    """A new node of ``cls``, fields not yet set, entered under ``key``."""
+    node = _new_object(cls)
+    entry = _Entry(node, _evict)
+    entry.key = key
+    _interned[key] = entry
+    return node
+
+
+# The constructors of the node classes.  Each looks its key up before it
+# builds; the lookup is written out, not called, because it runs for every
+# node built.
+
+
+def _one_field_new(field: str):
+    def __new__(cls, value):
+        key = (cls, value)
+        entry = _interned.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = _enter(cls, key)
+        _set_field(node, field, value)
+        return node
+
+    return __new__
+
+
+def _two_field_new(first: str, second: str):
+    def __new__(cls, a, b):
+        key = (cls, a, b)
+        entry = _interned.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = _enter(cls, key)
+        _set_field(node, first, a)
+        _set_field(node, second, b)
+        return node
+
+    return __new__
+
+
+class Expr:
+    """Immutable, interned expression node; subclasses are the node kinds.
+
+    Building a node that is structurally equal to a live one returns the
+    live one, so equality and hashing are identity.
+    """
+
+    __slots__ = ("__weakref__",)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        # rebuilt through the constructor, so copies and unpickled nodes are
+        # the interned ones
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
 
     def __add__(self, other: ExprLike) -> "Expr":
         return add(self, as_expr(other))
@@ -168,78 +262,62 @@ class Expr:
         return to_str(self)
 
 
-@dataclass(frozen=True, slots=True)
 class Const(Expr):
-    value: Fraction
+    __slots__ = ("value",)
 
-    def __str__(self) -> str:
-        return to_str(self)
+    def __new__(cls, value):
+        # keyed by numerator and denominator: Fraction's own hash is slow
+        if type(value) is not Fraction:
+            value = Fraction(value)
+        key = (cls, value.numerator, value.denominator)
+        entry = _interned.get(key)
+        if entry is not None:
+            node = entry()
+            if node is not None:
+                return node
+        node = _enter(cls, key)
+        _set_field(node, "value", value)
+        return node
 
 
-@dataclass(frozen=True, slots=True)
 class Sym(Expr):
-    symbol: Symbol
-
-    def __str__(self) -> str:
-        return to_str(self)
+    __slots__ = ("symbol",)
+    __new__ = _one_field_new("symbol")
 
 
-@dataclass(frozen=True, slots=True)
 class Add(Expr):
-    terms: tuple  # >= 2 children, flattened
-
-    def __str__(self) -> str:
-        return to_str(self)
+    __slots__ = ("terms",)  # >= 2 children, flattened
+    __new__ = _one_field_new("terms")
 
 
-@dataclass(frozen=True, slots=True)
 class Mul(Expr):
-    factors: tuple  # >= 2 children, flattened, sign hoisted
-
-    def __str__(self) -> str:
-        return to_str(self)
+    __slots__ = ("factors",)  # >= 2 children, flattened, sign hoisted
+    __new__ = _one_field_new("factors")
 
 
-@dataclass(frozen=True, slots=True)
 class Neg(Expr):
-    arg: Expr
-
-    def __str__(self) -> str:
-        return to_str(self)
+    __slots__ = ("arg",)
+    __new__ = _one_field_new("arg")
 
 
-@dataclass(frozen=True, slots=True)
 class Div(Expr):
-    num: Expr
-    den: Expr
-
-    def __str__(self) -> str:
-        return to_str(self)
+    __slots__ = ("num", "den")
+    __new__ = _two_field_new("num", "den")
 
 
-@dataclass(frozen=True, slots=True)
 class PowInt(Expr):
-    base: Expr
-    exponent: int  # never 0 or 1
-
-    def __str__(self) -> str:
-        return to_str(self)
+    __slots__ = ("base", "exponent")  # exponent: an int, never 0 or 1
+    __new__ = _two_field_new("base", "exponent")
 
 
-@dataclass(frozen=True, slots=True)
 class Ln(Expr):
-    arg: Expr
-
-    def __str__(self) -> str:
-        return to_str(self)
+    __slots__ = ("arg",)
+    __new__ = _one_field_new("arg")
 
 
-@dataclass(frozen=True, slots=True)
 class Exp(Expr):
-    arg: Expr
-
-    def __str__(self) -> str:
-        return to_str(self)
+    __slots__ = ("arg",)
+    __new__ = _one_field_new("arg")
 
 
 ZERO = Const(Fraction(0))
@@ -392,18 +470,18 @@ def children(e: Expr) -> tuple:
 def free_symbols(e: Expr) -> frozenset:
     """All symbols occurring structurally in the expression.
 
-    Each node object is visited once, so a DAG that shares subtrees costs
-    its distinct nodes, not its paths.
+    Each node is visited once, so a DAG that shares subtrees costs its
+    distinct nodes, not its paths.
     """
     found = set()
-    seen = set()  # ids of the other nodes visited; ``e`` keeps them all alive
+    seen = set()
     stack = [e]
     while stack:
         node = stack.pop()
         if isinstance(node, Sym):
             found.add(node.symbol)
-        elif id(node) not in seen:
-            seen.add(id(node))
+        elif node not in seen:
+            seen.add(node)
             stack.extend(children(node))
     return frozenset(found)
 
@@ -419,23 +497,23 @@ class SupportTable:
     """Which of a fixed tuple of variables each subtree mentions.
 
     A node's support is an int bitmask over the positions of the variables,
-    kept by ``id(node)`` with the node held alive.  A subtree that divides by
+    kept by node (nodes are interned, so once per distinct subtree) for as
+    long as the table lives.  A subtree that divides by
     a constant zero or takes ln of one has the mask -1: its derivative with
     respect to anything is a structural ``0/0``, not ``0``, so it counts as
     mentioning every variable.
     """
 
-    __slots__ = ("bits", "masks", "_nodes")
+    __slots__ = ("bits", "masks")
 
     def __init__(self, variables: Sequence[Symbol]):
         self.bits = {v: 1 << i for i, v in enumerate(variables)}
-        self.masks: dict = {}  # id(node) -> support
-        self._nodes: list = []  # keeps every tabled node, so its id stays taken
+        self.masks: dict = {}  # node -> support
 
     def mask(self, e: Expr) -> int:
         """The support of ``e``, tabling every subtree of ``e`` not seen yet."""
         masks = self.masks
-        found = masks.get(id(e))
+        found = masks.get(e)
         if found is not None:
             return found
         # post-order without recursion: a node stays on the stack until all
@@ -443,14 +521,14 @@ class SupportTable:
         stack = [e]
         while stack:
             node = stack[-1]
-            if id(node) in masks:  # pushed twice, by two parents
+            if node in masks:  # pushed twice, by two parents
                 stack.pop()
                 continue
             kids = children(node)
             m = 0
             waiting = False
             for k in kids:
-                km = masks.get(id(k))
+                km = masks.get(k)
                 if km is None:
                     stack.append(k)
                     waiting = True
@@ -467,9 +545,8 @@ class SupportTable:
                 m = -1
             elif not kids and not isinstance(node, Const):
                 raise TypeError(f"unhandled node {node!r}")
-            masks[id(node)] = m
-            self._nodes.append(node)
-        return masks[id(e)]
+            masks[node] = m
+        return masks[e]
 
 
 def diff(
@@ -483,12 +560,12 @@ def diff(
     Only subtrees that mention ``v`` are differentiated: a :class:`SupportTable`
     says which those are, and every other subtree has derivative ``ZERO`` at
     once, as the full walk would find (a constant-zero quotient or ln, whose
-    derivative prints ``0/0``, is never skipped).  Each node object is
-    differentiated once: subtrees shared by identity are looked up in a memo,
-    so their derivatives are shared too.  The memo and the table last one
-    call, or as long as the caller keeps those passed as ``memo`` and
-    ``support``; one memo serves one variable, one table any of its
-    variables, and both keep every node they have seen alive.
+    derivative prints ``0/0``, is never skipped).  Each distinct subtree is
+    differentiated once: nodes are interned, so a repeated subtree is one
+    node, looked up in a memo, and its derivative is shared too.  The memo
+    and the table last one call, or as long as the caller keeps those passed
+    as ``memo`` and ``support``; one memo serves one variable, one table any
+    of its variables, and both keep every node they have seen alive.
     """
     if support is None:
         support = SupportTable((v,))
@@ -498,12 +575,11 @@ def diff(
 
 def _diff(e: Expr, v: Symbol, memo: dict, bit: int, masks: dict) -> Expr:
     # every subtree of the root is in ``masks``; one without v has derivative 0
-    if not masks[id(e)] & bit:
+    if not masks[e] & bit:
         return ZERO
-    # The memo holds the node next to its derivative, so the id stays taken.
-    hit = memo.get(id(e))
+    hit = memo.get(e)
     if hit is not None:
-        return hit[1]
+        return hit
     if isinstance(e, Sym):
         d = ONE  # its support holds v, so it is v
     elif isinstance(e, Add):
@@ -536,7 +612,7 @@ def _diff(e: Expr, v: Symbol, memo: dict, bit: int, masks: dict) -> Expr:
         d = mul(e, _diff(e.arg, v, memo, bit, masks))
     else:
         raise TypeError(f"unhandled node {e!r}")
-    memo[id(e)] = (e, d)
+    memo[e] = d
     return d
 
 
@@ -590,10 +666,11 @@ class _Lowering:
     An instruction is ``(op, value ids of the arguments, payload)``, and its
     value id is its index in ``instrs``.  Instructions follow a tree walk:
     children in order, and a quotient's denominator, then its zero check,
-    then its numerator.  Each node object is lowered once (by identity), and
-    structurally equal subtrees share one instruction (keyed by operation and
-    argument values).  The first ln/exp met is preceded by the one
-    ``_TRANSCENDENTAL`` check, placed before its argument.
+    then its numerator.  Each node is lowered once; nodes are interned, so
+    structurally equal subtrees are one node and share one instruction.
+    Quotients with one denominator value share its zero check.  The first
+    ln/exp met is preceded by the one ``_TRANSCENDENTAL`` check, placed
+    before its argument.
 
     A class rather than nested functions: a recursive closure is a reference
     cycle, which would keep the tables alive until the cyclic garbage
@@ -602,50 +679,44 @@ class _Lowering:
 
     def __init__(self):
         self.instrs: list = []
-        self.by_key: dict = {}  # (op, key, argument value ids) -> value id
-        self.by_id: dict = {}  # id(node) -> value id; the caller keeps the nodes alive
+        self.by_node: dict = {}  # node -> value id
+        self.checked: set = set()  # denominator value ids with a zero check
         self.symbols: set = set()
         self.rational = True  # no ln/exp node met
 
-    def instr(self, op, key, args, payload) -> int:
-        full_key = (op, key, args)
-        value = self.by_key.get(full_key)
-        if value is None:
-            value = self.by_key[full_key] = len(self.instrs)
-            self.instrs.append((op, args, payload))
-        return value
-
     def emit(self, e: Expr) -> int:
-        value = self.by_id.get(id(e))
+        value = self.by_node.get(e)
         if value is not None:
             return value
         if isinstance(e, Add):
-            value = self.instr(_ADD, None, tuple(self.emit(t) for t in e.terms), None)
+            instr = (_ADD, tuple([self.emit(t) for t in e.terms]), None)
         elif isinstance(e, Mul):
-            value = self.instr(_MUL, None, tuple(self.emit(f) for f in e.factors), None)
+            instr = (_MUL, tuple([self.emit(f) for f in e.factors]), None)
         elif isinstance(e, Sym):
             self.symbols.add(e.symbol)
-            value = self.instr(_SYM, e.symbol, (), e.symbol)
+            instr = (_SYM, (), e.symbol)
         elif isinstance(e, Const):
-            value = self.instr(_CONST, e.value, (), _exact(e.value))
+            instr = (_CONST, (), _exact(e.value))
         elif isinstance(e, Neg):
-            value = self.instr(_NEG, None, (self.emit(e.arg),), None)
+            instr = (_NEG, (self.emit(e.arg),), None)
         elif isinstance(e, Div):
             den = self.emit(e.den)
             # one check per denominator value: the first raises, if any does
-            self.instr(_NONZERO, None, (den,), e)
-            value = self.instr(_DIV, None, (den, self.emit(e.num)), None)
+            if den not in self.checked:
+                self.checked.add(den)
+                self.instrs.append((_NONZERO, (den,), e))
+            instr = (_DIV, (den, self.emit(e.num)), None)
         elif isinstance(e, PowInt):
-            value = self.instr(_POW, e.exponent, (self.emit(e.base),), e)
+            instr = (_POW, (self.emit(e.base),), e)
         elif isinstance(e, (Ln, Exp)):
             if self.rational:
                 self.rational = False
-                self.instr(_TRANSCENDENTAL, None, (), e)
-            op = _LN if isinstance(e, Ln) else _EXP
-            value = self.instr(op, None, (self.emit(e.arg),), None)
+                self.instrs.append((_TRANSCENDENTAL, (), e))
+            instr = (_LN if isinstance(e, Ln) else _EXP, (self.emit(e.arg),), None)
         else:
             raise TypeError(f"unhandled node {e!r}")
-        self.by_id[id(e)] = value
+        value = self.by_node[e] = len(self.instrs)
+        self.instrs.append(instr)
         return value
 
 

@@ -11,8 +11,9 @@ sufficient; the rank test is the authoritative local check.
 from __future__ import annotations
 
 import itertools
+import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from .expr import Expr, Symbol, TranscendentalNodeError, diff, free_symbols
 from .model import OdeSystem
@@ -61,21 +62,40 @@ class GraphicalVerdict:
     missing_roots: Tuple[Tuple[Symbol, ...], ...]
 
 
+# rhs -> the symbols its rational form depends on, or None when it has
+# ln/exp.  Nodes are interned, so a system that shares an equation with
+# another (a reduced system keeps its unchanged ones) shares its entry; an
+# entry lives as long as its rhs.
+_rational_dependencies = weakref.WeakKeyDictionary()
+
+
 def _dependencies(rhs: Expr, states: Tuple[Symbol, ...], seed: int) -> Set[Symbol]:
     """The states an expression semantically depends on."""
     candidates = free_symbols(rhs).intersection(states)
     if not candidates:
         return set()
     try:
+        depends_on = _rational_dependencies[rhs]
+    except KeyError:
+        depends_on = _rational_dependencies[rhs] = _rational_form_symbols(rhs)
+    if depends_on is None:
+        return {var for var in candidates if _nonzero(diff(rhs, var), seed)}
+    return candidates & depends_on
+
+
+def _rational_form_symbols(rhs: Expr) -> Optional[frozenset]:
+    """The symbols of positive degree in the rational form of ``rhs``, or
+    None when ``rhs`` has ln/exp."""
+    try:
         form = normalize_rational(rhs)
     except TranscendentalNodeError:
-        return {var for var in candidates if _nonzero(diff(rhs, var), seed)}
-    return {
+        return None
+    return frozenset(
         var
         for poly in (form.num, form.den)
         for i, var in enumerate(poly.vars)
-        if var in candidates and poly.degree_in(i) > 0
-    }
+        if poly.degree_in(i) > 0
+    )
 
 
 def _nonzero(e: Expr, seed: int) -> bool:

@@ -39,6 +39,7 @@ from .expr import (
     Sym,
     Symbol,
     TranscendentalNodeError,
+    children,
     compile_exact,
     free_symbols,
 )
@@ -467,14 +468,14 @@ def is_zero(e: Expr, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ZeroTestRes
     Expressions containing ln/exp are sampled at random points and compared
     against a scale built from the magnitudes of their top-level terms;
     :class:`ZeroTestUndecidedError` says that no sample point was in their
-    domain.
+    domain.  Which of the two tests runs is decided before any expansion,
+    so a rational pole in an expression with ln/exp is met by the sampler.
     """
     symbols = tuple(sorted(free_symbols(e), key=lambda s: s.sort_key))
     rng = random.Random(seed)
-    try:
-        rf = normalize_rational(e)
-    except TranscendentalNodeError:
+    if _has_ln_exp(e):
         return _sampled_zero_test(e, symbols, rng, trials)
+    rf = normalize_rational(e)
     if rf.num.is_zero:
         return ZeroTestResult(ZERO_EXACT)
     if rf.num.is_constant or not symbols:
@@ -485,6 +486,20 @@ def is_zero(e: Expr, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ZeroTestRes
             return ZeroTestResult(NONZERO_EXACT, witness=point)
     # astronomically unlikely: every sample hit a root of a nonzero polynomial
     return ZeroTestResult(NONZERO_EXACT, witness=None)
+
+
+def _has_ln_exp(e: Expr) -> bool:
+    """Whether ``e`` has an ln or exp node; each distinct node is visited once."""
+    seen = set()
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (Ln, Exp)):
+            return True
+        if node not in seen:
+            seen.add(node)
+            stack.extend(children(node))
+    return False
 
 
 def _sampled_zero_test(

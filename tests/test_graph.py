@@ -1,7 +1,10 @@
 import random
 from fractions import Fraction
 
-from odeobs.expr import Const, Symbol, add, diff, ln, mul, neg, parse_expr, sym
+import odeobs.conserved
+import odeobs.graph as graph_module
+import odeobs.report
+from odeobs.expr import Const, Symbol, add, diff, ln, mul, neg, parse_expr, sym, to_str
 from odeobs.graph import (
     InferenceGraph,
     build_graph,
@@ -11,10 +14,12 @@ from odeobs.graph import (
     minimal_sensor_sets,
     scc_condensation,
 )
-from odeobs.model import OdeSystem, reduce_by_conserved, verify_all_conserved
+from odeobs.model import OdeSystem, parse_model, reduce_by_conserved, verify_all_conserved
 from odeobs.poly import is_zero
+from odeobs.report import build_report
 
 from conftest import random_expr
+from test_generated_reports import chain, twin
 
 
 def names(symbols):
@@ -102,6 +107,60 @@ class TestBuildGraph:
             rhs=tuple(mul(Const(Fraction(5)), f) for f in sir.rhs),
         )
         assert build_graph(scaled).edges == build_graph(sir).edges
+
+
+class TestDependencyMemo:
+    def _record(self, monkeypatch):
+        normalized, graphs = [], []
+        normalize, build = graph_module.normalize_rational, graph_module.build_graph
+
+        def recording_normalize(e, *args):
+            normalized.append(e)  # held, so no memo entry dies during the reports
+            return normalize(e, *args)
+
+        def recording_build(sys, seed=0):
+            g = build(sys, seed)
+            graphs.append((sys, seed, g))
+            return g
+
+        monkeypatch.setattr(graph_module, "normalize_rational", recording_normalize)
+        for module in (odeobs.report, odeobs.conserved):
+            monkeypatch.setattr(module, "build_graph", recording_build)
+        return normalized, graphs
+
+    def test_each_distinct_rhs_is_normalized_once(self, monkeypatch):
+        normalized, graphs = self._record(monkeypatch)
+        for text in (chain(6), chain(7), twin(3)):
+            build_report(parse_model(text), seed=1)
+        assert graphs and normalized
+        assert len({to_str(e) for e in normalized}) == len(normalized)
+        for sys, seed, g in graphs:
+            expected = tuple(
+                (src, dst)
+                for src, f in zip(sys.states, sys.rhs)
+                for dst in sys.states
+                if not is_zero(diff(f, dst), seed=seed).is_zero_like
+            )
+            assert g.edges == expected
+
+    def test_transcendental_rhs_is_sampled_at_every_seed(self, monkeypatch):
+        normalized, _ = self._record(monkeypatch)
+        sampled = []
+        nonzero = graph_module._nonzero
+
+        def recording_nonzero(e, seed):
+            sampled.append(seed)
+            return nonzero(e, seed)
+
+        monkeypatch.setattr(graph_module, "_nonzero", recording_nonzero)
+        x, y = Symbol("x", "state"), Symbol("y", "state")
+        rhs = (mul(ln(sym(x)), sym(y)), sym(x))
+        sys = OdeSystem(name="logs", states=(x, y), params=(), rhs=rhs)
+        for seed in (0, 1):
+            assert build_graph(sys, seed).edge_names() == (("x", "x"), ("x", "y"), ("y", "x"))
+        assert sampled == [0, 0, 1, 1]
+        # at most once each: ln(x)*y is remembered to have no rational form
+        assert all(normalized.count(f) <= 1 for f in rhs)
 
 
 class TestCondensation:

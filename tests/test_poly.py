@@ -1,4 +1,6 @@
+import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -225,6 +227,29 @@ class TestIsZero:
         with pytest.raises(ZeroTestUndecidedError) as err:
             is_zero(e)
         assert err.value.args == (e, 3200)
+
+    def test_ln_is_found_before_the_rational_terms_are_expanded(self):
+        # e has degree 512 in x; expanding it before meeting ln(x) took 0.3 s
+        e = sym(X)
+        for _ in range(9):
+            e = add(mul(e, e), ONE)
+        log = parse_expr("ln(x)", {"x": X})
+        for terms in ((e, log), (log, e)):
+            best = math.inf
+            for _ in range(3):
+                start = time.perf_counter()
+                result = is_zero(add(*terms))
+                best = min(best, time.perf_counter() - start)
+            assert result.kind == PROBABLY_NONZERO
+            assert best < 0.01
+
+    def test_pole_ahead_of_the_first_ln_reaches_the_sampler(self):
+        # the sampler, not the rational expansion, meets the pole, so the
+        # order of the terms does not decide the outcome
+        k = Symbol("k", "parameter")
+        for text in ("x/(k - k) + ln(x)", "ln(x) + x/(k - k)"):
+            with pytest.raises(ZeroTestUndecidedError):
+                is_zero(parse_expr(text, (X, k)))
 
     def test_seed_determinism(self):
         names = {"S": S, "I": I}
