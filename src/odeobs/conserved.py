@@ -27,7 +27,6 @@ from . import linalg
 from .expr import (
     Const,
     Expr,
-    SupportTable,
     Sym,
     Symbol,
     UnknownSymbolError,
@@ -144,15 +143,8 @@ class AlternativeSearch:
 
 def partition_jacobians(g: ConservedSet, p: Partition) -> PartitionJacobians:
     """Block split of the conserved-set Jacobian along the partition."""
-    support = SupportTable(p.r_vars + p.s_vars)
-    dg_dr = tuple(
-        tuple(diff(q.expr, v, support=support) for v in p.r_vars)
-        for q in g.quantities
-    )
-    dg_ds = tuple(
-        tuple(diff(q.expr, v, support=support) for v in p.s_vars)
-        for q in g.quantities
-    )
+    dg_dr = tuple(tuple(diff(q.expr, v) for v in p.r_vars) for q in g.quantities)
+    dg_ds = tuple(tuple(diff(q.expr, v) for v in p.s_vars) for q in g.quantities)
     return PartitionJacobians(p, dg_dr, dg_ds)
 
 
@@ -181,11 +173,7 @@ def conserved_set_independent(
     sys: OdeSystem, g: ConservedSet, seed: int = 0, trials: int = DEFAULT_TRIALS
 ) -> bool:
     """Generic linear independence of the quantity gradients."""
-    support = SupportTable(sys.states)
-    rows = tuple(
-        tuple(diff(q.expr, s, support=support) for s in sys.states)
-        for q in g.quantities
-    )
+    rows = tuple(tuple(diff(q.expr, s) for s in sys.states) for q in g.quantities)
     verdict = generic_rank_of(rows, seed=seed, trials=trials, n_cols=sys.n)
     return verdict.generic_rank == len(g.quantities)
 
@@ -263,12 +251,8 @@ def eliminate_states(
     for i, s in enumerate(sys.states):
         if s not in eliminate:
             new_rhs[i] = substitute(sys.rhs[i], solution)
-    support = SupportTable(others)
     for v in eliminate:
-        terms = [
-            mul(diff(solution[v], s, support=support), new_rhs[sys.state_index(s)])
-            for s in others
-        ]
+        terms = [mul(diff(solution[v], s), new_rhs[sys.state_index(s)]) for s in others]
         new_rhs[sys.state_index(v)] = add(*terms)
     if len(eliminate) == 1:
         suffix = f"{g.quantities[0].level_name}_for_{eliminate[0].name}"

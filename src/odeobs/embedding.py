@@ -20,11 +20,11 @@ that component's Jacobian row, so :func:`jacobian` differentiates only each
 output's last component.  The order k+1 check extends the order k embedding
 and its Jacobian by one order instead of rebuilding them.
 
-Differentiation is pruned: one :class:`odeobs.expr.SupportTable` per
-embedding records which states each subtree mentions, so a gradient entry
-walks only the subtrees that mention its state, and a subtree over
-parameters alone (or other states) is ``0`` at once.  The table is filled
-once per node for all n states and shared with every extended embedding.
+Differentiation is pruned: every expression node knows the symbols of its
+subtree, so a gradient entry walks only the subtrees that mention its
+state, and a subtree over parameters alone (or other states) is ``0`` at
+once.  A node learns its symbols once for its life, whichever embedding or
+state asks first.
 """
 
 from __future__ import annotations
@@ -40,7 +40,6 @@ from .expr import (
     DomainError,
     ExactProgram,
     Expr,
-    SupportTable,
     Symbol,
     compile_exact,
     diff,
@@ -67,8 +66,7 @@ class EmbeddingMap:
 
     ``gradients`` holds the gradient over ``states`` of every component but
     each output's last, grouped the same way; ``memos`` holds one diff memo
-    per state and ``support`` the states each subtree mentions, both shared
-    with every embedding extended from this one.
+    per state, shared with every embedding extended from this one.
     """
 
     components: Tuple[Expr, ...]
@@ -77,7 +75,6 @@ class EmbeddingMap:
     states: Tuple[Symbol, ...] = field(repr=False, compare=False)
     gradients: Tuple[Tuple[Expr, ...], ...] = field(repr=False, compare=False)
     memos: Tuple[dict, ...] = field(repr=False, compare=False)
-    support: SupportTable = field(repr=False, compare=False)
 
     def component(self, output_index: int, derivative: int) -> Expr:
         return self.components[output_index * (self.order + 1) + derivative]
@@ -123,7 +120,6 @@ def build_embedding(
         states=sys.states,
         gradients=(),
         memos=tuple({} for _ in sys.states),
-        support=SupportTable(sys.states),
     )
     for _ in range(k):
         embedding = _extend(sys, embedding, _gradients(embedding))
@@ -139,7 +135,7 @@ def _gradients(embedding: EmbeddingMap) -> Tuple[Tuple[Expr, ...], ...]:
         last = embedding.component(o, k)
         rows.append(
             tuple(
-                diff(last, s, memo, embedding.support)
+                diff(last, s, memo)
                 for s, memo in zip(embedding.states, embedding.memos)
             )
         )
@@ -162,7 +158,6 @@ def _extend(
         states=embedding.states,
         gradients=tuple(rows),
         memos=embedding.memos,
-        support=embedding.support,
     )
 
 

@@ -26,14 +26,20 @@ Construction goes through the smart constructors (:func:`add`, :func:`mul`,
 ...), which fold constants and remove neutral elements but perform no other
 rewriting.  Semantic comparisons belong to :mod:`odeobs.poly`.
 
-Nodes are hash-consed: every node class interns its instances in one table,
-keyed by the class and the fields (children by identity, a constant by its
-numerator and denominator, a symbol by value).  Building a node that is
-structurally equal to a live one, by a constructor, the parser, a copy or
-an unpickling, returns the live one.  So structural equality is identity:
-nodes compare and hash by identity, and every memo keyed on a node sees a
-repeated subtree once.  The table refers to nodes weakly, and a node's entry
-leaves with the node.
+Nodes and symbols are hash-consed: each class interns its instances in one
+table, keyed by the class and the fields (children and symbols by identity,
+a constant by its numerator and denominator, a symbol by name and kind).
+Building one that is structurally equal to a live one, by a constructor,
+the parser, a copy or an unpickling, returns the live one.  So structural
+equality is identity: nodes and symbols compare and hash by identity, and
+every memo keyed on a node sees a repeated subtree once.  The table refers
+to its instances weakly, and an entry leaves with its instance.
+
+Each node also holds two facts about its subtree: the symbols it mentions,
+and flags for an ln/exp node and for a quotient or ln of a constant zero.
+The first request for them runs one walk that writes them onto every node
+below not yet tabled, once for the node's life.  :func:`free_symbols`,
+:func:`has_ln_exp` and the pruning of :func:`diff` read them.
 
 Expression DAGs are lowered to code in one way, with two consumers: a
 structurally value-numbered instruction list in tree-walk order, which
@@ -51,7 +57,7 @@ import math
 import re
 import weakref
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -117,30 +123,9 @@ class DomainError(ExprError):
     """Float evaluation outside a function's domain (ln of non-positive)."""
 
 
-@dataclass(frozen=True, slots=True)
-class Symbol:
-    """A named state variable or parameter."""
-
-    name: str
-    kind: str  # "state" | "parameter"
-
-    def __post_init__(self):
-        if not _NAME_RE.match(self.name):
-            raise ValueError(f"invalid symbol name {self.name!r}")
-        if self.kind not in ("state", "parameter"):
-            raise ValueError(f"invalid symbol kind {self.kind!r}")
-
-    @property
-    def sort_key(self) -> tuple:
-        # states before parameters, then by name; deterministic everywhere
-        return (0 if self.kind == "state" else 1, self.name)
-
-    def __str__(self) -> str:
-        return self.name
-
-
-# The intern table: one weak entry per live node.  A key holds the node's
-# children, which the node holds anyway, so the table keeps no node alive.
+# The intern table: one weak entry per live node or symbol.  A key holds the
+# node's children, which the node holds anyway, so the table keeps no node
+# alive.
 _interned: dict = {}
 
 _new_object = object.__new__
@@ -148,24 +133,24 @@ _set_field = object.__setattr__
 
 
 class _Entry(weakref.ref):
-    """The intern table's weak reference to a node, with the node's key."""
+    """The intern table's weak reference to an instance, with its key."""
 
     __slots__ = ("key",)
 
 
 def _evict(entry: _Entry, table: dict = _interned) -> None:
-    # an entry made for the same key after this node died stays
+    # an entry made for the same key after this instance died stays
     if table.get(entry.key) is entry:
         del table[entry.key]
 
 
-def _enter(cls, key) -> "Expr":
-    """A new node of ``cls``, fields not yet set, entered under ``key``."""
-    node = _new_object(cls)
-    entry = _Entry(node, _evict)
+def _enter(cls, key):
+    """A new instance of ``cls``, fields not yet set, entered under ``key``."""
+    instance = _new_object(cls)
+    entry = _Entry(instance, _evict)
     entry.key = key
     _interned[key] = entry
-    return node
+    return instance
 
 
 # The constructors of the node classes.  Each looks its key up before it
@@ -204,12 +189,9 @@ def _two_field_new(first: str, second: str):
     return __new__
 
 
-class Expr:
-    """Immutable, interned expression node; subclasses are the node kinds.
-
-    Building a node that is structurally equal to a live one returns the
-    live one, so equality and hashing are identity.
-    """
+class _Interned:
+    """Immutable and interned: building one equal to a live instance returns
+    the live one, so equality and hashing are identity."""
 
     __slots__ = ("__weakref__",)
 
@@ -220,13 +202,54 @@ class Expr:
         raise FrozenInstanceError(f"cannot delete field {name!r}")
 
     def __reduce__(self):
-        # rebuilt through the constructor, so copies and unpickled nodes are
-        # the interned ones
+        # rebuilt through the constructor, so copies and unpickled instances
+        # are the interned ones
         return type(self), tuple(getattr(self, name) for name in self.__slots__)
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
+
+
+class Symbol(_Interned):
+    """A named state variable or parameter."""
+
+    __slots__ = ("name", "kind")  # kind: "state" | "parameter"
+
+    def __new__(cls, name: str, kind: str):
+        key = (cls, name, kind)
+        entry = _interned.get(key)
+        if entry is not None:
+            symbol = entry()
+            if symbol is not None:
+                return symbol
+        if not _NAME_RE.match(name):
+            raise ValueError(f"invalid symbol name {name!r}")
+        if kind not in ("state", "parameter"):
+            raise ValueError(f"invalid symbol kind {kind!r}")
+        symbol = _enter(cls, key)
+        _set_field(symbol, "name", name)
+        _set_field(symbol, "kind", kind)
+        return symbol
+
+    @property
+    def sort_key(self) -> tuple:
+        # states before parameters, then by name; deterministic everywhere
+        return (0 if self.kind == "state" else 1, self.name)
+
+    def __str__(self) -> str:
+        return self.name
+
+
+class Expr(_Interned):
+    """Immutable, interned expression node; subclasses are the node kinds.
+
+    Besides its fields, a node holds two facts about its subtree, written by
+    :func:`_tabled` when first asked for: the symbols it mentions and flags
+    (:data:`_POLE`, :data:`_LN_EXP`).
+    """
+
+    __slots__ = ("_symbols", "_flags")
 
     def __add__(self, other: ExprLike) -> "Expr":
         return add(self, as_expr(other))
@@ -467,23 +490,10 @@ def children(e: Expr) -> tuple:
     return ()
 
 
-def free_symbols(e: Expr) -> frozenset:
-    """All symbols occurring structurally in the expression.
-
-    Each node is visited once, so a DAG that shares subtrees costs its
-    distinct nodes, not its paths.
-    """
-    found = set()
-    seen = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sym):
-            found.add(node.symbol)
-        elif node not in seen:
-            seen.add(node)
-            stack.extend(children(node))
-    return frozenset(found)
+# The flags of a node's subtree.  _POLE: it divides by a constant zero or
+# takes ln of one, so its derivative with respect to anything is a
+# structural ``0/0``, not ``0``.  _LN_EXP: it has an ln or exp node.
+_POLE, _LN_EXP = 1, 2
 
 
 def _const_zero(e: Expr) -> bool:
@@ -493,109 +503,100 @@ def _const_zero(e: Expr) -> bool:
     return isinstance(e, Const) and e.value == 0
 
 
-class SupportTable:
-    """Which of a fixed tuple of variables each subtree mentions.
+def _tabled(root: Expr) -> Expr:
+    """``root``, its facts and those of every subtree written on the nodes.
 
-    A node's support is an int bitmask over the positions of the variables,
-    kept by node (nodes are interned, so once per distinct subtree) for as
-    long as the table lives.  A subtree that divides by
-    a constant zero or takes ln of one has the mask -1: its derivative with
-    respect to anything is a structural ``0/0``, not ``0``, so it counts as
-    mentioning every variable.
+    A node is tabled once for its life, and a tabled node's subtrees all
+    are, so the walk stops at tabled nodes.  It is a post-order without
+    recursion: a node stays on the stack until all of its children are
+    tabled.
     """
-
-    __slots__ = ("bits", "masks")
-
-    def __init__(self, variables: Sequence[Symbol]):
-        self.bits = {v: 1 << i for i, v in enumerate(variables)}
-        self.masks: dict = {}  # node -> support
-
-    def mask(self, e: Expr) -> int:
-        """The support of ``e``, tabling every subtree of ``e`` not seen yet."""
-        masks = self.masks
-        found = masks.get(e)
-        if found is not None:
-            return found
-        # post-order without recursion: a node stays on the stack until all
-        # of its children are tabled
-        stack = [e]
-        while stack:
-            node = stack[-1]
-            if node in masks:  # pushed twice, by two parents
-                stack.pop()
-                continue
-            kids = children(node)
-            m = 0
-            waiting = False
-            for k in kids:
-                km = masks.get(k)
-                if km is None:
-                    stack.append(k)
-                    waiting = True
-                else:
-                    m |= km
-            if waiting:
-                continue
+    stack = [root]
+    while stack:
+        node = stack[-1]
+        if getattr(node, "_flags", None) is not None:  # tabled before, or pushed twice
             stack.pop()
-            if isinstance(node, Sym):
-                m = self.bits.get(node.symbol, 0)
-            elif isinstance(node, Div) and _const_zero(node.den) or (
-                isinstance(node, Ln) and _const_zero(node.arg)
-            ):
-                m = -1
-            elif not kids and not isinstance(node, Const):
-                raise TypeError(f"unhandled node {node!r}")
-            masks[node] = m
-        return masks[e]
+            continue
+        kids = children(node)
+        waiting = False
+        for k in kids:
+            if getattr(k, "_flags", None) is None:
+                stack.append(k)
+                waiting = True
+        if waiting:
+            continue
+        stack.pop()
+        symbols, flags = frozenset(), 0
+        for k in kids:
+            flags |= k._flags
+            if not k._symbols <= symbols:
+                # a child's set is reused where it holds all the others
+                symbols = k._symbols if symbols <= k._symbols else symbols | k._symbols
+        if isinstance(node, Sym):
+            symbols = frozenset((node.symbol,))
+        elif isinstance(node, Div):
+            if _const_zero(node.den):
+                flags |= _POLE
+        elif isinstance(node, (Ln, Exp)):
+            flags |= _LN_EXP
+            if isinstance(node, Ln) and _const_zero(node.arg):
+                flags |= _POLE
+        elif not kids and not isinstance(node, Const):
+            raise TypeError(f"unhandled node {node!r}")
+        _set_field(node, "_symbols", symbols)
+        _set_field(node, "_flags", flags)
+    return root
 
 
-def diff(
-    e: Expr,
-    v: Symbol,
-    memo: Optional[dict] = None,
-    support: Optional[SupportTable] = None,
-) -> Expr:
+def free_symbols(e: Expr) -> frozenset:
+    """All symbols occurring structurally in the expression."""
+    return _tabled(e)._symbols
+
+
+def has_ln_exp(e: Expr) -> bool:
+    """Whether the expression has an ln or exp node."""
+    return bool(_tabled(e)._flags & _LN_EXP)
+
+
+def diff(e: Expr, v: Symbol, memo: Optional[dict] = None) -> Expr:
     """Partial derivative with respect to ``v``, structurally simplified.
 
-    Only subtrees that mention ``v`` are differentiated: a :class:`SupportTable`
-    says which those are, and every other subtree has derivative ``ZERO`` at
-    once, as the full walk would find (a constant-zero quotient or ln, whose
-    derivative prints ``0/0``, is never skipped).  Each distinct subtree is
-    differentiated once: nodes are interned, so a repeated subtree is one
-    node, looked up in a memo, and its derivative is shared too.  The memo
-    and the table last one call, or as long as the caller keeps those passed
-    as ``memo`` and ``support``; one memo serves one variable, one table any
-    of its variables, and both keep every node they have seen alive.
+    Only subtrees that mention ``v`` are differentiated: every node knows
+    the symbols of its subtree, and every other subtree has derivative
+    ``ZERO`` at once, as the full walk would find (a constant-zero quotient
+    or ln, whose derivative prints ``0/0``, is never skipped).  Each
+    distinct subtree is differentiated once: nodes are interned, so a
+    repeated subtree is one node, looked up in a memo, and its derivative is
+    shared too.  The memo lasts one call, or as long as the caller keeps the
+    one passed as ``memo``; one memo serves one variable and keeps every
+    node it has seen alive.
     """
-    if support is None:
-        support = SupportTable((v,))
-    support.mask(e)
-    return _diff(e, v, {} if memo is None else memo, support.bits[v], support.masks)
+    return _diff(_tabled(e), v, {} if memo is None else memo)
 
 
-def _diff(e: Expr, v: Symbol, memo: dict, bit: int, masks: dict) -> Expr:
-    # every subtree of the root is in ``masks``; one without v has derivative 0
-    if not masks[e] & bit:
+def _diff(e: Expr, v: Symbol, memo: dict) -> Expr:
+    # every subtree of a tabled node is tabled
+    if v not in e._symbols and not e._flags & _POLE:
         return ZERO
     hit = memo.get(e)
     if hit is not None:
         return hit
     if isinstance(e, Sym):
-        d = ONE  # its support holds v, so it is v
+        d = ONE  # it mentions v, so it is v
     elif isinstance(e, Add):
-        d = add(*[_diff(t, v, memo, bit, masks) for t in e.terms])
+        d = add(*[_diff(t, v, memo) for t in e.terms])
     elif isinstance(e, Mul):
         terms = []
         for i, f in enumerate(e.factors):
-            df = _diff(f, v, memo, bit, masks)
+            df = _diff(f, v, memo)
             if isinstance(df, Const) and df.value == 0:
                 continue
             terms.append(mul(*e.factors[:i], df, *e.factors[i + 1 :]))
         d = add(*terms)
     elif isinstance(e, Neg):
-        d = neg(_diff(e.arg, v, memo, bit, masks))
+        d = neg(_diff(e.arg, v, memo))
     elif isinstance(e, Div):
-        dn, dd = _diff(e.num, v, memo, bit, masks), _diff(e.den, v, memo, bit, masks)
+        dn, dd = _diff(e.num, v, memo), _diff(e.den, v, memo)
         if isinstance(dd, Const) and dd.value == 0:
             d = div(dn, e.den)
         else:
@@ -604,12 +605,12 @@ def _diff(e: Expr, v: Symbol, memo: dict, bit: int, masks: dict) -> Expr:
         d = mul(
             Const(Fraction(e.exponent)),
             pow_int(e.base, e.exponent - 1),
-            _diff(e.base, v, memo, bit, masks),
+            _diff(e.base, v, memo),
         )
     elif isinstance(e, Ln):
-        d = div(_diff(e.arg, v, memo, bit, masks), e.arg)
+        d = div(_diff(e.arg, v, memo), e.arg)
     elif isinstance(e, Exp):
-        d = mul(e, _diff(e.arg, v, memo, bit, masks))
+        d = mul(e, _diff(e.arg, v, memo))
     else:
         raise TypeError(f"unhandled node {e!r}")
     memo[e] = d
@@ -617,28 +618,42 @@ def _diff(e: Expr, v: Symbol, memo: dict, bit: int, masks: dict) -> Expr:
 
 
 def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
-    """Simultaneous substitution; replacement expressions are not re-visited."""
+    """Simultaneous substitution; replacement expressions are not re-visited.
+
+    Each distinct subtree is substituted once, so a DAG that shares subtrees
+    costs its distinct nodes, not its paths.
+    """
     if not bindings:
         return e
-    if isinstance(e, (Const,)):
-        return e
-    if isinstance(e, Sym):
-        return bindings.get(e.symbol, e)
-    if isinstance(e, Add):
-        return add(*[substitute(t, bindings) for t in e.terms])
-    if isinstance(e, Mul):
-        return mul(*[substitute(f, bindings) for f in e.factors])
-    if isinstance(e, Neg):
-        return neg(substitute(e.arg, bindings))
-    if isinstance(e, Div):
-        return div(substitute(e.num, bindings), substitute(e.den, bindings))
-    if isinstance(e, PowInt):
-        return pow_int(substitute(e.base, bindings), e.exponent)
-    if isinstance(e, Ln):
-        return ln(substitute(e.arg, bindings))
-    if isinstance(e, Exp):
-        return exp(substitute(e.arg, bindings))
-    raise TypeError(f"unhandled node {e!r}")
+    return _substitute(e, bindings, {})
+
+
+def _substitute(e: Expr, bindings: Mapping[Symbol, Expr], memo: dict) -> Expr:
+    hit = memo.get(e)
+    if hit is not None:
+        return hit
+    if isinstance(e, Const):
+        result = e
+    elif isinstance(e, Sym):
+        result = bindings.get(e.symbol, e)
+    elif isinstance(e, Add):
+        result = add(*[_substitute(t, bindings, memo) for t in e.terms])
+    elif isinstance(e, Mul):
+        result = mul(*[_substitute(f, bindings, memo) for f in e.factors])
+    elif isinstance(e, Neg):
+        result = neg(_substitute(e.arg, bindings, memo))
+    elif isinstance(e, Div):
+        result = div(_substitute(e.num, bindings, memo), _substitute(e.den, bindings, memo))
+    elif isinstance(e, PowInt):
+        result = pow_int(_substitute(e.base, bindings, memo), e.exponent)
+    elif isinstance(e, Ln):
+        result = ln(_substitute(e.arg, bindings, memo))
+    elif isinstance(e, Exp):
+        result = exp(_substitute(e.arg, bindings, memo))
+    else:
+        raise TypeError(f"unhandled node {e!r}")
+    memo[e] = result
+    return result
 
 
 # ---------------------------------------------------------------------------

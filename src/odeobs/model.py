@@ -24,7 +24,6 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 from .expr import (
     Const,
     Expr,
-    SupportTable,
     Sym,
     Symbol,
     UnknownSymbolError,
@@ -304,8 +303,7 @@ class ConservedVerdict:
 
 def lie_derivative(sys: OdeSystem, y: Expr) -> Expr:
     """Time derivative of ``y`` along the vector field: sum_i f_i * dy/dx_i."""
-    support = SupportTable(sys.states)
-    return along_field(sys, [diff(y, s, support=support) for s in sys.states])
+    return along_field(sys, [diff(y, s) for s in sys.states])
 
 
 def along_field(sys: OdeSystem, gradient: Sequence[Expr]) -> Expr:

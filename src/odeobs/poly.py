@@ -39,9 +39,9 @@ from .expr import (
     Sym,
     Symbol,
     TranscendentalNodeError,
-    children,
     compile_exact,
     free_symbols,
+    has_ln_exp,
 )
 from .expr import DomainError as _DomainError
 
@@ -340,50 +340,64 @@ def _times(a: Poly, b: Poly, one: Poly) -> Poly:
     return a * b
 
 
-def _to_fraction_pair(e: Expr, vars: tuple, one: Poly) -> tuple:
+def _to_fraction_pair(
+    e: Expr, vars: tuple, one: Poly, memo: Optional[dict] = None
+) -> tuple:
     """Numerator and denominator Poly of ``e``.
 
     Every constant-1 denominator is the object ``one``, so a polynomial
-    ``e`` (the usual case) is expanded without multiplying by it.
+    ``e`` (the usual case) is expanded without multiplying by it.  Each
+    distinct subtree is expanded once per call: ``memo`` holds the pairs of
+    the subtrees completed so far, so a pole raises where a walk of the
+    tree, numerator before denominator, meets it first.
     """
+    if memo is None:
+        memo = {}
+    pair = memo.get(e)
+    if pair is not None:
+        return pair
     if isinstance(e, Const):
-        return Poly.constant(vars, e.value), one
-    if isinstance(e, Sym):
-        return Poly.variable(vars, e.symbol), one
-    if isinstance(e, Neg):
-        n, d = _to_fraction_pair(e.arg, vars, one)
-        return -n, d
-    if isinstance(e, Add):
+        pair = Poly.constant(vars, e.value), one
+    elif isinstance(e, Sym):
+        pair = Poly.variable(vars, e.symbol), one
+    elif isinstance(e, Neg):
+        n, d = _to_fraction_pair(e.arg, vars, one, memo)
+        pair = -n, d
+    elif isinstance(e, Add):
         n, d = Poly.zero(vars), one
         for t in e.terms:
-            tn, td = _to_fraction_pair(t, vars, one)
+            tn, td = _to_fraction_pair(t, vars, one, memo)
             n = _times(n, td, one) + _times(tn, d, one)
             d = _times(d, td, one)
-        return n, d
-    if isinstance(e, Mul):
+        pair = n, d
+    elif isinstance(e, Mul):
         n, d = one, one
         for f in e.factors:
-            fn, fd = _to_fraction_pair(f, vars, one)
+            fn, fd = _to_fraction_pair(f, vars, one, memo)
             n = _times(n, fn, one)
             d = _times(d, fd, one)
-        return n, d
-    if isinstance(e, Div):
-        nn, nd = _to_fraction_pair(e.num, vars, one)
-        dn, dd = _to_fraction_pair(e.den, vars, one)
+        pair = n, d
+    elif isinstance(e, Div):
+        nn, nd = _to_fraction_pair(e.num, vars, one, memo)
+        dn, dd = _to_fraction_pair(e.den, vars, one, memo)
         if dn.is_zero:
             raise DivisionByZeroError(e)
-        return _times(nn, dd, one), _times(nd, dn, one)
-    if isinstance(e, PowInt):
-        bn, bd = _to_fraction_pair(e.base, vars, one)
+        pair = _times(nn, dd, one), _times(nd, dn, one)
+    elif isinstance(e, PowInt):
+        bn, bd = _to_fraction_pair(e.base, vars, one, memo)
         k = e.exponent
         if k >= 0:
-            return bn.power(k), bd if bd is one else bd.power(k)
-        if bn.is_zero:
+            pair = bn.power(k), bd if bd is one else bd.power(k)
+        elif bn.is_zero:
             raise DivisionByZeroError(e)
-        return bd.power(-k), bn.power(-k)
-    if isinstance(e, (Ln, Exp)):
+        else:
+            pair = bd.power(-k), bn.power(-k)
+    elif isinstance(e, (Ln, Exp)):
         raise TranscendentalNodeError(e)
-    raise TypeError(f"unhandled node {e!r}")
+    else:
+        raise TypeError(f"unhandled node {e!r}")
+    memo[e] = pair
+    return pair
 
 
 def normalize_rational(e: Expr, var_order: Optional[Sequence[Symbol]] = None) -> RationalForm:
@@ -473,7 +487,7 @@ def is_zero(e: Expr, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ZeroTestRes
     """
     symbols = tuple(sorted(free_symbols(e), key=lambda s: s.sort_key))
     rng = random.Random(seed)
-    if _has_ln_exp(e):
+    if has_ln_exp(e):
         return _sampled_zero_test(e, symbols, rng, trials)
     rf = normalize_rational(e)
     if rf.num.is_zero:
@@ -486,20 +500,6 @@ def is_zero(e: Expr, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ZeroTestRes
             return ZeroTestResult(NONZERO_EXACT, witness=point)
     # astronomically unlikely: every sample hit a root of a nonzero polynomial
     return ZeroTestResult(NONZERO_EXACT, witness=None)
-
-
-def _has_ln_exp(e: Expr) -> bool:
-    """Whether ``e`` has an ln or exp node; each distinct node is visited once."""
-    seen = set()
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, (Ln, Exp)):
-            return True
-        if node not in seen:
-            seen.add(node)
-            stack.extend(children(node))
-    return False
 
 
 def _sampled_zero_test(

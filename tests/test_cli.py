@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
@@ -10,7 +13,8 @@ from odeobs.report import render_text
 
 from conftest import model_path
 
-SCHEMA_PATH = Path(__file__).resolve().parent.parent / "schema" / "report-v1.json"
+ROOT = Path(__file__).resolve().parent.parent
+SCHEMA_PATH = ROOT / "schema" / "report-v1.json"
 
 
 def run(capsys, *argv):
@@ -124,6 +128,26 @@ class TestAnalyze:
                 assert code == 0
                 paths.append(out_path)
             assert paths[0].read_bytes() == paths[1].read_bytes()
+
+    def test_reports_do_not_depend_on_hash_order(self, tmp_path):
+        # symbols hash by address and names by PYTHONHASHSEED; neither order
+        # may reach a report
+        reports = {}
+        for hash_seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed)
+            env["PYTHONPATH"] = os.pathsep.join(
+                filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
+            )
+            for name in ("sir", "mm", "toy", "lv"):
+                out_path = tmp_path / f"{name}.{hash_seed}.json"
+                subprocess.run(
+                    [sys.executable, "-m", "odeobs.cli", "analyze", str(model_path(name)),
+                     "--json", str(out_path)],
+                    env=env, check=True, timeout=120, stdout=subprocess.DEVNULL,
+                )
+                reports.setdefault(name, []).append(out_path.read_bytes())
+        for name, (first, second) in reports.items():
+            assert first == second, name
 
     def test_json_validates_against_shipped_schema(self, tmp_path, capsys):
         jsonschema = pytest.importorskip("jsonschema")

@@ -25,7 +25,6 @@ from odeobs.expr import (
     NonIntegerExponentError,
     ONE,
     PowInt,
-    SupportTable,
     Sym,
     Symbol,
     TranscendentalNodeError,
@@ -39,6 +38,7 @@ from odeobs.expr import (
     eval_float,
     exp,
     free_symbols,
+    has_ln_exp,
     ln,
     mul,
     neg,
@@ -273,6 +273,21 @@ class TestSubstitute:
             point = {x: Fraction(rng.randint(-9, 9)) for x in (k1, E0, e_, s_, c_)}
             assert eval_exact(res, point) == eval_exact(expected, point)
 
+    def test_shared_dag_substitutes_once_per_node(self):
+        # e -> e*x + e, 18 times: 4x more paths per level, 3 more nodes
+        def nested(v):
+            e = sym(v)
+            for _ in range(18):
+                e = add(mul(e, sym(v)), e)
+            return e
+
+        e, expected = nested(X), nested(Y)
+        start = time.perf_counter()
+        res = substitute(e, {X: sym(Y)})
+        elapsed = time.perf_counter() - start
+        assert res is expected
+        assert elapsed < 0.1
+
 
 class TestEval:
     def test_exact_arithmetic(self):
@@ -427,6 +442,46 @@ class TestInterning:
             e.terms = ()
         with pytest.raises(dataclasses.FrozenInstanceError):
             del e.terms
+
+    def test_symbols_are_interned(self):
+        text = "model: m\nparams: k\nstates: u, w\ndu/dt = -k*u\ndw/dt = u\nobserve u: u\n"
+        first, second = parse_model(text), parse_model(text)
+        assert first.states[0] is second.states[0] is Symbol("u", "state")
+        assert first.params[0] is Symbol(name="k", kind="parameter")
+        assert Symbol("u", "parameter") is not Symbol("u", "state")
+        assert hash(X) == object.__hash__(X)
+
+    def test_symbol_copy_pickle_repr_and_immutability(self):
+        for s in (X, BETA):
+            assert copy.copy(s) is s
+            assert copy.deepcopy(s) is s
+            assert pickle.loads(pickle.dumps(s)) is s
+            assert copy.deepcopy({s: sym(s)}) == {s: sym(s)}
+        assert repr(X) == "Symbol(name='x', kind='state')"
+        assert repr(BETA) == "Symbol(name='beta', kind='parameter')"
+        assert X.sort_key == (0, "x") and BETA.sort_key == (1, "beta")
+        assert str(X) == "x"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            X.name = "z"
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del X.kind
+
+    def test_symbol_validation(self):
+        for name in ("", "1x", "x-y", "x y", "_x"):
+            with pytest.raises(ValueError, match="invalid symbol name"):
+                Symbol(name, "state")
+        with pytest.raises(ValueError, match="invalid symbol kind"):
+            Symbol("x", "constant")
+
+    def test_table_drops_symbols_that_die(self):
+        gc.collect()
+        before = len(odeobs.expr._interned)
+        s = Symbol("short_lived", "state")
+        e = add(sym(s), 1)
+        assert len(odeobs.expr._interned) == before + 3  # the symbol, Sym, Add
+        del s, e
+        gc.collect()
+        assert len(odeobs.expr._interned) == before
 
     def test_table_empties_when_a_report_is_dropped(self):
         gc.collect()
@@ -862,20 +917,19 @@ class TestPrunedDiff:
         # the cases that must not be pruned to 0 did occur
         assert any("0/0" in text for text in printed)
 
-    def test_shared_table_and_memos_match_the_unpruned_walk(self):
-        # one table and one memo per variable for a whole family of roots
-        # built over shared subtrees, as an embedding keeps them
+    def test_shared_memos_match_the_unpruned_walk(self):
+        # one memo per variable for a whole family of roots built over shared
+        # subtrees, as an embedding keeps them
         rng = random.Random(73)
         for _ in range(150):
             pool = []
             roots = [_pruning_expr(rng, 3, pool) for _ in range(4)]
-            table, table_alone = SupportTable(GEN_SYMBOLS), SupportTable(GEN_SYMBOLS)
             memos = {v: {} for v in GEN_SYMBOLS}
             for e in roots:
                 for v in GEN_SYMBOLS:
                     reference = _unpruned_diff(e, v, {})
-                    _assert_same_derivative(diff(e, v, memos[v], table), reference)
-                    _assert_same_derivative(diff(e, v, support=table_alone), reference)
+                    _assert_same_derivative(diff(e, v, memos[v]), reference)
+                    _assert_same_derivative(diff(e, v), reference)
 
     def test_constant_zero_denominators_keep_their_zero_over_zero(self):
         x = sym(X)
@@ -892,19 +946,36 @@ class TestPrunedDiff:
         for e, text in cases.items():
             assert to_str(diff(e, X)) == text == to_str(_unpruned_diff(e, X, {}))
 
-    def test_support_masks(self):
-        table = SupportTable((X, Y))
-        assert table.mask(mul(sym(X), sym(A))) == 0b01
-        assert table.mask(add(sym(Y), mul(sym(X), sym(B)))) == 0b11
-        assert table.mask(mul(sym(A), Const(Fraction(3)))) == 0
-        assert table.mask(mul(sym(A), div(sym(B), ZERO_CONST))) == -1
-        assert table.mask(add(sym(X), Ln(ZERO_CONST))) == -1
+    def test_node_symbols_and_pole_flag(self):
+        def pole(e):
+            return bool(e._flags & odeobs.expr._POLE)
 
-    def test_support_walk_does_not_recurse(self):
-        e = sym(X)
-        for _ in range(5000):
-            e = add(mul(e, sym(A)), sym(B))
-        assert SupportTable((X, Y)).mask(e) == 0b01
+        cases = [
+            (mul(sym(X), sym(A)), {X, A}, False),
+            (add(sym(Y), mul(sym(X), sym(B))), {X, Y, B}, False),
+            (mul(sym(A), Const(Fraction(3))), {A}, False),
+            (mul(sym(A), div(sym(B), ZERO_CONST)), {A, B}, True),
+            (add(sym(X), Ln(ZERO_CONST)), {X}, True),
+        ]
+        for e, symbols, has_pole in cases:
+            assert free_symbols(e) == symbols
+            assert pole(e) is has_pole
+            # a pole is differentiated for a variable it does not mention
+            assert (diff(e, Y) == ZERO_CONST) is (Y not in symbols and not has_pole)
+        assert [has_ln_exp(e) for e, _, _ in cases] == [False] * 4 + [True]
+
+    def test_node_facts_walk_does_not_recurse(self):
+        # both walks start at the 5,000-level root of a tree not tabled yet
+        def deep(v, w):
+            e = sym(X)
+            for _ in range(5000):
+                e = add(mul(e, sym(v)), sym(w))
+            return e
+
+        assert free_symbols(deep(A, B)) == {X, A, B}
+        e = deep(B, A)
+        assert diff(e, Y) == ZERO_CONST
+        assert free_symbols(e) == {X, A, B}
 
     def test_parameter_only_subtrees_are_not_walked(self):
         # a parameter-only factor is not differentiated: only x and the

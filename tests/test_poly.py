@@ -23,6 +23,7 @@ from odeobs.expr import (
     mul,
     neg,
     parse_expr,
+    pow_int,
     sym,
 )
 from odeobs.poly import (
@@ -308,3 +309,14 @@ class TestFractionPair:
             assert [list(p.coeffs.items()) for p in got] == [
                 list(p.coeffs.items()) for p in expected
             ]
+
+    def test_shared_dag_expands_once_per_node(self):
+        # e -> e*x + e, 18 times: 4x more paths per level, 3 more nodes
+        e = sym(X)
+        for _ in range(18):
+            e = add(mul(e, sym(X)), e)
+        start = time.perf_counter()
+        form = normalize_rational(e)
+        elapsed = time.perf_counter() - start
+        assert form == normalize_rational(mul(sym(X), pow_int(add(sym(X), 1), 18)))
+        assert elapsed < 0.1
