@@ -17,8 +17,12 @@ Each derivative is taken once per verdict.  An embedding keeps one
 :func:`odeobs.expr.diff` memo per state and the gradient of every component
 it has differentiated: the gradient that forms the next component is also
 that component's Jacobian row, so :func:`jacobian` differentiates only each
-output's last component.  The order k+1 check extends the order k embedding
-and its Jacobian by one order instead of rebuilding them.
+output's last component.  When the rank falls short of n, whether it was
+still growing is a fact from order n-1 on: the rank of an output stacked
+with its derivatives stops growing at the first order that adds nothing,
+and that is order n-1 at the latest, so nothing of order n is built.  Below
+order n-1 the order k+1 check extends the order k embedding and its
+Jacobian by one order instead of rebuilding them.
 
 Differentiation is pruned: every expression node knows the symbols of its
 subtree, so a gradient entry walks only the subtrees that mention its
@@ -277,7 +281,7 @@ class ObservabilityAssessment:
     rank: RankVerdict
     observable: bool
     probe_ranks: Tuple[Tuple[dict, Optional[int]], ...]
-    rank_growing: Optional[bool]  # rank still increasing past the default order
+    rank_growing: Optional[bool]  # rank still increasing past order k; never from k >= n-1
 
 
 def observability_verdict(
@@ -292,8 +296,10 @@ def observability_verdict(
 
     ``probe_points`` are user-supplied full assignments at which the local
     rank is also reported (degenerate loci are found by inspection, not
-    solved for).  When the generic rank falls short of n, the embedding is
-    extended one order higher to flag whether the rank was still growing.
+    solved for).  When the generic rank falls short of n, ``rank_growing``
+    says whether the rank was still growing: ``False`` at order n-1 or above,
+    where the rank has stopped for good, and otherwise the sampled rank of
+    the embedding extended one order higher.
     """
     embedding = build_embedding(sys, obs, k)
     jac = jacobian(embedding, sys)
@@ -307,9 +313,17 @@ def observability_verdict(
             probes.append((dict(point), None))
     rank_growing: Optional[bool] = None
     if verdict.generic_rank < sys.n:
-        higher = _extend(sys, embedding, jac.entries)
-        higher_verdict = generic_rank(jacobian(higher, sys), seed=seed, trials=trials)
-        rank_growing = higher_verdict.generic_rank > verdict.generic_rank
+        if embedding.order >= sys.n - 1:
+            # The rank r_k is dim V_k, V_k = span{dL^i h : i <= k} (Hermann &
+            # Krener 1977).  If r_k = r_(k-1), each dL^k h is in V_(k-1); d
+            # commutes with L_f, so each dL^(k+1) h is in V_k and the rank is
+            # stuck for good.  r_0 < r_1 < ... cannot rise n times below n, so
+            # it has stopped by order n-1 (state-free outputs: r_0 = 0 stays).
+            rank_growing = False
+        else:
+            higher = _extend(sys, embedding, jac.entries)
+            higher_verdict = generic_rank(jacobian(higher, sys), seed=seed, trials=trials)
+            rank_growing = higher_verdict.generic_rank > verdict.generic_rank
     return ObservabilityAssessment(
         label=obs.label,
         k=embedding.order,

@@ -1,5 +1,6 @@
 import json
 import os
+import random
 import subprocess
 import sys
 import warnings
@@ -338,6 +339,41 @@ class TestModelNesting:
         assert err.startswith("error: model parse error: ")
         assert "nesting deeper than" in err
         assert "internal error" not in err
+
+
+class TestMutatedModels:
+    ALPHABET = "abcdefxyzSIRkpemc0123456789 +-*/^().,:=#_\n"
+
+    def _mutate(self, rng, text):
+        """One to three character edits: delete, insert, replace, or copy a
+        span of up to 20 characters elsewhere."""
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            op = rng.randrange(4)
+            if op == 0:
+                text = text[:i] + text[i + 1:]
+            elif op == 1:
+                text = text[:i] + rng.choice(self.ALPHABET) + text[i:]
+            elif op == 2:
+                text = text[:i] + rng.choice(self.ALPHABET) + text[i + 1:]
+            else:
+                a, b = sorted((i, rng.randrange(len(text) + 1)))
+                text = text[:b] + text[a:b][:20] + text[b:]
+        return text
+
+    def test_analyze_never_reaches_the_catch_all(self, tmp_path, capsys):
+        rng = random.Random(20261018)
+        shipped = [model_path(name).read_text() for name in ("sir", "mm", "toy", "lv")]
+        model = tmp_path / "mutated.model"
+        codes = set()
+        for case in range(300):
+            text = self._mutate(rng, rng.choice(shipped))
+            model.write_text(text)
+            code, _, err = run(capsys, "analyze", str(model), "--trials", "2")
+            assert code in (0, 1, 2), (case, text)
+            assert not err.startswith("internal error"), (case, text, err)
+            codes.add(code)
+        assert {0, 1} <= codes
 
 
 class TestSimulate:

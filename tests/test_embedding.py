@@ -224,7 +224,7 @@ class TestObservabilityVerdict:
         bad = observability_verdict(sir, obs_named(sir, "I"), seed=0)
         assert not bad.observable
         assert bad.rank.generic_rank == 2
-        assert bad.rank_growing is False  # stuck at 2 even one order higher
+        assert bad.rank_growing is False  # stuck at 2: no growth past order n-1
 
     def test_toy_appendix_ranks(self, toy):
         # the two Kalman observability matrices: rank 1 from R, rank 2 from S
@@ -306,28 +306,60 @@ class TestSharedDerivatives:
                         ]
                         component = lie_derivative(sys, component)
 
+    @staticmethod
+    def _counted_verdict(monkeypatch, sys, obs, **kwargs):
+        calls = {"diff": 0, "build_embedding": 0, "_extend": 0, "generic_rank": 0}
+
+        def counted(name):
+            fn = getattr(embedding, name)
+
+            def wrapper(*args, **kw):
+                calls[name] += 1
+                return fn(*args, **kw)
+
+            monkeypatch.setattr(embedding, name, wrapper)
+
+        for name in calls:
+            counted(name)
+        return observability_verdict(sys, obs, seed=0, trials=2, **kwargs), calls
+
     def test_verdict_differentiates_each_order_once(self, monkeypatch):
         # x2 and x3 see only x1..x3 of the six compartments: the rank is
-        # short, so the verdict also takes order n
+        # short at the default order n-1, where it cannot grow any more, so
+        # nothing of order n is built or sampled
         sys = parse_model(CHAIN6.replace("observe end: x6", "observe mid: x2, x3"))
-        calls = {"diff": 0, "build_embedding": 0}
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-
-            return wrapper
-
-        monkeypatch.setattr(embedding, "diff", counted("diff", embedding.diff))
-        monkeypatch.setattr(
-            embedding, "build_embedding", counted("build_embedding", embedding.build_embedding)
-        )
-        v = observability_verdict(sys, sys.observations[0], seed=0, trials=2)
+        v, calls = self._counted_verdict(monkeypatch, sys, sys.observations[0])
         assert (v.k, v.rank.generic_rank, v.rank_growing) == (5, 3, False)
         assert calls["build_embedding"] == 1
+        assert (calls["_extend"], calls["generic_rank"]) == (v.k, 1)
         n_outputs, n = 2, 6
-        assert calls["diff"] == n_outputs * n * (v.k + 2)
+        assert calls["diff"] == n_outputs * n * (v.k + 1)
+
+    def test_low_order_verdict_extends_once(self, monkeypatch):
+        # below order n-1 the rank may still grow: order k+1 is built once
+        # from order k and sampled
+        sys = parse_model(CHAIN6.replace("observe end: x6", "observe mid: x2, x3"))
+        k = 2
+        v, calls = self._counted_verdict(monkeypatch, sys, sys.observations[0], k=k)
+        assert (v.k, v.rank.generic_rank, v.rank_growing) == (k, 3, False)
+        assert calls["build_embedding"] == 1
+        assert (calls["_extend"], calls["generic_rank"]) == (k + 1, 2)
+        n_outputs, n = 2, 6
+        assert calls["diff"] == n_outputs * n * (k + 2)
+
+    def test_low_order_rank_still_growing(self, monkeypatch):
+        # chain-6 seen at its end: rank 2 at order 1 and 3 at order 2
+        sys = parse_model(CHAIN6)
+        v, calls = self._counted_verdict(monkeypatch, sys, sys.observations[0], k=1)
+        assert (v.k, v.rank.generic_rank, v.rank_growing) == (1, 2, True)
+        assert (calls["_extend"], calls["generic_rank"]) == (2, 2)
+        higher = generic_rank(jacobian(build_embedding(sys, sys.observations[0], 2), sys))
+        assert higher.generic_rank == 3
+
+    def test_order_above_n_minus_1_builds_nothing_higher(self, monkeypatch, sir):
+        v, calls = self._counted_verdict(monkeypatch, sir, obs_named(sir, "I"), k=4)
+        assert (v.k, v.n, v.rank.generic_rank, v.rank_growing) == (4, 3, 2, False)
+        assert (calls["_extend"], calls["generic_rank"]) == (4, 1)
 
     def test_other_states_are_refused(self, sir, toy):
         with pytest.raises(ValueError):

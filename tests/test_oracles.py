@@ -6,10 +6,14 @@ with sympy's exact evaluation of the same expressions at rational points,
 including whether the point is a pole.  ``poly.normalize_rational`` is
 compared with ``sympy.cancel`` on generated rational expressions, and the
 exact verdict of ``poly.is_zero`` with whether ``sympy.cancel`` gives 0,
-constructed zeros included.
+constructed zeros included.  The fact that lets the rank test stop at order
+n-1, that the rank of an output stacked with its derivatives grows no more
+past order n-1, is checked on Lie derivatives that sympy builds from the
+model text alone, together with the rank odeobs reports.
 """
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -19,6 +23,7 @@ pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
 from odeobs import linalg  # noqa: E402
+from odeobs.embedding import observability_verdict  # noqa: E402
 from odeobs.expr import (  # noqa: E402
     Add,
     Const,
@@ -36,9 +41,11 @@ from odeobs.expr import (  # noqa: E402
     neg,
     pow_int,
 )
+from odeobs.model import parse_model  # noqa: E402
 from odeobs.poly import NONZERO_EXACT, ZERO_EXACT, is_zero, normalize_rational  # noqa: E402
 
-from conftest import GEN_SYMBOLS, random_expr  # noqa: E402
+from conftest import GEN_SYMBOLS, model_path, random_expr  # noqa: E402
+from test_generated_reports import chain, mm_tail, twin  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -214,3 +221,116 @@ def test_exact_is_zero_matches_sympy_cancel(seed, zero):
     assert is_zero(e, seed=seed).kind == expected
     if zero:
         assert expected == ZERO_EXACT
+
+
+def sympy_model(text):
+    """States, parameters, right-hand sides and observation sets of a model
+    file, read by sympy alone: ``^`` is ``**`` and ``ln`` is ``log``.  Every
+    declared name is read through a prefixed alias, so that ``lambda``,
+    ``I`` or ``beta`` are plain symbols."""
+    names, rhs, observations = {}, {}, {}
+
+    def declare(body):
+        return [names.setdefault(n.strip(), sympy.Symbol(n.strip())) for n in body.split(",")]
+
+    def parse(body):
+        body = re.sub(r"[A-Za-z_]\w*", lambda m: "v_" + m[0] if m[0] in names else m[0], body)
+        aliases = {"v_" + n: v for n, v in names.items()}
+        return sympy.parse_expr(
+            body.replace("^", "**"), local_dict={**aliases, "ln": sympy.log, "exp": sympy.exp}
+        )
+
+    for line in text.splitlines():
+        line = line.split("#", 1)[0].strip()
+        head, _, body = line.partition(":")
+        if head in ("params", "states"):
+            declare(body)
+        equation = re.fullmatch(r"d(\w+)/dt\s*=\s*(.+)", line)
+        if equation:
+            rhs[names[equation[1]]] = parse(equation[2])
+        elif head.startswith("observe "):
+            observations[head[len("observe "):].strip()] = declare(body)
+    states = list(rhs)
+    params = [v for v in names.values() if v not in rhs]
+    return states, params, rhs, observations
+
+
+def sympy_ranks(model, label, orders, rng, points=3):
+    """The largest rank over ``points`` random rational points of the stacked
+    gradients of each output and its Lie derivatives, up to each order."""
+    states, params, rhs, observations = model
+
+    def value():
+        return sympy.Rational(rng.randint(-1000, 1000), rng.randint(1, 50))
+
+    best = dict.fromkeys(orders, 0)
+    for _ in range(points):
+        at = {p: value() for p in params}
+        field = [rhs[x].xreplace(at) for x in states]
+        stacks = []
+        for h in observations[label]:
+            stack = [h]
+            for _ in range(max(orders)):
+                stack.append(
+                    sympy.expand(sum(sympy.diff(stack[-1], x) * f for x, f in zip(states, field)))
+                )
+            stacks.append(stack)
+        point = {x: value() for x in states}
+        for k in orders:
+            rows = [
+                [sympy.diff(stack[i], x).xreplace(point) for x in states]
+                for stack in stacks
+                for i in range(k + 1)
+            ]
+            best[k] = max(best[k], sympy.Matrix(rows).rank())
+    return best
+
+
+def check_rank_stops_by_order_n_minus_1(text, seed):
+    model = sympy_model(text)
+    n = len(model[0])
+    sys = parse_model(text)
+    for obs in sys.observations:
+        ranks = sympy_ranks(model, obs.label, (n - 1, n), random.Random(seed))
+        assert ranks[n] == ranks[n - 1], obs.label
+        verdict = observability_verdict(sys, obs, seed=seed)
+        assert verdict.rank.generic_rank == ranks[n - 1], obs.label
+        assert verdict.rank_growing is (None if ranks[n - 1] == n else False)
+
+
+CORPUS = {
+    **{name: model_path(name).read_text() for name in ("sir", "mm", "toy", "lv")},
+    "chain4": chain(4),
+    "twin2": twin(2),
+    "mm_tail2": mm_tail(2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(CORPUS))
+def test_rank_stops_growing_by_order_n_minus_1(name):
+    check_rank_stops_by_order_n_minus_1(CORPUS[name], seed=7)
+
+
+@st.composite
+def polynomial_models(draw):
+    """A model with n <= 4 states, polynomial right-hand sides of up to three
+    terms of degree <= 2 over the states and one parameter, and one or two
+    observed states."""
+    n = draw(st.integers(1, 4))
+    xs = [f"x{i}" for i in range(1, n + 1)]
+    term = st.tuples(
+        st.integers(-3, 3).filter(bool), st.lists(st.sampled_from(xs + ["a"]), max_size=2)
+    )
+    lines = ["model: poly", "params: a", "states: " + ", ".join(xs)]
+    for x in xs:
+        terms = draw(st.lists(term, min_size=1, max_size=3))
+        lines.append(f"d{x}/dt = " + " + ".join("*".join([f"({c})", *fs]) for c, fs in terms))
+    observed = draw(st.lists(st.sampled_from(xs), min_size=1, max_size=2, unique=True))
+    lines.append("observe y: " + ", ".join(observed))
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(polynomial_models(), st.integers(0, 2**16))
+def test_rank_stops_growing_on_polynomial_systems(text, seed):
+    check_rank_stops_by_order_n_minus_1(text, seed)
