@@ -84,18 +84,25 @@ def _dependencies(rhs: Expr, states: Tuple[Symbol, ...], seed: int) -> Set[Symbo
 
 
 def _rational_form_symbols(rhs: Expr) -> Optional[frozenset]:
-    """The symbols of positive degree in the rational form of ``rhs``, or
-    None when ``rhs`` has ln/exp."""
+    """The symbols that ``rhs`` depends on as a rational function, or None
+    when ``rhs`` has ln/exp.
+
+    With ``rhs`` = N/D unreduced, x is one of them iff d(N/D)/dx is not
+    zero, that is iff N*dD/dx - D*dN/dx is not the zero polynomial.  When D
+    does not mention x, that is iff N does.
+    """
     try:
         form = normalize_rational(rhs)
     except TranscendentalNodeError:
         return None
-    return frozenset(
-        var
-        for poly in (form.num, form.den)
-        for i, var in enumerate(poly.vars)
-        if poly.degree_in(i) > 0
-    )
+    num, den = form.num, form.den
+
+    def enters(i: int) -> bool:
+        if not any(mono[i] for mono in den.coeffs):
+            return any(mono[i] for mono in num.coeffs)
+        return not (num * den.derivative(i) - den * num.derivative(i)).is_zero
+
+    return frozenset(var for i, var in enumerate(num.vars) if enters(i))
 
 
 def _nonzero(e: Expr, seed: int) -> bool:

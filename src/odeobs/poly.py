@@ -1,14 +1,12 @@
-"""Multivariate polynomials over exact rationals and canonical rational forms.
+"""Multivariate polynomials over exact rationals, and exact zero tests.
 
-This is the semantic backbone of the package: two expressions are equal as
-rational functions iff their :class:`RationalForm` numerators and denominators
-match, and an identity holds iff :func:`is_zero` says so.  The polynomial
+This is the semantic backbone of the package: an identity holds iff
+:func:`is_zero` says so.  A rational expression is written as one quotient
+N/D of polynomials (:class:`RationalForm`), built by expanding the tree and
+never reduced: ``e`` is identically zero iff N is the zero polynomial, and
+``e`` depends on a variable x iff N*dD/dx - D*dN/dx is not.  The polynomial
 representation is a sparse exponent-vector map with Fraction coefficients and
-a fixed graded-lexicographic monomial order, so printing and reduction are
-deterministic.
-
-GCD reduction uses the classic primitive polynomial-remainder-sequence
-recursion; degrees here are tiny, so no subresultant refinements are needed.
+a fixed graded-lexicographic monomial order, so printing is deterministic.
 
 An expression with ln/exp has no rational form; :func:`is_zero` samples it
 over floats instead.  The expression and its top-level terms are compiled
@@ -87,24 +85,6 @@ class Poly:
     def is_constant(self) -> bool:
         return all(sum(m) == 0 for m in self.coeffs)
 
-    def constant_value(self) -> Fraction:
-        if self.is_zero:
-            return Fraction(0)
-        [(m, c)] = self.coeffs.items()
-        if sum(m) != 0:
-            raise ValueError("not a constant polynomial")
-        return c
-
-    def degree_in(self, index: int) -> int:
-        if self.is_zero:
-            return -1
-        return max(m[index] for m in self.coeffs)
-
-    def leading(self) -> tuple:
-        """(monomial, coefficient) that is graded-lex largest."""
-        mono = max(self.coeffs, key=_grlex_key)
-        return mono, self.coeffs[mono]
-
     # -- arithmetic ---------------------------------------------------------
 
     def __add__(self, other: "Poly") -> "Poly":
@@ -130,10 +110,14 @@ class Poly:
                 out[m] = out.get(m, Fraction(0)) + c1 * c2
         return Poly(self.vars, out)
 
-    def scale(self, value: Fraction) -> "Poly":
-        if value == 0:
-            return Poly.zero(self.vars)
-        return Poly(self.vars, {m: c * value for m, c in self.coeffs.items()})
+    def derivative(self, index: int) -> "Poly":
+        """The partial derivative in ``vars[index]``."""
+        out = {}
+        for mono, coeff in self.coeffs.items():
+            e = mono[index]
+            if e:
+                out[mono[:index] + (e - 1,) + mono[index + 1 :]] = coeff * e
+        return Poly(self.vars, out)
 
     def power(self, n: int) -> "Poly":
         if n < 0:
@@ -198,121 +182,14 @@ class Poly:
 
 
 # ---------------------------------------------------------------------------
-# gcd machinery
-
-
-def _divexact(a: Poly, b: Poly) -> Poly:
-    """Exact division a / b; raises ValueError when b does not divide a."""
-    if b.is_zero:
-        raise ZeroDivisionError("polynomial division by zero")
-    out = Poly.zero(a.vars)
-    rem = a
-    bm, bc = b.leading()
-    while not rem.is_zero:
-        rm, rc = rem.leading()
-        qm = tuple(x - y for x, y in zip(rm, bm))
-        if any(x < 0 for x in qm):
-            raise ValueError("inexact polynomial division")
-        q = Poly(a.vars, {qm: rc / bc})
-        out = out + q
-        rem = rem - q * b
-    return out
-
-
-def _univar_coeffs(p: Poly, index: int) -> dict:
-    """View p as univariate in vars[index]: degree -> coefficient Poly."""
-    out: dict = {}
-    for mono, coeff in p.coeffs.items():
-        d = mono[index]
-        rest = mono[:index] + (0,) + mono[index + 1 :]
-        bucket = out.setdefault(d, {})
-        bucket[rest] = bucket.get(rest, Fraction(0)) + coeff
-    return {d: Poly(p.vars, bucket) for d, bucket in out.items()}
-
-
-def _monic(p: Poly) -> Poly:
-    if p.is_zero:
-        return p
-    _, lead = p.leading()
-    return p.scale(1 / lead)
-
-
-def _content_in(p: Poly, index: int) -> Poly:
-    coeffs = _univar_coeffs(p, index)
-    content = Poly.zero(p.vars)
-    for d in sorted(coeffs):
-        content = poly_gcd(content, coeffs[d])
-        if content.is_constant and not content.is_zero:
-            break
-    return content
-
-
-def _primitive_in(p: Poly, index: int) -> Poly:
-    if p.is_zero:
-        return p
-    content = _content_in(p, index)
-    if content.is_constant:
-        return p.scale(1 / content.constant_value())
-    return _divexact(p, content)
-
-
-def _pseudo_rem(u: Poly, v: Poly, index: int) -> Poly:
-    """Pseudo-remainder of u by v in the chosen variable (up to content)."""
-    dv = v.degree_in(index)
-    lv = _univar_coeffs(v, index)[dv]
-    rem = u
-    while not rem.is_zero and rem.degree_in(index) >= dv:
-        dr = rem.degree_in(index)
-        lr = _univar_coeffs(rem, index)[dr]
-        shift = Poly(
-            u.vars,
-            {
-                tuple(
-                    (dr - dv if i == index else 0) for i in range(len(u.vars))
-                ): Fraction(1)
-            },
-        )
-        rem = rem * lv - v * lr * shift
-    return rem
-
-
-def poly_gcd(a: Poly, b: Poly) -> Poly:
-    """GCD over Q[vars], normalized so the graded-lex leading coefficient is 1."""
-    if a.is_zero:
-        return _monic(b)
-    if b.is_zero:
-        return _monic(a)
-    if a.is_constant or b.is_constant:
-        return Poly.constant(a.vars, Fraction(1))
-    index = next(
-        i
-        for i in range(len(a.vars))
-        if a.degree_in(i) > 0 or b.degree_in(i) > 0
-    )
-    if a.degree_in(index) == 0 or b.degree_in(index) == 0:
-        # the main variable is missing from one side: recurse on its content
-        without = a if a.degree_in(index) == 0 else b
-        other = b if without is a else a
-        return poly_gcd(without, _content_in(other, index))
-    ca, cb = _content_in(a, index), _content_in(b, index)
-    cont = poly_gcd(ca, cb)
-    u = _divexact(a, ca) if not ca.is_constant else a.scale(1 / ca.constant_value())
-    v = _divexact(b, cb) if not cb.is_constant else b.scale(1 / cb.constant_value())
-    if u.degree_in(index) < v.degree_in(index):
-        u, v = v, u
-    while not v.is_zero:
-        r = _pseudo_rem(u, v, index)
-        u, v = v, (_primitive_in(r, index) if not r.is_zero else r)
-    return _monic(cont * _primitive_in(u, index))
-
-
-# ---------------------------------------------------------------------------
 # rational forms
 
 
 @dataclass(frozen=True)
 class RationalForm:
-    """Canonical num/den pair: gcd-reduced, denominator graded-lex monic."""
+    """A quotient num/den of polynomials.  Wherever its expression is
+    defined, den is nonzero and the quotient equals the expression.  It is
+    not reduced: num and den may share a factor."""
 
     num: Poly
     den: Poly
@@ -401,26 +278,14 @@ def _to_fraction_pair(
 
 
 def normalize_rational(e: Expr, var_order: Optional[Sequence[Symbol]] = None) -> RationalForm:
-    """Canonical gcd-reduced numerator/denominator pair for a rational Expr.
+    """The rational Expr ``e`` over one common denominator, not reduced.
 
-    The variable order defaults to (states, then parameters, each by name);
-    model-level callers pass the declared order for stable printing.
+    Raises :class:`DivisionByZeroError` at a quotient by an identically zero
+    polynomial, so the returned den is never the zero polynomial.  The
+    variable order defaults to (states, then parameters, each by name).
     """
     vars = tuple(var_order) if var_order is not None else _default_order(e)
-    num, den = _to_fraction_pair(e, vars, Poly.constant(vars, Fraction(1)))
-    if den.is_zero:
-        raise DivisionByZeroError(e)
-    if num.is_zero:
-        return RationalForm(Poly.zero(vars), Poly.constant(vars, Fraction(1)))
-    g = poly_gcd(num, den)
-    if not (g.is_constant and g.constant_value() == 1):
-        num = _divexact(num, g)
-        den = _divexact(den, g)
-    _, lead = den.leading()
-    if lead != 1:
-        num = num.scale(1 / lead)
-        den = den.scale(1 / lead)
-    return RationalForm(num, den)
+    return RationalForm(*_to_fraction_pair(e, vars, Poly.constant(vars, Fraction(1))))
 
 
 # ---------------------------------------------------------------------------
@@ -452,9 +317,12 @@ class ZeroTestUndecidedError(ExprError):
 class ZeroTestResult:
     """Outcome of an identity-with-zero test.
 
-    ``kind`` is one of ``zero`` / ``nonzero`` (exact verdicts via the
-    canonical rational form) or ``probably_zero`` / ``probably_nonzero``
-    (randomized float sampling, used when ln/exp prevent normalization).
+    ``kind`` is one of ``zero`` / ``nonzero`` (exact verdicts from the
+    numerator of the rational form) or ``probably_zero`` /
+    ``probably_nonzero`` (randomized float sampling, used when ln/exp leave
+    no rational form).  A ``witness`` of a nonzero verdict is a point in the
+    expression's domain where it is nonzero; ``{}`` means that it is nonzero
+    wherever it is defined.
     """
 
     kind: str
@@ -477,8 +345,12 @@ def _sample_point(rng: random.Random, symbols: Sequence[Symbol]) -> dict:
 def is_zero(e: Expr, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ZeroTestResult:
     """Decide whether ``e`` is identically zero.
 
-    Rational expressions get an exact verdict through the canonical form,
-    with a witness point attached to nonzero results when one is found.
+    A rational expression N/D (:func:`normalize_rational`) is zero iff N is
+    the zero polynomial.  A nonzero verdict carries the witness ``{}`` when
+    N is a constant, or else the first sampled point where ``e`` runs
+    without a pole to a nonzero value.  Where ``e`` is defined, D is nonzero
+    and ``e`` = N/D, so that is the first point in the domain where N is
+    nonzero.
     Expressions containing ln/exp are sampled at random points and compared
     against a scale built from the magnitudes of their top-level terms;
     :class:`ZeroTestUndecidedError` says that no sample point was in their
@@ -492,13 +364,18 @@ def is_zero(e: Expr, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ZeroTestRes
     rf = normalize_rational(e)
     if rf.num.is_zero:
         return ZeroTestResult(ZERO_EXACT)
-    if rf.num.is_constant or not symbols:
+    if rf.num.is_constant:
         return ZeroTestResult(NONZERO_EXACT, witness={})
+    program = compile_exact(((e,),))
     for _ in range(4 * trials):
         point = _sample_point(rng, symbols)
-        if rf.num.eval(point) != 0:
+        try:
+            value = program.run(point)[0][0]
+        except DivisionByZeroError:
+            continue
+        if value != 0:
             return ZeroTestResult(NONZERO_EXACT, witness=point)
-    # astronomically unlikely: every sample hit a root of a nonzero polynomial
+    # astronomically unlikely: every sample hit a pole or a root of N
     return ZeroTestResult(NONZERO_EXACT, witness=None)
 
 

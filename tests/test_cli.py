@@ -270,6 +270,16 @@ class TestVerify:
         assert code == 3
         assert "refuted" in out and "witness" in out
 
+    def test_refuted_with_constant_reduced_numerator_has_witness(self, tmp_path, capsys):
+        # the residual x/x is 1: its reduced numerator is constant, but the
+        # numerator x of its unreduced form is not, so a point is drawn, and
+        # it is off the pole at x = 0
+        model = tmp_path / "unit.model"
+        model.write_text(
+            "model: unit\nparams: k\nstates: x\ndx/dt = x/x\nconserved Q: x\nobserve y: x\n"
+        )
+        code, out, _ = run(capsys, "verify", str(model), "--seed", "0")
+        assert (code, out) == (3, "Q = x: refuted (witness x=770880)\n")
 
     def test_zero_test_without_samples_is_named_analysis_error(self, tmp_path, capsys):
         # every sample point is a pole of Q's derivative: no verdict, not "probabilistic"
@@ -361,19 +371,41 @@ class TestMutatedModels:
                 text = text[:b] + text[a:b][:20] + text[b:]
         return text
 
-    def test_analyze_never_reaches_the_catch_all(self, tmp_path, capsys):
+    # each shipped model with a conserved quantity and a state to eliminate
+    REDUCTIONS = {"sir": "N:S", "mm": "S0:s", "toy": "Q0:R", "lv": "Q0:r"}
+
+    def _cases(self):
+        """300 seeded mutations of the shipped models, each with the
+        ``--reduce`` argument of the model it was mutated from."""
         rng = random.Random(20261018)
-        shipped = [model_path(name).read_text() for name in ("sir", "mm", "toy", "lv")]
+        shipped = [(name, model_path(name).read_text()) for name in self.REDUCTIONS]
+        for _ in range(300):
+            name, text = rng.choice(shipped)
+            yield self.REDUCTIONS[name], self._mutate(rng, text)
+
+    def test_analyze_never_reaches_the_catch_all(self, tmp_path, capsys):
         model = tmp_path / "mutated.model"
         codes = set()
-        for case in range(300):
-            text = self._mutate(rng, rng.choice(shipped))
+        for case, (_, text) in enumerate(self._cases()):
             model.write_text(text)
             code, _, err = run(capsys, "analyze", str(model), "--trials", "2")
             assert code in (0, 1, 2), (case, text)
             assert not err.startswith("internal error"), (case, text, err)
             codes.add(code)
         assert {0, 1} <= codes
+
+    def test_verify_and_reduced_graph_never_reach_the_catch_all(self, tmp_path, capsys):
+        model = tmp_path / "mutated.model"
+        codes = {"verify": set(), "graph": set()}
+        for case, (reduce, text) in enumerate(self._cases()):
+            model.write_text(text)
+            for argv in (("verify", str(model)), ("graph", str(model), "--reduce", reduce)):
+                code, _, err = run(capsys, *argv)
+                assert code in (0, 1, 2, 3), (case, argv, text)
+                assert not err.startswith("internal error"), (case, argv, text, err)
+                codes[argv[0]].add(code)
+        assert {0, 1, 3} <= codes["verify"]
+        assert {0, 1, 2} <= codes["graph"]
 
 
 class TestSimulate:

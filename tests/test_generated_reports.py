@@ -2,9 +2,11 @@
 
 The generator below builds the cascade chain-n, the twin chains twin-n and
 the mass-action enzyme with a product tail mm-tail-t, each in its natural
-declaration order.  Their reports exercise every rank path: full and short
-embeddings, the order k+1 growth check, and the conserved-quantity search
-with single and joint eliminations.  The digests were recorded with the
+declaration order.  Their reports exercise the rank paths of the default
+order n-1: full and short embeddings, ``rank_growing`` decided without an
+order-n build, and the conserved-quantity search with single and joint
+eliminations.  The order k+1 growth check runs only for ``--k`` below n-1;
+``tests/test_embedding.py`` covers it.  The digests were recorded with the
 embedding rebuilt from scratch for every order and evaluated over Fraction.
 """
 

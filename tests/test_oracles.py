@@ -3,13 +3,16 @@
 ``linalg.rank`` is compared with ``sympy.Matrix.rank`` on generated integer
 and rational matrices, rank-deficient ones included, and ``ExactProgram.run``
 with sympy's exact evaluation of the same expressions at rational points,
-including whether the point is a pole.  ``poly.normalize_rational`` is
-compared with ``sympy.cancel`` on generated rational expressions, and the
-exact verdict of ``poly.is_zero`` with whether ``sympy.cancel`` gives 0,
-constructed zeros included.  The fact that lets the rank test stop at order
-n-1, that the rank of an output stacked with its derivatives grows no more
-past order n-1, is checked on Lie derivatives that sympy builds from the
-model text alone, together with the rank odeobs reports.
+including whether the point is a pole.  On generated rational expressions,
+some with planted common factors, ``poly.normalize_rational`` must give the
+function that ``sympy.cancel`` gives, the inference graph's dependence test
+the symbols of the cancelled form, and the exact verdict of ``poly.is_zero``
+whether ``sympy.cancel`` gives 0 (constructed zeros included); a nonzero
+verdict's witness must be a point where the expression has a nonzero value.
+The fact that lets the rank test stop at order n-1, that the rank of an
+output stacked with its derivatives grows no more past order n-1, is checked
+on Lie derivatives that sympy builds from the model text alone, together
+with the rank odeobs reports.
 """
 
 import random
@@ -22,7 +25,7 @@ sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from odeobs import linalg  # noqa: E402
+from odeobs import graph, linalg  # noqa: E402
 from odeobs.embedding import observability_verdict  # noqa: E402
 from odeobs.expr import (  # noqa: E402
     Add,
@@ -37,6 +40,7 @@ from odeobs.expr import (  # noqa: E402
     children,
     compile_exact,
     div,
+    eval_exact,
     mul,
     neg,
     pow_int,
@@ -190,13 +194,18 @@ def test_normalize_rational_matches_sympy_cancel(seed):
     num, den = poly_to_sympy(form.num), poly_to_sympy(form.den)
     p, q = sympy.fraction(sympy.cancel(to_sympy(e)))
     assert sympy.expand(num * q - den * p) == 0  # the same rational function
-    gens = [SYMPY_SYMBOLS[v] for v in form.den.vars]
-    if not gens:
-        assert den == 1
-        return
-    assert sympy.Poly(sympy.gcd(num, den), *gens).is_ground
-    # monic in the graded-lex order over odeobs' variable order
-    assert sympy.Poly(den, *gens).LC(order="grlex") == 1
+
+
+@SETTINGS
+@given(st.integers(0, 2**32))
+def test_graph_dependence_matches_sympy_cancel(seed):
+    # the planted common factors of rational_expr make symbols that occur in
+    # the tree but cancel from the function
+    e = rational_expr(random.Random(seed))
+    assume(defined(e))
+    by_name = {SYMPY_SYMBOLS[s]: s for s in GEN_SYMBOLS}
+    expected = {by_name[v] for v in sympy.cancel(to_sympy(e)).free_symbols}
+    assert graph._rational_form_symbols(e) == expected
 
 
 def constructed_zero(rng):
@@ -221,6 +230,20 @@ def test_exact_is_zero_matches_sympy_cancel(seed, zero):
     assert is_zero(e, seed=seed).kind == expected
     if zero:
         assert expected == ZERO_EXACT
+
+
+@SETTINGS
+@given(st.integers(0, 2**32))
+def test_nonzero_witness_is_a_nonzero_value_in_the_domain(seed):
+    e = rational_expr(random.Random(seed))
+    assume(defined(e))
+    result = is_zero(e, seed=seed)
+    assume(result.kind == NONZERO_EXACT)
+    if result.witness:
+        assert eval_exact(e, result.witness) != 0  # and raises at no pole
+    else:
+        # {}: nonzero wherever defined, so the reduced numerator is a constant
+        assert sympy.fraction(sympy.cancel(to_sympy(e)))[0].is_number
 
 
 def sympy_model(text):

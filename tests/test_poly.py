@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from odeobs import graph
 from odeobs.expr import (
     ONE,
     Add,
@@ -36,7 +37,6 @@ from odeobs.poly import (
     _to_fraction_pair,
     is_zero,
     normalize_rational,
-    poly_gcd,
 )
 
 from conftest import random_expr, random_point
@@ -54,12 +54,20 @@ class TestNormalize:
         assert rf.den == Poly((S, I), {(0, 1): Fraction(1)})
 
     def test_gcd_cancellation(self):
-        rf = normalize_rational(parse_expr("(x^2 - 1)/(x - 1)", {"x": X}))
-        assert rf.num == Poly((X,), {(1,): Fraction(1), (0,): Fraction(1)})
-        assert rf.den == Poly((X,), {(0,): Fraction(1)})
+        # the form is not reduced: (x^2 - 1)/(x - 1) keeps its factor x - 1,
+        # is the function x + 1, and depends on x; x*y/x depends on y only
+        y = Symbol("y", "state")
+        table = {"x": X, "y": y}
+        e = parse_expr("(x^2 - 1)/(x - 1)", table)
+        rf = normalize_rational(e)
+        assert rf.num == Poly((X,), {(2,): Fraction(1), (0,): Fraction(-1)})
+        assert rf.den == Poly((X,), {(1,): Fraction(1), (0,): Fraction(-1)})
+        assert is_zero(add(e, neg(parse_expr("x + 1", table)))).kind == ZERO_EXACT
+        assert graph._rational_form_symbols(e) == {X}
+        assert graph._rational_form_symbols(parse_expr("x*y/x", table)) == {y}
 
     def test_lv_gradient_residual_is_zero_form(self):
-        # grad(H) . f for the logarithmic first integral reduces to 0/1
+        # grad(H) . f for the logarithmic first integral has a zero numerator
         names = {
             n: Symbol(n, "state" if n in ("r", "m") else "parameter")
             for n in ("r", "m", "R", "D", "B", "M")
@@ -72,7 +80,6 @@ class TestNormalize:
         )
         rf = normalize_rational(residual)
         assert rf.num.is_zero
-        assert rf.den.is_constant and rf.den.constant_value() == 1
         # independent float oracle: residual vanishes at random positive points
         rng = random.Random(23)
         for _ in range(20):
@@ -106,50 +113,6 @@ class TestNormalize:
             a = normalize_rational(e)
             b = normalize_rational(e)
             assert a.num == b.num and a.den == b.den
-
-
-class TestGcd:
-    def test_known_univariate(self):
-        x = (X,)
-        a = Poly(x, {(2,): Fraction(1), (0,): Fraction(-1)})  # x^2 - 1
-        b = Poly(x, {(1,): Fraction(1), (0,): Fraction(-1)})  # x - 1
-        g = poly_gcd(a, b)
-        assert g == Poly(x, {(1,): Fraction(1), (0,): Fraction(-1)})
-
-    def test_multivariate_common_factor(self):
-        y = Symbol("y", "state")
-        vars = (X, y)
-        # (x + y) * (x - y)  and  (x + y) * x
-        common = Poly(vars, {(1, 0): Fraction(1), (0, 1): Fraction(1)})
-        a = common * Poly(vars, {(1, 0): Fraction(1), (0, 1): Fraction(-1)})
-        b = common * Poly(vars, {(1, 0): Fraction(1)})
-        assert poly_gcd(a, b) == common
-
-    def test_random_products_share_planted_factor(self):
-        rng = random.Random(37)
-        y = Symbol("y", "state")
-        vars = (X, y)
-
-        def random_poly():
-            coeffs = {}
-            for _ in range(rng.randint(1, 3)):
-                mono = (rng.randint(0, 2), rng.randint(0, 2))
-                coeffs[mono] = Fraction(rng.randint(1, 4))
-            return Poly(vars, coeffs)
-
-        from odeobs.poly import _divexact
-
-        for _ in range(40):
-            g = random_poly()
-            a = g * random_poly()
-            b = g * random_poly()
-            got = poly_gcd(a, b)
-            # the computed gcd divides both inputs exactly
-            assert (_divexact(a, got) * got) == a
-            assert (_divexact(b, got) * got) == b
-            # and the planted factor divides the computed gcd
-            monic_g = poly_gcd(g, g)
-            assert poly_gcd(got, g) == monic_g
 
 
 class TestIsZero:
@@ -191,6 +154,14 @@ class TestIsZero:
         result = is_zero(e)
         assert not result.is_zero_like
         assert result.witness is not None
+        assert eval_exact(e, result.witness) != 0
+
+    def test_witness_skips_a_pole_where_n_and_d_are_nonzero(self):
+        # N/D = (2*x - 770880)/1, but the tree has a pole at x = 770880, the
+        # first point drawn at seed 0: the witness is the next point
+        e = parse_expr("x + 1/(1/(x - 770880))", {"x": X})
+        result = is_zero(e, seed=0)
+        assert result.witness is not None and result.witness[X] != 770880
         assert eval_exact(e, result.witness) != 0
 
     def test_e_minus_e_is_zero(self):

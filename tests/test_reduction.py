@@ -36,7 +36,7 @@ from odeobs.model import (
     reduce_by_conserved,
     verify_all_conserved,
 )
-from odeobs.poly import normalize_rational
+from odeobs.poly import ZERO_EXACT, is_zero
 from odeobs.report import build_report, report_to_json
 
 from conftest import model_path
@@ -123,10 +123,9 @@ def test_reduction_matches_partner_sum_formula(name, level, var):
     red = reduce_by_conserved(sys, quantity, state)
     assert red.name == f"{sys.name}.{level}_for_{var}"
     assert red.params == sys.params + (quantity.level_symbol(),)
-    order = red.states + red.params
     expected = partner_sum_reduction(sys, quantity, state)
     for s, f in zip(red.states, red.rhs):
-        assert normalize_rational(f, order) == normalize_rational(expected[s], order), s.name
+        assert is_zero(add(f, neg(expected[s]))).kind == ZERO_EXACT, s.name
 
 
 @pytest.mark.parametrize("name,seed", sorted(DIGESTS))
