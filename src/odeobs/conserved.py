@@ -25,6 +25,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from . import linalg
 from .expr import (
+    ZERO,
     Const,
     Expr,
     Sym,
@@ -205,7 +206,7 @@ def solve_affine(
     for j, v in enumerate(p.s_vars):
         if all(row[j] == 0 for row in matrix):
             raise ZeroCoefficientError(v)
-    zeros = {v: Const(Fraction(0)) for v in p.s_vars}
+    zeros = {v: ZERO for v in p.s_vars}
     residuals = [
         add(Sym(level), neg(substitute(q.expr, zeros)))
         for q, level in zip(g.quantities, levels)

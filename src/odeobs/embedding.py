@@ -171,10 +171,6 @@ def jacobian(embedding: EmbeddingMap, sys: OdeSystem) -> EmbeddingJacobian:
     return EmbeddingJacobian(_gradients(embedding), sys.states)
 
 
-def _point_key(point: Mapping[Symbol, Fraction]) -> tuple:
-    return tuple(sorted(((s.name, v) for s, v in point.items())))
-
-
 def generic_rank_of(
     rows: Sequence[Sequence[Expr]],
     seed: int = 0,
@@ -184,12 +180,15 @@ def generic_rank_of(
     """Generic rank of a symbolic matrix by exact sampling.
 
     Points draw integer coordinates uniformly from [-1000, 1000] for every
-    symbol appearing in the matrix; draws that hit a pole are retried.  An
-    ln/exp matrix draws from [-16, 16], which keeps exp within the range of
-    the rank tolerance; a draw where an entry is not a finite float halves
-    that window, down to [-4, 4], and is retried.  The verdict is exact
-    when all entries are rational and the sampled maximum reaches
-    min(rows, cols): a nonzero minor at a rational point certifies it.
+    symbol appearing in the matrix, as Python ints: an exact value is an int
+    when it is integral and a Fraction only otherwise.  Draws that hit a
+    pole are retried, and the points are returned sorted by their values in
+    symbol-name order.  An ln/exp matrix draws from [-16, 16], which keeps
+    exp within the range of the rank tolerance; a draw where an entry is not
+    a finite float halves that window, down to [-4, 4], and is retried.  The
+    verdict is exact when all entries are rational and the sampled maximum
+    reaches min(rows, cols): a nonzero minor at a rational point certifies
+    it.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -209,7 +208,7 @@ def generic_rank_of(
     max_attempts = 200 * trials
     while len(ranks) < trials and attempts < max_attempts:
         attempts += 1
-        point = {s: Fraction(rng.randint(-bound, bound)) for s in symbols}
+        point = {s: rng.randint(-bound, bound) for s in symbols}
         try:
             r = linalg.rank(program.run(point)) if rational else _float_rank(program, point)
         except (DivisionByZeroError, ZeroDivisionError):
@@ -223,7 +222,8 @@ def generic_rank_of(
         raise AllPointsDegenerateError(
             f"no valid sample in {max_attempts} draws; all points degenerate"
         )
-    order = sorted(range(len(points)), key=lambda i: _point_key(points[i]))
+    by_name = sorted(symbols, key=lambda s: s.name)
+    order = sorted(range(len(points)), key=lambda i: [points[i][s] for s in by_name])
     points = [points[i] for i in order]
     ranks = [ranks[i] for i in order]
     generic = max(ranks)
@@ -243,7 +243,7 @@ def generic_rank_of(
     )
 
 
-def _float_rank(program: ExactProgram, point: Mapping[Symbol, Fraction]) -> Optional[int]:
+def _float_rank(program: ExactProgram, point: Mapping[Symbol, int]) -> Optional[int]:
     """Numerical rank of the matrix ``program`` computes at ``point``, or None
     where an entry is not a finite float.
 

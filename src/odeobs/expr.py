@@ -24,7 +24,9 @@ once; deeper input is a syntax error, not a recursion failure.
 
 Construction goes through the smart constructors (:func:`add`, :func:`mul`,
 ...), which fold constants and remove neutral elements but perform no other
-rewriting.  Semantic comparisons belong to :mod:`odeobs.poly`.
+rewriting.  A constant 0 or 1 is always the interned :data:`ZERO` or
+:data:`ONE`, so they test for it by identity, not by value.  Semantic
+comparisons belong to :mod:`odeobs.poly`.
 
 Nodes and symbols are hash-consed: each class interns its instances in one
 table, keyed by the class and the fields (children and symbols by identity,
@@ -362,19 +364,22 @@ def sym(symbol: Symbol) -> Sym:
 def add(*terms: ExprLike) -> Expr:
     """Sum with flattening, constant folding, and zero-term removal."""
     flat = []
-    c = 0  # a Fraction once a nonzero constant is met
-    stack = [as_expr(t) for t in reversed(terms)]
+    c = ZERO  # the constant term so far
+    stack = [t if isinstance(t, Expr) else as_expr(t) for t in reversed(terms)]
     while stack:
         t = stack.pop()
-        if isinstance(t, Add):
+        kind = type(t)
+        if kind is Add:
             stack.extend(reversed(t.terms))
-        elif isinstance(t, Const):
-            if t.value:
-                c = c + t.value if c else t.value
+        elif kind is Const:
+            if c is ZERO:
+                c = t
+            elif t is not ZERO:
+                c = Const(c.value + t.value)
         else:
             flat.append(t)
-    if c:
-        flat.append(Const(c))
+    if c is not ZERO:
+        flat.append(c)
     if not flat:
         return ZERO
     if len(flat) == 1:
@@ -390,35 +395,38 @@ def mul(*factors: ExprLike) -> Expr:
     """
     flat = []
     c = 1  # the int 1 or -1 until a constant other than 1 is met
-    stack = [as_expr(f) for f in reversed(factors)]
+    stack = [f if isinstance(f, Expr) else as_expr(f) for f in reversed(factors)]
     while stack:
         f = stack.pop()
-        if isinstance(f, Mul):
+        kind = type(f)
+        if kind is Mul:
             stack.extend(reversed(f.factors))
-        elif isinstance(f, Neg):
+        elif kind is Neg:
             c = -c
             stack.append(f.arg)
-        elif isinstance(f, Const):
-            if f.value != 1:
+        elif kind is Const:
+            if f is ZERO:
+                return ZERO
+            if f is not ONE:
                 c *= f.value
         else:
             flat.append(f)
-    if c == 0:
-        return ZERO
     core = flat
     if abs(c) != 1:
         core = [Const(abs(c))] + core
     if not core:
-        return Const(Fraction(c))
+        return Const(c)
     result = core[0] if len(core) == 1 else Mul(tuple(core))
     return neg(result) if c < 0 else result
 
 
 def neg(e: ExprLike) -> Expr:
-    e = as_expr(e)
-    if isinstance(e, Const):
+    if not isinstance(e, Expr):
+        e = as_expr(e)
+    kind = type(e)
+    if kind is Const:
         return Const(-e.value)
-    if isinstance(e, Neg):
+    if kind is Neg:
         return e.arg
     return Neg(e)
 
@@ -434,15 +442,13 @@ def div(num: ExprLike, den: ExprLike) -> Expr:
         sign, num = -sign, Const(-num.value)
     if isinstance(den, Const) and den.value < 0:
         sign, den = -sign, Const(-den.value)
-    if isinstance(den, Const) and den.value != 0:
+    if isinstance(den, Const) and den is not ZERO:
         if isinstance(num, Const):
             v = num.value / den.value
             return Const(-v if sign < 0 else v)
-        if den.value == 1:
+        if den is ONE:
             return neg(num) if sign < 0 else num
-    if isinstance(num, Const) and num.value == 0 and not (
-        isinstance(den, Const) and den.value == 0
-    ):
+    if num is ZERO and den is not ZERO:
         return ZERO
     result = Div(num, den)
     return Neg(result) if sign < 0 else result
@@ -456,7 +462,7 @@ def pow_int(base: ExprLike, exponent: int) -> Expr:
         return ONE
     if exponent == 1:
         return base
-    if isinstance(base, Const) and not (base.value == 0 and exponent < 0):
+    if isinstance(base, Const) and not (base is ZERO and exponent < 0):
         return Const(base.value**exponent)
     if isinstance(base, Neg):
         inner = pow_int(base.arg, exponent)
@@ -500,7 +506,7 @@ def _const_zero(e: Expr) -> bool:
     """Whether ``div`` reads ``e`` as the denominator constant zero."""
     if isinstance(e, Neg):
         e = e.arg
-    return isinstance(e, Const) and e.value == 0
+    return e is ZERO
 
 
 def _tabled(root: Expr) -> Expr:
@@ -581,35 +587,36 @@ def _diff(e: Expr, v: Symbol, memo: dict) -> Expr:
     hit = memo.get(e)
     if hit is not None:
         return hit
-    if isinstance(e, Sym):
+    kind = type(e)
+    if kind is Sym:
         d = ONE  # it mentions v, so it is v
-    elif isinstance(e, Add):
+    elif kind is Add:
         d = add(*[_diff(t, v, memo) for t in e.terms])
-    elif isinstance(e, Mul):
+    elif kind is Mul:
         terms = []
         for i, f in enumerate(e.factors):
             df = _diff(f, v, memo)
-            if isinstance(df, Const) and df.value == 0:
+            if df is ZERO:
                 continue
             terms.append(mul(*e.factors[:i], df, *e.factors[i + 1 :]))
         d = add(*terms)
-    elif isinstance(e, Neg):
+    elif kind is Neg:
         d = neg(_diff(e.arg, v, memo))
-    elif isinstance(e, Div):
+    elif kind is Div:
         dn, dd = _diff(e.num, v, memo), _diff(e.den, v, memo)
-        if isinstance(dd, Const) and dd.value == 0:
+        if dd is ZERO:
             d = div(dn, e.den)
         else:
             d = div(add(mul(dn, e.den), neg(mul(e.num, dd))), pow_int(e.den, 2))
-    elif isinstance(e, PowInt):
+    elif kind is PowInt:
         d = mul(
-            Const(Fraction(e.exponent)),
+            Const(e.exponent),
             pow_int(e.base, e.exponent - 1),
             _diff(e.base, v, memo),
         )
-    elif isinstance(e, Ln):
+    elif kind is Ln:
         d = div(_diff(e.arg, v, memo), e.arg)
-    elif isinstance(e, Exp):
+    elif kind is Exp:
         d = mul(e, _diff(e.arg, v, memo))
     else:
         raise TypeError(f"unhandled node {e!r}")

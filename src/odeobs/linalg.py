@@ -2,7 +2,9 @@
 
 Rank uses fraction-free (Bareiss) elimination on an integer-scaled copy of
 the matrix, so intermediate values stay integral and the result is exact.
-Rows that hold only ints are copied as they are.
+Entries follow the number convention of every exact layer, an int when
+integral and a Fraction otherwise: a row that holds only ints is used as it
+is, and only a row with a Fraction is scaled.
 """
 
 from __future__ import annotations
@@ -16,11 +18,11 @@ class SingularMatrixError(Exception):
     """Square matrix with no inverse."""
 
 
-def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
+def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[Sequence[int]]:
     out = []
     for row in rows:
-        if all(type(x) is int for x in row):
-            out.append(list(row))
+        if set(map(type, row)) <= {int}:
+            out.append(row)
             continue
         fracs = [Fraction(x) for x in row]
         scale = lcm(*[f.denominator for f in fracs]) if fracs else 1
@@ -29,25 +31,34 @@ def _integer_rows(rows: Sequence[Sequence[Fraction]]) -> List[List[int]]:
 
 
 def rank(rows: Sequence[Sequence[Fraction]]) -> int:
-    """Exact rank via Bareiss fraction-free Gaussian elimination."""
+    """Exact rank via Bareiss fraction-free Gaussian elimination.
+
+    Each step takes the first remaining row with a nonzero entry in the
+    leading column as the pivot row, drops it, and replaces every other row
+    by its tail past that column: each entry ``a`` becomes
+    ``(p*a - x*b) // prev``, for the pivot ``p``, the row's leading entry
+    ``x`` and the pivot row's entry ``b`` in ``a``'s column, or only
+    ``p*a // prev`` where ``x`` is zero.  The divisions are exact.
+    """
     m = _integer_rows(rows)
-    if not m or not m[0]:
-        return 0
-    n_rows, n_cols = len(m), len(m[0])
     r = 0
     prev = 1
-    for c in range(n_cols):
-        if r == n_rows:
-            break
-        pivot_row = next((i for i in range(r, n_rows) if m[i][c] != 0), None)
-        if pivot_row is None:
+    while m and m[0]:
+        i = next((i for i, row in enumerate(m) if row[0]), None)
+        if i is None:
+            m = [row[1:] for row in m]
             continue
-        m[r], m[pivot_row] = m[pivot_row], m[r]
-        for i in range(r + 1, n_rows):
-            for j in range(c + 1, n_cols):
-                m[i][j] = (m[r][c] * m[i][j] - m[i][c] * m[r][j]) // prev
-            m[i][c] = 0
-        prev = m[r][c]
+        top = m.pop(i)
+        p, tail = top[0], top[1:]
+        rest = []
+        for row in m:
+            x = row[0]
+            if x:
+                rest.append([(p * a - x * b) // prev for a, b in zip(row[1:], tail)])
+            else:
+                rest.append([p * a // prev for a in row[1:]])
+        m = rest
+        prev = p
         r += 1
     return r
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .expr import (
-    Const,
+    ZERO,
     Expr,
     Sym,
     Symbol,
@@ -312,7 +312,7 @@ def along_field(sys: OdeSystem, gradient: Sequence[Expr]) -> Expr:
         *[
             mul(f, g)
             for f, g in zip(sys.rhs, gradient)
-            if not (isinstance(g, Const) and g.value == 0)
+            if g is not ZERO
         ]
     )
 

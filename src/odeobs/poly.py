@@ -5,8 +5,10 @@ This is the semantic backbone of the package: an identity holds iff
 N/D of polynomials (:class:`RationalForm`), built by expanding the tree and
 never reduced: ``e`` is identically zero iff N is the zero polynomial, and
 ``e`` depends on a variable x iff N*dD/dx - D*dN/dx is not.  The polynomial
-representation is a sparse exponent-vector map with Fraction coefficients and
-a fixed graded-lexicographic monomial order, so printing is deterministic.
+representation is a sparse exponent-vector map with a fixed
+graded-lexicographic monomial order, so printing is deterministic.  Its
+coefficients follow the number convention of every exact layer: an int when
+integral, a Fraction only otherwise.
 
 An expression with ln/exp has no rational form; :func:`is_zero` samples it
 over floats instead.  The expression and its top-level terms are compiled
@@ -20,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence, Union
 
 from .expr import (
     Add,
@@ -51,13 +53,21 @@ def _grlex_key(mono: Monomial) -> tuple:
 
 
 class Poly:
-    """Sparse multivariate polynomial over a fixed variable tuple."""
+    """Sparse multivariate polynomial over a fixed variable tuple.
+
+    Zero coefficients are dropped, and each other one is an int when it is
+    integral and a Fraction otherwise.
+    """
 
     __slots__ = ("vars", "coeffs")
 
-    def __init__(self, vars: tuple, coeffs: Mapping[Monomial, Fraction]):
+    def __init__(self, vars: tuple, coeffs: Mapping[Monomial, Union[int, Fraction]]):
         self.vars = vars
-        self.coeffs = {m: c for m, c in coeffs.items() if c != 0}
+        self.coeffs = {
+            m: c if type(c) is int or c.denominator != 1 else c.numerator
+            for m, c in coeffs.items()
+            if c
+        }
 
     # -- constructors -------------------------------------------------------
 
@@ -66,14 +76,14 @@ class Poly:
         return cls(vars, {})
 
     @classmethod
-    def constant(cls, vars: tuple, value: Fraction) -> "Poly":
-        return cls(vars, {(0,) * len(vars): Fraction(value)})
+    def constant(cls, vars: tuple, value: Union[int, Fraction]) -> "Poly":
+        return cls(vars, {(0,) * len(vars): value})
 
     @classmethod
     def variable(cls, vars: tuple, symbol: Symbol) -> "Poly":
         mono = [0] * len(vars)
         mono[vars.index(symbol)] = 1
-        return cls(vars, {tuple(mono): Fraction(1)})
+        return cls(vars, {tuple(mono): 1})
 
     # -- predicates ---------------------------------------------------------
 
@@ -90,13 +100,13 @@ class Poly:
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) + c
+            out[m] = out.get(m, 0) + c
         return Poly(self.vars, out)
 
     def __sub__(self, other: "Poly") -> "Poly":
         out = dict(self.coeffs)
         for m, c in other.coeffs.items():
-            out[m] = out.get(m, Fraction(0)) - c
+            out[m] = out.get(m, 0) - c
         return Poly(self.vars, out)
 
     def __neg__(self) -> "Poly":
@@ -107,7 +117,7 @@ class Poly:
         for m1, c1 in self.coeffs.items():
             for m2, c2 in other.coeffs.items():
                 m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, Fraction(0)) + c1 * c2
+                out[m] = out.get(m, 0) + c1 * c2
         return Poly(self.vars, out)
 
     def derivative(self, index: int) -> "Poly":
@@ -122,7 +132,7 @@ class Poly:
     def power(self, n: int) -> "Poly":
         if n < 0:
             raise ValueError("negative power on a polynomial")
-        result = Poly.constant(self.vars, Fraction(1))
+        result = Poly.constant(self.vars, 1)
         base = self
         while n:
             if n & 1:
@@ -285,7 +295,7 @@ def normalize_rational(e: Expr, var_order: Optional[Sequence[Symbol]] = None) ->
     variable order defaults to (states, then parameters, each by name).
     """
     vars = tuple(var_order) if var_order is not None else _default_order(e)
-    return RationalForm(*_to_fraction_pair(e, vars, Poly.constant(vars, Fraction(1))))
+    return RationalForm(*_to_fraction_pair(e, vars, Poly.constant(vars, 1)))
 
 
 # ---------------------------------------------------------------------------
@@ -339,7 +349,7 @@ class ZeroTestResult:
 
 
 def _sample_point(rng: random.Random, symbols: Sequence[Symbol]) -> dict:
-    return {s: Fraction(rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND)) for s in symbols}
+    return {s: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for s in symbols}
 
 
 def is_zero(e: Expr, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ZeroTestResult:
@@ -390,7 +400,7 @@ def _sampled_zero_test(
     bound = SAMPLE_BOUND
     while done < trials and attempts < 100 * max(trials, 1):
         attempts += 1
-        point = {s: Fraction(rng.randint(-bound, bound)) for s in symbols}
+        point = {s: rng.randint(-bound, bound) for s in symbols}
         try:
             value, *term_values = program.run_float(point)[0]
             scale = 1.0 + max(abs(t) for t in term_values)

@@ -205,6 +205,19 @@ class TestAnalyze:
         assert report["k"] == 4
         assert report["observations"][0]["assessment"]["k"] == 4
 
+    def test_options_do_not_carry_over_to_the_next_call(self, capsys):
+        # one parser serves every call; each call starts from the defaults
+        toy = str(model_path("toy"))
+        for argv, header in (
+            (["--k", "1"], "seed: 0  k: 1  trials: 8"),
+            ([], "seed: 0  k: auto  trials: 8"),
+            (["--trials", "3", "--seed", "2"], "seed: 2  k: auto  trials: 3"),
+            ([], "seed: 0  k: auto  trials: 8"),
+        ):
+            code, out, _ = run(capsys, "analyze", toy, *argv)
+            assert code == 0
+            assert header in out.splitlines()
+
 
 class TestGraph:
     def test_sir_original_structure(self, capsys):

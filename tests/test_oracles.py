@@ -1,7 +1,8 @@
 """odeobs checked against sympy, an oracle that shares no code with it.
 
 ``linalg.rank`` is compared with ``sympy.Matrix.rank`` on generated integer
-and rational matrices, rank-deficient ones included, and ``ExactProgram.run``
+and rational matrices, rank-deficient ones included (tall ones of 80-bit
+integers among them, the shape of the twin-3 Jacobians), and ``ExactProgram.run``
 with sympy's exact evaluation of the same expressions at rational points,
 including whether the point is a pole.  On generated rational expressions,
 some with planted common factors, ``poly.normalize_rational`` must give the
@@ -90,6 +91,31 @@ def sympy_rank(m):
 @given(matrices())
 def test_rank_matches_sympy(m):
     assert linalg.rank([[Fraction(v) for v in row] for row in m]) == sympy_rank(m)
+
+
+def test_rank_matches_sympy_on_tall_big_integer_matrices():
+    # the shape of the twin-3 Jacobians (up to 12 x 6), products of two
+    # factors of up to 40-bit ints, so entries reach 80 bits; some factor
+    # entries are zero, so rows with a zero in the pivot column occur
+    rng = random.Random(1307)
+    deficient = 0
+    for _ in range(120):
+        cols = rng.randint(2, 6)
+        rows = rng.randint(cols, 12)
+        inner = rng.randint(1, cols)
+        bits = rng.choice((8, 40))
+
+        def entry():
+            return 0 if rng.random() < 0.3 else rng.randint(-(2**bits), 2**bits)
+
+        left = [[entry() for _ in range(inner)] for _ in range(rows)]
+        right = [[entry() for _ in range(cols)] for _ in range(inner)]
+        m = [[sum(a * b for a, b in zip(row, col)) for col in zip(*right)] for row in left]
+        assert all(type(x) is int for row in m for x in row)
+        expected = sympy.Matrix(m).rank()
+        assert linalg.rank(m) == expected
+        deficient += expected < cols
+    assert deficient > 60
 
 
 SYMPY_SYMBOLS = {s: sympy.Symbol(s.name) for s in GEN_SYMBOLS}
