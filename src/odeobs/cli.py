@@ -53,6 +53,14 @@ def _load(path: str) -> OdeSystem:
         raise _InputError(f"model parse error: {exc}") from exc
 
 
+def _write(path: str, text: str) -> None:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _parse_k(text: str):
     if text == "auto":
         return "auto"
@@ -72,8 +80,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         raise _InputError(f"--trials must be at least 1, got {args.trials}")
     report = build_report(sys_model, seed=args.seed, k=k, trials=args.trials)
     if args.json:
-        with open(args.json, "w", encoding="utf-8") as fh:
-            fh.write(report_to_json(report))
+        _write(args.json, report_to_json(report))
     _sys.stdout.write(render_text(report))
     return EXIT_OK
 
@@ -99,8 +106,7 @@ def cmd_graph(args: argparse.Namespace) -> int:
     condensation = scc_condensation(graph)
     dot = export_dot(graph, condensation)
     if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(dot)
+        _write(args.dot, dot)
     else:
         _sys.stdout.write(dot)
     return EXIT_OK
@@ -174,8 +180,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         _sys.stderr.write(f"integration failed: {exc}\n")
         return EXIT_ANALYSIS
     if args.csv:
-        with open(args.csv, "w", encoding="utf-8") as fh:
-            fh.write(trajectory_to_csv(traj))
+        _write(args.csv, trajectory_to_csv(traj))
     _sys.stdout.write(
         f"integrated {sys_model.name}: {len(traj.times)} points, "
         f"dt={args.dt}, T={args.T}\n"

@@ -157,10 +157,9 @@ def exchange_conditions(
     n_s = len(pj.partition.s_vars)
     if n_q != n_s:
         raise NotSquareError(n_q, n_s)
-    ds_rank = generic_rank_of(pj.dg_ds, seed=seed, trials=trials, n_cols=n_s)
-    n_r = len(pj.partition.r_vars)
-    dr_rank = generic_rank_of(pj.dg_dr, seed=seed, trials=trials, n_cols=n_r)
-    required = min(n_q, n_r)
+    ds_rank = generic_rank_of(pj.dg_ds, seed=seed, trials=trials)
+    dr_rank = generic_rank_of(pj.dg_dr, seed=seed, trials=trials)
+    required = min(n_q, len(pj.partition.r_vars))
     return ExchangeConditions(
         ds_rank=ds_rank,
         dr_rank=dr_rank,
@@ -175,7 +174,7 @@ def conserved_set_independent(
 ) -> bool:
     """Generic linear independence of the quantity gradients."""
     rows = tuple(tuple(diff(q.expr, s) for s in sys.states) for q in g.quantities)
-    verdict = generic_rank_of(rows, seed=seed, trials=trials, n_cols=sys.n)
+    verdict = generic_rank_of(rows, seed=seed, trials=trials)
     return verdict.generic_rank == len(g.quantities)
 
 
@@ -275,7 +274,6 @@ def alternative_observables(
     known_sufficient: Iterable[Symbol],
     seed: int = 0,
     trials: int = DEFAULT_TRIALS,
-    partition_cap: int = PARTITION_CAP,
 ) -> AlternativeSearch:
     """Search for sensor sets made sufficient by the conserved quantities.
 
@@ -328,7 +326,7 @@ def alternative_observables(
     truncated = False
     n_partitions = 0
     for s_vars in itertools.combinations(pool, n_q):
-        if n_partitions >= partition_cap:
+        if n_partitions >= PARTITION_CAP:
             truncated = True
             break
         n_partitions += 1

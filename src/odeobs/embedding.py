@@ -93,10 +93,6 @@ class EmbeddingJacobian:
     def n(self) -> int:
         return len(self.states)
 
-    @property
-    def rows(self) -> int:
-        return len(self.entries)
-
 
 @dataclass(frozen=True)
 class RankVerdict:
@@ -175,7 +171,6 @@ def generic_rank_of(
     rows: Sequence[Sequence[Expr]],
     seed: int = 0,
     trials: int = DEFAULT_TRIALS,
-    n_cols: Optional[int] = None,
 ) -> RankVerdict:
     """Generic rank of a symbolic matrix by exact sampling.
 
@@ -193,8 +188,7 @@ def generic_rank_of(
     if trials < 1:
         raise ValueError("trials must be >= 1")
     n_rows = len(rows)
-    if n_cols is None:
-        n_cols = len(rows[0]) if n_rows else 0
+    n_cols = len(rows[0]) if n_rows else 0
     if n_rows == 0 or n_cols == 0:
         return RankVerdict(0, trials, (), (), EXACT_CONFIDENCE, n_rows, n_cols)
     program = compile_exact(rows)
@@ -265,7 +259,7 @@ def _float_rank(program: ExactProgram, point: Mapping[Symbol, int]) -> Optional[
 def generic_rank(
     j: EmbeddingJacobian, seed: int = 0, trials: int = DEFAULT_TRIALS
 ) -> RankVerdict:
-    return generic_rank_of(j.entries, seed=seed, trials=trials, n_cols=j.n)
+    return generic_rank_of(j.entries, seed=seed, trials=trials)
 
 
 def rank_at_point(j: EmbeddingJacobian, point: Mapping[Symbol, Fraction]) -> int:

@@ -43,14 +43,15 @@ The first request for them runs one walk that writes them onto every node
 below not yet tabled, once for the node's life.  :func:`free_symbols`,
 :func:`has_ln_exp` and the pruning of :func:`diff` read them.
 
-Expression DAGs are lowered to code in one way, with two consumers: a
-structurally value-numbered instruction list in tree-walk order, which
-:class:`ExactProgram` runs over int/Fraction or over floats with one
-register per value, and :class:`FloatPrinter` prints as Python float source.
-:func:`eval_exact` and :func:`eval_float` are one-entry runs; no evaluator
-walks the tree.  ln/exp are lowered with their arguments; one check, placed
-where the walk meets the first of them, stops an exact run there.  The
-instruction format is private to this module.
+Expression DAGs are lowered to code in one way, with two consumers: the
+DAG's post-order, one instruction per distinct node after those of its
+children, which :class:`ExactProgram` runs over int/Fraction or over floats
+with one register per value, and :class:`FloatPrinter` prints as Python
+float source.  :func:`eval_exact` and :func:`eval_float` are one-entry
+runs; no evaluator walks the tree.  Every evaluator runs operands before
+their operation, so each raises the first error of the post-order: a
+numerator's before its denominator's, an ln/exp argument's before the
+ln/exp.  The instruction format is private to this module.
 """
 
 from __future__ import annotations
@@ -668,10 +669,6 @@ def _substitute(e: Expr, bindings: Mapping[Symbol, Expr], memo: dict) -> Expr:
 # int/Fraction or floats by ExactProgram and printed as float source by
 # FloatPrinter
 
-# Opcodes.  _NONZERO (a quotient's zero check) and _TRANSCENDENTAL (the one
-# ln/exp check) are checks, not values: no instruction reads them.
-_ADD, _MUL, _NEG, _DIV, _NONZERO, _POW, _SYM, _CONST, _LN, _EXP, _TRANSCENDENTAL = range(11)
-
 
 def _exact(value):
     """``value`` as an int when it is integral, else as a Fraction."""
@@ -683,16 +680,15 @@ def _exact(value):
 
 
 class _Lowering:
-    """Walks expression trees once, emitting one instruction per distinct node.
+    """Walks expression DAGs once, emitting their post-order.
 
-    An instruction is ``(op, value ids of the arguments, payload)``, and its
-    value id is its index in ``instrs``.  Instructions follow a tree walk:
-    children in order, and a quotient's denominator, then its zero check,
-    then its numerator.  Each node is lowered once; nodes are interned, so
-    structurally equal subtrees are one node and share one instruction.
-    Quotients with one denominator value share its zero check.  The first
-    ln/exp met is preceded by the one ``_TRANSCENDENTAL`` check, placed
-    before its argument.
+    An instruction is ``(node class, value ids of the children, payload)``,
+    and its value id is its index in ``instrs``.  Each distinct node is one
+    instruction, placed after those of its children, which come in the
+    order :func:`children` gives them (a quotient's numerator before its
+    denominator); nodes are interned, so structurally equal subtrees are one
+    node and share one instruction.  The payload of a ``Sym`` is its symbol,
+    of a ``Const`` its exact value, and of every other node the node itself.
 
     A class rather than nested functions: a recursive closure is a reference
     cycle, which would keep the tables alive until the cyclic garbage
@@ -702,7 +698,6 @@ class _Lowering:
     def __init__(self):
         self.instrs: list = []
         self.by_node: dict = {}  # node -> value id
-        self.checked: set = set()  # denominator value ids with a zero check
         self.symbols: set = set()
         self.rational = True  # no ln/exp node met
 
@@ -710,33 +705,16 @@ class _Lowering:
         value = self.by_node.get(e)
         if value is not None:
             return value
-        if isinstance(e, Add):
-            instr = (_ADD, tuple([self.emit(t) for t in e.terms]), None)
-        elif isinstance(e, Mul):
-            instr = (_MUL, tuple([self.emit(f) for f in e.factors]), None)
-        elif isinstance(e, Sym):
+        kind = type(e)
+        if kind is Sym:
             self.symbols.add(e.symbol)
-            instr = (_SYM, (), e.symbol)
-        elif isinstance(e, Const):
-            instr = (_CONST, (), _exact(e.value))
-        elif isinstance(e, Neg):
-            instr = (_NEG, (self.emit(e.arg),), None)
-        elif isinstance(e, Div):
-            den = self.emit(e.den)
-            # one check per denominator value: the first raises, if any does
-            if den not in self.checked:
-                self.checked.add(den)
-                self.instrs.append((_NONZERO, (den,), e))
-            instr = (_DIV, (den, self.emit(e.num)), None)
-        elif isinstance(e, PowInt):
-            instr = (_POW, (self.emit(e.base),), e)
-        elif isinstance(e, (Ln, Exp)):
-            if self.rational:
-                self.rational = False
-                self.instrs.append((_TRANSCENDENTAL, (), e))
-            instr = (_LN if isinstance(e, Ln) else _EXP, (self.emit(e.arg),), None)
+            instr = (Sym, (), e.symbol)
+        elif kind is Const:
+            instr = (Const, (), _exact(e.value))
         else:
-            raise TypeError(f"unhandled node {e!r}")
+            if kind is Ln or kind is Exp:
+                self.rational = False
+            instr = (kind, tuple([self.emit(c) for c in children(e)]), e)
         value = self.by_node[e] = len(self.instrs)
         self.instrs.append(instr)
         return value
@@ -745,12 +723,14 @@ class _Lowering:
 class ExactProgram:
     """A matrix of expressions compiled to straight-line code.
 
-    Each structurally distinct subexpression is one instruction, so a run
-    evaluates it once however often the trees repeat it, into a register of
-    its own.  :meth:`run` is exact: integral values are Python ints, and a
-    value becomes a Fraction only at a quotient that does not divide or a
-    negative power, or through a non-integral constant.  :meth:`run_float`
-    runs the same instructions over IEEE doubles, ln/exp included.
+    The code is the post-order of the entries' DAG, row by row: each
+    structurally distinct subexpression is one instruction, run after its
+    operands, so a run evaluates it once however often the trees repeat it,
+    into a register of its own.  :meth:`run` is exact: integral values are
+    Python ints, and a value becomes a Fraction only at a quotient that does
+    not divide or a negative power, or through a non-integral constant.
+    :meth:`run_float` runs the same instructions over IEEE doubles, ln/exp
+    included.  Either raises the first error of that order.
     """
 
     __slots__ = ("symbols", "rational", "_code", "_outputs")
@@ -765,42 +745,40 @@ class ExactProgram:
         """Exact values of the entries at ``point``, as a list of rows of int
         and Fraction.
 
-        Raises :class:`DivisionByZeroError` at the node where a tree walk of
-        the entries (row by row, each denominator checked before its
-        numerator is evaluated) would, and :class:`TranscendentalNodeError`
-        at the first ln/exp node of that walk, before its argument runs.
+        Raises :class:`DivisionByZeroError` at the first quotient or negative
+        power of the post-order whose denominator or base is zero, and
+        :class:`TranscendentalNodeError` at the first ln/exp node, after its
+        argument has run, whichever comes first.
         """
-        regs: list = []  # one register per instruction; checks store None
+        regs: list = []  # one register per instruction
         store = regs.append
         for op, args, payload in self._code:
-            if op == _MUL:
+            if op is Mul:
                 value = regs[args[0]]
                 for a in args[1:]:
                     value *= regs[a]
-            elif op == _ADD:
+            elif op is Add:
                 value = regs[args[0]]
                 for a in args[1:]:
                     value += regs[a]
-            elif op == _SYM:
+            elif op is Sym:
                 try:
                     value = _exact(point[payload])
                 except KeyError:
                     raise UnknownSymbolError(payload.name) from None
-            elif op == _CONST:
+            elif op is Const:
                 value = payload
-            elif op == _NEG:
+            elif op is Neg:
                 value = -regs[args[0]]
-            elif op == _NONZERO:
-                if regs[args[0]] == 0:
+            elif op is Div:
+                num, den = regs[args[0]], regs[args[1]]
+                if den == 0:
                     raise DivisionByZeroError(payload)
-                value = None
-            elif op == _DIV:
-                num, den = regs[args[1]], regs[args[0]]
                 if type(num) is int and type(den) is int and num % den == 0:
                     value = num // den
                 else:
                     value = _exact(Fraction(num, den))
-            elif op == _POW:
+            elif op is PowInt:
                 base = regs[args[0]]
                 exponent = payload.exponent
                 if exponent >= 0:
@@ -809,7 +787,7 @@ class ExactProgram:
                     raise DivisionByZeroError(payload)
                 else:
                     value = _exact(Fraction(1, base**-exponent))
-            else:  # _TRANSCENDENTAL: it precedes every _LN and _EXP
+            else:  # Ln or Exp
                 raise TranscendentalNodeError(payload)
             store(value)
         return [[regs[v] for v in row] for row in self._outputs]
@@ -817,55 +795,52 @@ class ExactProgram:
     def run_float(self, point: Mapping[Symbol, float]) -> list:
         """IEEE double values of the entries at ``point``, as a list of rows.
 
-        Values and exceptions are those of a tree walk of the entries, row by
-        row: a sum is the :func:`math.fsum` of its terms, a product runs left
-        to right from ``1.0``, and each denominator is checked before its
-        numerator runs.  ln of a non-positive value raises
-        :class:`DomainError` and a negative power of zero
-        :class:`DivisionByZeroError`; overflow in ``**`` or exp raises
-        OverflowError, and fsum raises as it does.  One order differs from a
-        walk: all terms of a sum run before fsum, so where a partial sum
-        overflows, an error in a later term of the same sum is raised in
+        Values are those of a tree walk of the entries, row by row: a sum is
+        the :func:`math.fsum` of its terms, a product runs left to right from
+        ``1.0``, and a quotient's numerator runs before its denominator.  The
+        first error of the post-order is raised: a zero denominator or a
+        negative power of zero raises :class:`DivisionByZeroError`, ln of a
+        non-positive value :class:`DomainError`; overflow in ``**`` or exp
+        raises OverflowError, and fsum raises as it does.  One order differs
+        from a walk: all terms of a sum run before fsum, so where a partial
+        sum overflows, an error in a later term of the same sum is raised in
         place of fsum's ``intermediate overflow``.
         """
-        regs: list = []  # one register per instruction; checks store None
+        regs: list = []  # one register per instruction
         store = regs.append
         for op, args, payload in self._code:
-            if op == _MUL:
+            if op is Mul:
                 value = 1.0
                 for a in args:
                     value *= regs[a]
-            elif op == _ADD:
+            elif op is Add:
                 value = math.fsum([regs[a] for a in args])
-            elif op == _SYM:
+            elif op is Sym:
                 try:
                     value = float(point[payload])
                 except KeyError:
                     raise UnknownSymbolError(payload.name) from None
-            elif op == _CONST:
+            elif op is Const:
                 value = payload.numerator / payload.denominator  # as float(Fraction) divides
-            elif op == _NEG:
+            elif op is Neg:
                 value = -regs[args[0]]
-            elif op == _NONZERO:
-                if regs[args[0]] == 0.0:
+            elif op is Div:
+                den = regs[args[1]]
+                if den == 0.0:
                     raise DivisionByZeroError(payload)
-                value = None
-            elif op == _DIV:
-                value = regs[args[1]] / regs[args[0]]
-            elif op == _POW:
+                value = regs[args[0]] / den
+            elif op is PowInt:
                 base = regs[args[0]]
                 if base == 0.0 and payload.exponent < 0:
                     raise DivisionByZeroError(payload)
                 value = base**payload.exponent
-            elif op == _LN:
+            elif op is Ln:
                 value = regs[args[0]]
                 if value <= 0.0:
                     raise DomainError(f"ln of non-positive value {value}")
                 value = math.log(value)
-            elif op == _EXP:
+            else:  # Exp
                 value = math.exp(regs[args[0]])
-            else:  # _TRANSCENDENTAL: a check of the exact run only
-                value = None
             store(value)
         return [[regs[v] for v in row] for row in self._outputs]
 
@@ -896,13 +871,13 @@ class FloatPrinter:
 
     The expressions are lowered once, as for :func:`compile_exact`, and
     :meth:`emit` prints them as often as asked, each time over other state
-    locals.  Operations keep the order in which the expression is written:
-    terms and factors left to right, a quotient's numerator before its
-    denominator.  Parentheses appear only where Python's precedence needs
-    them (its parser refuses more than 200 nested ones), and the compiled
-    operations are those of the fully parenthesized tree.  Within one
-    :meth:`emit` call, a composite value that the lowering's instructions and
-    the expressions read more than once (zero checks do not read) is
+    locals.  Operations keep the lowering's post-order, the order in which
+    the expression is written: terms and factors left to right, a quotient's
+    numerator before its denominator.  Parentheses appear only where
+    Python's precedence needs them (its parser refuses more than 200 nested
+    ones), and the compiled operations are those of the fully parenthesized
+    tree.  Within one :meth:`emit` call, a composite value that the
+    lowering's instructions and the expressions read more than once is
     computed at its first use, bound there with ``:=``, and read by name
     after that.  The evaluation order is unchanged, so every value is the
     one a plain tree walk gives, bit for bit, and so is the first exception
@@ -916,9 +891,8 @@ class FloatPrinter:
         self.outputs = [lowering.emit(e) for e in exprs]
         self.instrs = lowering.instrs
         uses = Counter(self.outputs)
-        for op, args, _ in self.instrs:
-            if op != _NONZERO:
-                uses.update(args)
+        for _, args, _ in self.instrs:
+            uses.update(args)
         self.shared = {v for v, n in uses.items() if n > 1}
         self.params = params
         self.n_bound = 0
@@ -939,9 +913,9 @@ class FloatPrinter:
     def _printed(self, v: int) -> tuple:
         # two frames per tree level (this and _emit), and no generator frames
         op, args, payload = self.instrs[v]
-        if op == _CONST:
+        if op is Const:
             return _literal(float(payload))
-        if op == _SYM:
+        if op is Sym:
             if payload in self.env:
                 return self.env[payload], _ATOM
             if payload in self.params:
@@ -950,30 +924,30 @@ class FloatPrinter:
         name = self.names.get(v)
         if name is not None:
             return name, _ATOM
-        if op == _ADD:
+        if op is Add:
             parts = [self._emit(args[0], _SUM)]
             for a in args[1:]:
                 term_op, term_args, _ = self.instrs[a]
-                if term_op == _NEG and a not in self.shared:
+                if term_op is Neg and a not in self.shared:
                     parts.append(" - " + self._emit(term_args[0], _PRODUCT))
                 else:
                     parts.append(" + " + self._emit(a, _PRODUCT))
             text, precedence = "".join(parts), _SUM
-        elif op == _MUL:
+        elif op is Mul:
             parts = [self._emit(args[0], _PRODUCT)]
             for a in args[1:]:
                 parts.append(" * " + self._emit(a, _UNARY))
             text, precedence = "".join(parts), _PRODUCT
-        elif op == _NEG:
+        elif op is Neg:
             text, precedence = "-" + self._emit(args[0], _UNARY), _UNARY
-        elif op == _DIV:
-            den, num = args
+        elif op is Div:
+            num, den = args
             text = f"{self._emit(num, _PRODUCT)} / {self._emit(den, _UNARY)}"
             precedence = _PRODUCT
-        elif op == _POW:
+        elif op is PowInt:
             text, precedence = f"{self._emit(args[0], _ATOM)} ** {payload.exponent}", _POWER
         else:
-            function = "math.log" if op == _LN else "math.exp"
+            function = "math.log" if op is Ln else "math.exp"
             text, precedence = f"{function}({self._emit(args[0], _SUM)})", _ATOM
         if v not in self.shared:
             return text, precedence

@@ -44,7 +44,6 @@ class Condensation:
 @dataclass(frozen=True)
 class SensorSet:
     variables: frozenset
-    minimal: bool
 
     def names(self) -> Tuple[str, ...]:
         return tuple(sorted(s.name for s in self.variables))
@@ -201,7 +200,7 @@ def minimal_sensor_sets(
         if len(sets) >= limit:
             truncated = True
             break
-        sets.append(SensorSet(frozenset(choice), minimal=True))
+        sets.append(SensorSet(frozenset(choice)))
     return SensorMenu(tuple(sets), truncated)
 
 

@@ -205,6 +205,12 @@ class TestAnalyze:
         assert report["k"] == 4
         assert report["observations"][0]["assessment"]["k"] == 4
 
+    def test_unwritable_json_path_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "sir.json"
+        code, out, err = run(capsys, "analyze", str(model_path("sir")), "--json", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {path}: No such file or directory\n"
+
     def test_options_do_not_carry_over_to_the_next_call(self, capsys):
         # one parser serves every call; each call starts from the defaults
         toy = str(model_path("toy"))
@@ -245,6 +251,12 @@ class TestGraph:
         )
         assert code == 0 and out == ""
         assert out_path.read_text().startswith("digraph inference {")
+
+    def test_unwritable_dot_path_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "sir.dot"
+        code, out, err = run(capsys, "graph", str(model_path("sir")), "--dot", str(path))
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {path}: No such file or directory\n"
 
     def test_bad_reduce_spec(self, capsys):
         code, _, err = run(capsys, "graph", str(model_path("sir")), "--reduce", "N")
@@ -477,6 +489,16 @@ class TestSimulate:
         lines = out_path.read_text().strip().split("\n")
         assert lines[0] == "t,S,I,R"
         assert len(lines) == 10002
+
+    def test_unwritable_csv_path_is_input_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "sir.csv"
+        code, out, err = run(
+            capsys, "simulate", str(model_path("sir")), "--x0", "997,3,0",
+            "--params", "beta=0.0004,lambda=0.04", "--dt", "0.1", "--T", "1",
+            "--csv", str(path),
+        )
+        assert (code, out) == (1, "")
+        assert err == f"error: cannot write {path}: No such file or directory\n"
 
     def test_divergence_flagged(self, tmp_path, capsys):
         code, out, _ = run(

@@ -132,7 +132,7 @@ class TestGenericRank:
 
     def test_zero_matrix(self):
         x = Symbol("x", "state")
-        verdict = generic_rank_of(((Const(Fraction(0)),),), n_cols=1)
+        verdict = generic_rank_of(((Const(Fraction(0)),),))
         assert verdict.generic_rank == 0
         del x
 
@@ -156,7 +156,7 @@ class TestGenericRank:
             for k, row in enumerate(jac.entries)
         )
         a = generic_rank(jac, seed=0)
-        b = generic_rank_of(scaled_rows, seed=0, n_cols=jac.n)
+        b = generic_rank_of(scaled_rows, seed=0)
         assert a.generic_rank == b.generic_rank
         assert a.point_ranks == b.point_ranks
 
@@ -371,7 +371,7 @@ class TestPinnedSampling:
     def test_sample_points_and_ranks_unchanged(self, model, label, seed, mm):
         sys = parse_model(CHAIN6) if model == "chain6" else mm
         jac = jacobian(build_embedding(sys, obs_named(sys, label)), sys)
-        verdict = generic_rank_of(jac.entries, seed=seed, n_cols=jac.n)
+        verdict = generic_rank_of(jac.entries, seed=seed)
         rank, confidence = PINNED_RANKS[label]
         assert verdict.point_ranks == (rank,) * 8
         assert (verdict.generic_rank, verdict.confidence) == (rank, confidence)

@@ -494,8 +494,9 @@ class TestInterning:
         assert len(odeobs.expr._interned) == before
 
 def tree_walk_exact(e, point):
-    """Reference evaluator: a plain recursive walk, children left to right and
-    the denominator of a quotient before its numerator."""
+    """Reference evaluator: a plain recursive walk, children left to right
+    (a quotient's numerator before its denominator), each before its node;
+    ln/exp raise after their argument has run."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Sym):
@@ -510,15 +511,17 @@ def tree_walk_exact(e, point):
     if isinstance(e, Neg):
         return -tree_walk_exact(e.arg, point)
     if isinstance(e, Div):
+        n = tree_walk_exact(e.num, point)
         d = tree_walk_exact(e.den, point)
         if d == 0:
             raise DivisionByZeroError(e)
-        return tree_walk_exact(e.num, point) / d
+        return n / d
     if isinstance(e, PowInt):
         b = tree_walk_exact(e.base, point)
         if b == 0 and e.exponent < 0:
             raise DivisionByZeroError(e)
         return b**e.exponent
+    tree_walk_exact(e.arg, point)
     raise TranscendentalNodeError(e)
 
 
@@ -578,12 +581,35 @@ class TestCompileExact:
             values += 1
         assert values > 150
 
-    def test_denominator_is_evaluated_before_numerator(self):
-        inner = div(ONE, add(sym(X), neg(sym(X))))  # 1/(x - x): always a pole
-        outer = div(inner, add(sym(Y), neg(sym(Y))))
-        with pytest.raises(DivisionByZeroError) as err:
-            eval_exact(outer, {X: Fraction(1), Y: Fraction(2)})
-        assert err.value.subexpr is outer
+    def test_every_evaluator_blames_the_same_pole(self):
+        # identically zero denominators in numerators, in denominators and
+        # under negative powers: each evaluator raises at the first in
+        # post-order, so a numerator's pole before its denominator's
+        x_pole = div(ONE, add(sym(X), neg(sym(X))))  # 1/(x - x)
+        y_zero = add(sym(Y), neg(sym(Y)))  # y - y
+        y_power = pow_int(y_zero, -2)  # (y - y)^-2
+        cases = [
+            (div(x_pole, y_zero), x_pole),
+            (div(add(x_pole, ONE), y_zero), x_pole),
+            (div(sym(Z), div(ONE, y_zero)), div(ONE, y_zero)),
+            (div(y_power, x_pole), y_power),
+            (div(sym(Z), y_power), y_power),
+            (pow_int(add(x_pole, sym(Z)), -3), x_pole),
+            (mul(sym(Z), y_power, x_pole), y_power),
+            (add(div(sym(Z), y_zero), pow_int(add(sym(X), neg(sym(X))), -1)), div(sym(Z), y_zero)),
+        ]
+        exact = {X: 1, Y: 2, Z: 3}
+        floats = {X: 1.0, Y: 2.0, Z: 3.0}
+        for e, pole in cases:
+            program = compile_exact(((sym(Z), e),))
+            for evaluate in (
+                lambda: normalize_rational(e),
+                lambda: program.run(exact),
+                lambda: program.run_float(floats),
+            ):
+                with pytest.raises(DivisionByZeroError) as err:
+                    evaluate()
+                assert err.value.subexpr is pole
 
     def test_exponential_tree_size_evaluates_once_per_node(self):
         # e_k = x/(1 + k x) built as e_{k+1} = e_k / (e_k + 1): a tree of 2^60
@@ -594,10 +620,15 @@ class TestCompileExact:
         assert eval_exact(e, {X: Fraction(1)}) == Fraction(1, 61)
         assert eval_exact(e, {X: Fraction(2)}) == Fraction(2, 121)
 
-    def test_transcendental_nodes_raise_without_evaluating_their_argument(self):
-        bad = ln(div(ONE, add(sym(X), neg(sym(X)))))
-        with pytest.raises(TranscendentalNodeError):
+    def test_transcendental_nodes_raise_after_their_argument(self):
+        pole = div(ONE, add(sym(X), neg(sym(X))))
+        with pytest.raises(DivisionByZeroError) as err:
+            eval_exact(ln(pole), {X: Fraction(1)})
+        assert err.value.subexpr is pole
+        bad = ln(div(ONE, sym(X)))
+        with pytest.raises(TranscendentalNodeError) as err:
             eval_exact(bad, {X: Fraction(1)})
+        assert err.value.subexpr is bad
         program = compile_exact(((sym(Y), exp(sym(Z))),))
         assert not program.rational
         assert program.symbols == frozenset({Y, Z})
@@ -681,11 +712,11 @@ class TestCompileExact:
             assert err.value.subexpr is pole
 
     def test_pole_after_the_first_transcendental_node_is_not_reached(self):
-        outer = ln(ln(sym(X)))
-        program = compile_exact(((outer, div(ONE, sym(X))),))
+        inner = ln(sym(X))
+        program = compile_exact(((ln(inner), div(ONE, sym(X))),))
         with pytest.raises(TranscendentalNodeError) as err:
             program.run({X: Fraction(0)})
-        assert err.value.subexpr is outer
+        assert err.value.subexpr is inner
         first = exp(sym(Y))
         program = compile_exact(((mul(first, div(ONE, sym(X))), ln(sym(X))),))
         with pytest.raises(TranscendentalNodeError) as err:

@@ -1,12 +1,14 @@
 """The float run of a compiled program against the tree walk it replaced.
 
 ``reference_eval`` is the isinstance tree walker that ``expr.eval_float``
-used to be, kept here as the reference.  On random ln/exp matrices that
-share subtrees, at points that hit poles, ln of non-positive values and
-overflow, ``ExactProgram.run_float`` gives the walk's values bit for bit, or
-raises the walk's first exception: same class, same message, and for a node
-error the same node object.  Shared subtrees run once, so a DAG with 2^60
-paths is zero-tested and ranked in well under a second.
+used to be, kept here as the reference, with a quotient's numerator run
+before its denominator as in every evaluator's post-order.  On random
+ln/exp matrices that share subtrees, at points that hit poles, ln of
+non-positive values and overflow, ``ExactProgram.run_float`` gives the
+walk's values bit for bit, or raises the walk's first exception: same
+class, same message, and for a node error the same node object.  Shared
+subtrees run once, so a DAG with 2^60 paths is zero-tested and ranked in
+well under a second.
 """
 
 import math
@@ -67,10 +69,11 @@ def reference_eval(e, point):
     if isinstance(e, Neg):
         return -reference_eval(e.arg, point)
     if isinstance(e, Div):
+        n = reference_eval(e.num, point)
         d = reference_eval(e.den, point)
         if d == 0.0:
             raise DivisionByZeroError(e)
-        return reference_eval(e.num, point) / d
+        return n / d
     if isinstance(e, PowInt):
         b = reference_eval(e.base, point)
         if b == 0.0 and e.exponent < 0:

@@ -232,7 +232,6 @@ class TestSensorMenus:
         menu = minimal_sensor_sets(scc_condensation(build_graph(sir)))
         assert [s.names() for s in menu.sets] == [("R",)]
         assert not menu.truncated
-        assert all(s.minimal for s in menu.sets)
 
     def test_lv_menu(self, lv):
         menu = minimal_sensor_sets(scc_condensation(build_graph(lv)))

@@ -1,0 +1,54 @@
+"""The float source that ``numeric.compile_functions`` executes, pinned by digest.
+
+The trajectory pins of ``test_rk4_pins`` show that the printed code computes
+the same bits; these show that it is the same text.  For each model both
+programs are captured as they reach ``exec``: the RK4 step of the
+right-hand sides, and the row program of the right-hand sides, the
+conserved quantities and the observed outputs.  The models are the four
+shipped ones, a generated linear chain in shuffled declaration order, and a
+model whose right-hand sides repeat structurally equal subtrees.
+"""
+
+import builtins
+import hashlib
+
+import pytest
+
+from odeobs import numeric
+from odeobs.expr import Symbol
+
+from test_rk4_pins import CASES
+
+# case -> (sha256 of the RK4 step source, sha256 of the row program source)
+DIGESTS = {
+    'chain32_perm1': ('36eb326025df6458fba4fcdbece8768a9f1ac58d2361fc99c5f43f9a46323197', '6b8020521e8af2cb5d7debd73558af9136fe33fc86b9849f883f003adbad9a41'),
+    'lv': ('9f2936a84f1daa631bd726791c1207fe4ce7fca7c5774fea54c068b16b6115a1', 'c12b7759afb048ce4106c1ee25e9e98215ebdd0938f8e964415d0fc6977f8431'),
+    'mm': ('de89f9099c7257ec3e1ea82faaa50abd4fa920a4c4c9a918983838c0e92486b0', '14b63f0117ca300d7d8b84f6d548230d6d5b0f988c5a047772a39212df907ab8'),
+    'shared': ('bac95d84791ce1b7fd1f3eb1f0d376147817be439facd633c0125ca98194ea61', '294e456abd9e831c94056201112f5f8ddb8882e55d4ba09affea21767d966774'),
+    'sir': ('43d3d12ce6c6be52de737dd5d955fdb5bc6ad15d803b4be3504ba9a08a77b78a', '10a88264b6a253dfb833aa39313f5cec47a7652bf573a9ce3b4ec2d94c1a80df'),
+    'toy': ('b138a6f0fc5f89138f0223124edd92e4b38672bff63dcf6ec2013ad727c70090', 'b45ea303a5783baeeaaf8f93bd3507e22f5199c493a6463b12a3472ecc4ab3c4'),
+}
+
+
+def _sources(monkeypatch, name):
+    sources = []
+
+    def recording_exec(source, namespace):
+        sources.append(source)
+        builtins.exec(source, namespace)
+
+    monkeypatch.setattr(numeric, "exec", recording_exec, raising=False)
+    sys, _, params, dt, _ = CASES[name]()
+    params = {Symbol(k, "parameter"): float(v) for k, v in params.items()}
+    exprs = list(sys.rhs) + [q.expr for q in sys.conserved]
+    exprs += [out for obs in sys.observations for out in obs.outputs]
+    numeric.compile_functions(sys.states, sys.rhs, params, dt)
+    numeric.compile_functions(sys.states, exprs, params)
+    return sources
+
+
+@pytest.mark.parametrize("name", ["sir", "mm", "toy", "lv", "chain32_perm1", "shared"])
+def test_printed_source_digests(monkeypatch, name):
+    step, rows = _sources(monkeypatch, name)
+    digests = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (step, rows))
+    assert digests == DIGESTS[name]
