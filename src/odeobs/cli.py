@@ -53,12 +53,21 @@ def _load(path: str) -> OdeSystem:
         raise _InputError(f"model parse error: {exc}") from exc
 
 
-def _write(path: str, text: str) -> None:
+def _write(path: str, text: str, mode: str = "w") -> None:
     try:
-        with open(path, "w", encoding="utf-8") as fh:
+        with open(path, mode, encoding="utf-8") as fh:
             fh.write(text)
     except OSError as exc:
         raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
+def _check_writable(path: Optional[str]) -> None:
+    """Fail before the work, not after it, when ``path`` cannot be written.
+
+    Opening for appending creates a missing file and truncates nothing.
+    """
+    if path:
+        _write(path, "", "a")
 
 
 def _parse_k(text: str):
@@ -78,6 +87,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     k = _parse_k(args.k)
     if args.trials < 1:
         raise _InputError(f"--trials must be at least 1, got {args.trials}")
+    _check_writable(args.json)
     report = build_report(sys_model, seed=args.seed, k=k, trials=args.trials)
     if args.json:
         _write(args.json, report_to_json(report))
@@ -87,6 +97,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_graph(args: argparse.Namespace) -> int:
     sys_model = _load(args.model)
+    _check_writable(args.dot)
     if args.reduce:
         level, sep, var_name = args.reduce.partition(":")
         if not sep or not level or not var_name:
@@ -172,6 +183,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise _InputError(
             f"--T {args.T} over --dt {args.dt} is more steps than an array can index"
         )
+    _check_writable(args.csv)
     try:
         traj = integrate_rk4(sys_model, x0, params, args.dt, args.T)
     except KeyError as exc:

@@ -27,8 +27,8 @@ Jacobian by one order instead of rebuilding them.
 Differentiation is pruned: every expression node knows the symbols of its
 subtree, so a gradient entry walks only the subtrees that mention its
 state, and a subtree over parameters alone (or other states) is ``0`` at
-once.  A node learns its symbols once for its life, whichever embedding or
-state asks first.
+once.  A node's constructor writes its symbols, so no walk gathers them,
+for the rank sampler's symbol draws either.
 """
 
 from __future__ import annotations

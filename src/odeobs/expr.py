@@ -39,9 +39,10 @@ to its instances weakly, and an entry leaves with its instance.
 
 Each node also holds two facts about its subtree: the symbols it mentions,
 and flags for an ln/exp node and for a quotient or ln of a constant zero.
-The first request for them runs one walk that writes them onto every node
-below not yet tabled, once for the node's life.  :func:`free_symbols`,
-:func:`has_ln_exp` and the pruning of :func:`diff` read them.
+Its constructor writes them from its children's facts, which a child holds
+from its own construction on, so every node has them from birth and no walk
+exists to write them.  :func:`free_symbols`, :func:`has_ln_exp`, the
+pruning of :func:`diff` and :func:`compile_exact` read them.
 
 Expression DAGs are lowered to code in one way, with two consumers: the
 DAG's post-order, one instruction per distinct node after those of its
@@ -60,7 +61,7 @@ import math
 import re
 import weakref
 from collections import Counter
-from dataclasses import FrozenInstanceError
+from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -156,12 +157,39 @@ def _enter(cls, key):
     return instance
 
 
+# The flags of a node's subtree.  _POLE: it divides by a constant zero or
+# takes ln of one, so its derivative with respect to anything is a
+# structural ``0/0``, not ``0``.  _LN_EXP: it has an ln or exp node.
+_POLE, _LN_EXP = 1, 2
+
+_NO_SYMBOLS: frozenset = frozenset()
+
+
+def _const_zero(e: "Expr") -> bool:
+    """Whether ``div`` reads ``e`` as the denominator constant zero."""
+    if isinstance(e, Neg):
+        e = e.arg
+    return e is ZERO
+
+
+def _union(nodes) -> tuple:
+    """The symbols and flags of ``nodes`` together."""
+    symbols, flags = _NO_SYMBOLS, 0
+    for n in nodes:
+        flags |= n._flags
+        if not n._symbols <= symbols:
+            # a node's set is reused where it holds all the others
+            symbols = n._symbols if symbols <= n._symbols else symbols | n._symbols
+    return symbols, flags
+
+
 # The constructors of the node classes.  Each looks its key up before it
 # builds; the lookup is written out, not called, because it runs for every
-# node built.
+# node built.  A new node's facts come from ``facts``, its class's rule over
+# its fields, before the node is entered.
 
 
-def _one_field_new(field: str):
+def _one_field_new(field: str, facts):
     def __new__(cls, value):
         key = (cls, value)
         entry = _interned.get(key)
@@ -169,14 +197,17 @@ def _one_field_new(field: str):
             node = entry()
             if node is not None:
                 return node
+        symbols, flags = facts(value)
         node = _enter(cls, key)
         _set_field(node, field, value)
+        _set_field(node, "_symbols", symbols)
+        _set_field(node, "_flags", flags)
         return node
 
     return __new__
 
 
-def _two_field_new(first: str, second: str):
+def _two_field_new(first: str, second: str, facts):
     def __new__(cls, a, b):
         key = (cls, a, b)
         entry = _interned.get(key)
@@ -184,9 +215,12 @@ def _two_field_new(first: str, second: str):
             node = entry()
             if node is not None:
                 return node
+        symbols, flags = facts(a, b)
         node = _enter(cls, key)
         _set_field(node, first, a)
         _set_field(node, second, b)
+        _set_field(node, "_symbols", symbols)
+        _set_field(node, "_flags", flags)
         return node
 
     return __new__
@@ -248,8 +282,8 @@ class Expr(_Interned):
     """Immutable, interned expression node; subclasses are the node kinds.
 
     Besides its fields, a node holds two facts about its subtree, written by
-    :func:`_tabled` when first asked for: the symbols it mentions and flags
-    (:data:`_POLE`, :data:`_LN_EXP`).
+    its constructor from those of its children: the symbols it mentions and
+    flags (:data:`_POLE`, :data:`_LN_EXP`).
     """
 
     __slots__ = ("_symbols", "_flags")
@@ -303,47 +337,67 @@ class Const(Expr):
                 return node
         node = _enter(cls, key)
         _set_field(node, "value", value)
+        _set_field(node, "_symbols", _NO_SYMBOLS)
+        _set_field(node, "_flags", 0)
         return node
+
+
+# The facts rules of Div and Ln: a new node's symbols and flags from its
+# fields.  Add and Mul take _union; the other classes have theirs inline.
+
+
+def _quotient_facts(num: Expr, den: Expr) -> tuple:
+    symbols, flags = _union((num, den))
+    if _const_zero(den):
+        flags |= _POLE
+    return symbols, flags
+
+
+def _ln_facts(arg: Expr) -> tuple:
+    flags = arg._flags | _LN_EXP
+    if _const_zero(arg):
+        flags |= _POLE
+    return arg._symbols, flags
 
 
 class Sym(Expr):
     __slots__ = ("symbol",)
-    __new__ = _one_field_new("symbol")
+    __new__ = _one_field_new("symbol", lambda symbol: (frozenset((symbol,)), 0))
 
 
 class Add(Expr):
     __slots__ = ("terms",)  # >= 2 children, flattened
-    __new__ = _one_field_new("terms")
+    __new__ = _one_field_new("terms", _union)
 
 
 class Mul(Expr):
     __slots__ = ("factors",)  # >= 2 children, flattened, sign hoisted
-    __new__ = _one_field_new("factors")
+    __new__ = _one_field_new("factors", _union)
 
 
 class Neg(Expr):
     __slots__ = ("arg",)
-    __new__ = _one_field_new("arg")
+    __new__ = _one_field_new("arg", lambda arg: (arg._symbols, arg._flags))
 
 
 class Div(Expr):
     __slots__ = ("num", "den")
-    __new__ = _two_field_new("num", "den")
+    __new__ = _two_field_new("num", "den", _quotient_facts)
 
 
 class PowInt(Expr):
     __slots__ = ("base", "exponent")  # exponent: an int, never 0 or 1
-    __new__ = _two_field_new("base", "exponent")
+    __new__ = _two_field_new("base", "exponent", lambda base, exponent: (base._symbols, base._flags))
 
 
 class Ln(Expr):
     __slots__ = ("arg",)
-    __new__ = _one_field_new("arg")
+    __new__ = _one_field_new("arg", _ln_facts)
 
 
 class Exp(Expr):
     __slots__ = ("arg",)
-    __new__ = _one_field_new("arg")
+    __new__ = _one_field_new("arg", lambda arg: (arg._symbols, arg._flags | _LN_EXP))
 
 
 ZERO = Const(Fraction(0))
@@ -497,72 +551,14 @@ def children(e: Expr) -> tuple:
     return ()
 
 
-# The flags of a node's subtree.  _POLE: it divides by a constant zero or
-# takes ln of one, so its derivative with respect to anything is a
-# structural ``0/0``, not ``0``.  _LN_EXP: it has an ln or exp node.
-_POLE, _LN_EXP = 1, 2
-
-
-def _const_zero(e: Expr) -> bool:
-    """Whether ``div`` reads ``e`` as the denominator constant zero."""
-    if isinstance(e, Neg):
-        e = e.arg
-    return e is ZERO
-
-
-def _tabled(root: Expr) -> Expr:
-    """``root``, its facts and those of every subtree written on the nodes.
-
-    A node is tabled once for its life, and a tabled node's subtrees all
-    are, so the walk stops at tabled nodes.  It is a post-order without
-    recursion: a node stays on the stack until all of its children are
-    tabled.
-    """
-    stack = [root]
-    while stack:
-        node = stack[-1]
-        if getattr(node, "_flags", None) is not None:  # tabled before, or pushed twice
-            stack.pop()
-            continue
-        kids = children(node)
-        waiting = False
-        for k in kids:
-            if getattr(k, "_flags", None) is None:
-                stack.append(k)
-                waiting = True
-        if waiting:
-            continue
-        stack.pop()
-        symbols, flags = frozenset(), 0
-        for k in kids:
-            flags |= k._flags
-            if not k._symbols <= symbols:
-                # a child's set is reused where it holds all the others
-                symbols = k._symbols if symbols <= k._symbols else symbols | k._symbols
-        if isinstance(node, Sym):
-            symbols = frozenset((node.symbol,))
-        elif isinstance(node, Div):
-            if _const_zero(node.den):
-                flags |= _POLE
-        elif isinstance(node, (Ln, Exp)):
-            flags |= _LN_EXP
-            if isinstance(node, Ln) and _const_zero(node.arg):
-                flags |= _POLE
-        elif not kids and not isinstance(node, Const):
-            raise TypeError(f"unhandled node {node!r}")
-        _set_field(node, "_symbols", symbols)
-        _set_field(node, "_flags", flags)
-    return root
-
-
 def free_symbols(e: Expr) -> frozenset:
     """All symbols occurring structurally in the expression."""
-    return _tabled(e)._symbols
+    return e._symbols
 
 
 def has_ln_exp(e: Expr) -> bool:
     """Whether the expression has an ln or exp node."""
-    return bool(_tabled(e)._flags & _LN_EXP)
+    return bool(e._flags & _LN_EXP)
 
 
 def diff(e: Expr, v: Symbol, memo: Optional[dict] = None) -> Expr:
@@ -578,11 +574,10 @@ def diff(e: Expr, v: Symbol, memo: Optional[dict] = None) -> Expr:
     one passed as ``memo``; one memo serves one variable and keeps every
     node it has seen alive.
     """
-    return _diff(_tabled(e), v, {} if memo is None else memo)
+    return _diff(e, v, {} if memo is None else memo)
 
 
 def _diff(e: Expr, v: Symbol, memo: dict) -> Expr:
-    # every subtree of a tabled node is tabled
     if v not in e._symbols and not e._flags & _POLE:
         return ZERO
     hit = memo.get(e)
@@ -698,8 +693,6 @@ class _Lowering:
     def __init__(self):
         self.instrs: list = []
         self.by_node: dict = {}  # node -> value id
-        self.symbols: set = set()
-        self.rational = True  # no ln/exp node met
 
     def emit(self, e: Expr) -> int:
         value = self.by_node.get(e)
@@ -707,19 +700,17 @@ class _Lowering:
             return value
         kind = type(e)
         if kind is Sym:
-            self.symbols.add(e.symbol)
             instr = (Sym, (), e.symbol)
         elif kind is Const:
             instr = (Const, (), _exact(e.value))
         else:
-            if kind is Ln or kind is Exp:
-                self.rational = False
             instr = (kind, tuple([self.emit(c) for c in children(e)]), e)
         value = self.by_node[e] = len(self.instrs)
         self.instrs.append(instr)
         return value
 
 
+@dataclass(eq=False, repr=False)
 class ExactProgram:
     """A matrix of expressions compiled to straight-line code.
 
@@ -734,12 +725,10 @@ class ExactProgram:
     """
 
     __slots__ = ("symbols", "rational", "_code", "_outputs")
-
-    def __init__(self, symbols, rational, code, outputs):
-        self.symbols: frozenset = symbols  # every symbol the matrix mentions
-        self.rational: bool = rational  # no ln/exp node
-        self._code: tuple = code
-        self._outputs: tuple = outputs
+    symbols: frozenset  # every symbol the matrix mentions
+    rational: bool  # no ln/exp node
+    _code: tuple
+    _outputs: tuple
 
     def run(self, point: Mapping[Symbol, Fraction]) -> list:
         """Exact values of the entries at ``point``, as a list of rows of int
@@ -848,13 +837,13 @@ class ExactProgram:
 def compile_exact(rows: Sequence[Sequence[Expr]]) -> ExactProgram:
     """Compile a matrix (a sequence of rows of Expr) to an :class:`ExactProgram`.
 
-    The program is the lowering of the entries, row by row, run as it stands.
+    The program is the lowering of the entries, row by row, run as it stands;
+    its symbols and whether it is rational are the entries' facts together.
     """
     lowering = _Lowering()
     outputs = tuple(tuple(lowering.emit(entry) for entry in row) for row in rows)
-    return ExactProgram(
-        frozenset(lowering.symbols), lowering.rational, tuple(lowering.instrs), outputs
-    )
+    symbols, flags = _union([entry for row in rows for entry in row])
+    return ExactProgram(symbols, not flags & _LN_EXP, tuple(lowering.instrs), outputs)
 
 
 # precedence of the printed Python operators, loosest first
@@ -1073,10 +1062,10 @@ def _tokenize(text: str) -> list:
 
 
 class _Parser:
-    def __init__(self, tokens: list, symbols: Mapping[str, Symbol]):
+    def __init__(self, tokens: list, table: Mapping[str, Symbol]):
         self.tokens = tokens
         self.i = 0
-        self.symbols = symbols
+        self.table = table
         self.depth = 0  # parentheses and unary minus signs open at the cursor
 
     def peek(self) -> _Token:
@@ -1166,9 +1155,9 @@ class _Parser:
                 self.expect_op(")")
                 self.depth -= 1
                 return ln(arg) if tok.text == "ln" else exp(arg)
-            if tok.text not in self.symbols:
+            if tok.text not in self.table:
                 raise UnknownSymbolError(tok.text)
-            return Sym(self.symbols[tok.text])
+            return Sym(self.table[tok.text])
         raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
 
 

@@ -161,9 +161,6 @@ class Poly:
             and self.coeffs == other.coeffs
         )
 
-    def __hash__(self):
-        return hash((self.vars, frozenset(self.coeffs.items())))
-
     def __repr__(self) -> str:
         return f"Poly({self.to_str()})"
 
@@ -287,14 +284,14 @@ def _to_fraction_pair(
     return pair
 
 
-def normalize_rational(e: Expr, var_order: Optional[Sequence[Symbol]] = None) -> RationalForm:
+def normalize_rational(e: Expr) -> RationalForm:
     """The rational Expr ``e`` over one common denominator, not reduced.
 
     Raises :class:`DivisionByZeroError` at a quotient by an identically zero
     polynomial, so the returned den is never the zero polynomial.  The
-    variable order defaults to (states, then parameters, each by name).
+    variables are ordered states, then parameters, each by name.
     """
-    vars = tuple(var_order) if var_order is not None else _default_order(e)
+    vars = _default_order(e)
     return RationalForm(*_to_fraction_pair(e, vars, Poly.constant(vars, 1)))
 
 
@@ -342,10 +339,6 @@ class ZeroTestResult:
     @property
     def is_zero_like(self) -> bool:
         return self.kind in (ZERO_EXACT, PROBABLY_ZERO)
-
-    @property
-    def exact(self) -> bool:
-        return self.kind in (ZERO_EXACT, NONZERO_EXACT)
 
 
 def _sample_point(rng: random.Random, symbols: Sequence[Symbol]) -> dict:

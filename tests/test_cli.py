@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import odeobs.cli
 from odeobs.cli import main
 from odeobs.expr import MAX_NESTING
 from odeobs.report import render_text
@@ -398,15 +399,22 @@ class TestMutatedModels:
 
     # each shipped model with a conserved quantity and a state to eliminate
     REDUCTIONS = {"sir": "N:S", "mm": "S0:s", "toy": "Q0:R", "lv": "Q0:r"}
+    # and with an initial state and parameter values for it
+    SIMULATIONS = {
+        "sir": ("997,3,0", "beta=0.0004,lambda=0.04"),
+        "mm": ("1,2,0,0", "k1=1,km1=0.5,k2=0.3"),
+        "toy": ("1,1", "a=1"),
+        "lv": ("2,1", "R=1,D=0.5,B=0.2,M=0.6"),
+    }
 
     def _cases(self):
-        """300 seeded mutations of the shipped models, each with the
-        ``--reduce`` argument of the model it was mutated from."""
+        """300 seeded mutations of the shipped models, each with the name of
+        the model it was mutated from."""
         rng = random.Random(20261018)
         shipped = [(name, model_path(name).read_text()) for name in self.REDUCTIONS]
         for _ in range(300):
             name, text = rng.choice(shipped)
-            yield self.REDUCTIONS[name], self._mutate(rng, text)
+            yield name, self._mutate(rng, text)
 
     def test_analyze_never_reaches_the_catch_all(self, tmp_path, capsys):
         model = tmp_path / "mutated.model"
@@ -422,8 +430,9 @@ class TestMutatedModels:
     def test_verify_and_reduced_graph_never_reach_the_catch_all(self, tmp_path, capsys):
         model = tmp_path / "mutated.model"
         codes = {"verify": set(), "graph": set()}
-        for case, (reduce, text) in enumerate(self._cases()):
+        for case, (name, text) in enumerate(self._cases()):
             model.write_text(text)
+            reduce = self.REDUCTIONS[name]
             for argv in (("verify", str(model)), ("graph", str(model), "--reduce", reduce)):
                 code, _, err = run(capsys, *argv)
                 assert code in (0, 1, 2, 3), (case, argv, text)
@@ -431,6 +440,21 @@ class TestMutatedModels:
                 codes[argv[0]].add(code)
         assert {0, 1, 3} <= codes["verify"]
         assert {0, 1, 2} <= codes["graph"]
+
+    def test_simulate_and_plain_graph_never_reach_the_catch_all(self, tmp_path, capsys):
+        model = tmp_path / "mutated.model"
+        codes = {"simulate": set(), "graph": set()}
+        for case, (name, text) in enumerate(self._cases()):
+            model.write_text(text)
+            x0, params = self.SIMULATIONS[name]
+            simulate = ("simulate", str(model), "--x0", x0, "--params", params, "--dt", "0.1", "--T", "1")
+            for argv in (simulate, ("graph", str(model))):
+                code, _, err = run(capsys, *argv)
+                assert code in (0, 1, 2), (case, argv, text)
+                assert not err.startswith("internal error"), (case, argv, text, err)
+                codes[argv[0]].add(code)
+        assert {0, 1} <= codes["simulate"]
+        assert {0, 1} <= codes["graph"]
 
 
 class TestSimulate:
@@ -553,3 +577,30 @@ class TestSimulate:
         )
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
+
+
+SIR_SIMULATION = ("--x0", "997,3,0", "--params", "beta=0.0004,lambda=0.04", "--dt", "0.1", "--T", "1")
+
+
+@pytest.mark.parametrize(
+    "command, options, work",
+    [
+        ("analyze", ("--json",), "build_report"),
+        ("graph", ("--dot",), "build_graph"),
+        ("simulate", SIR_SIMULATION + ("--csv",), "integrate_rk4"),
+    ],
+)
+def test_unwritable_path_fails_before_the_work(tmp_path, capsys, monkeypatch, command, options, work):
+    def not_reached(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(odeobs.cli, work, not_reached)
+    path = tmp_path / "missing" / "sir.out"
+    code, out, err = run(capsys, command, str(model_path("sir")), *options, str(path))
+    assert (code, out) == (1, "")
+    assert err == f"error: cannot write {path}: No such file or directory\n"
+    # a writable path is created empty before the work, and stays so when the work fails
+    path = tmp_path / "sir.out"
+    code, _, err = run(capsys, command, str(model_path("sir")), *options, str(path))
+    assert (code, err) == (2, f"internal error: {work} ran\n")
+    assert path.read_text() == ""

@@ -6,6 +6,7 @@ import math
 import pickle
 import random
 import time
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -702,6 +703,7 @@ class TestCompileExact:
             assert program.symbols == frozenset().union(
                 *(free_symbols(e) for row in rows for e in row)
             )
+            assert program.rational is not any(has_ln_exp(e) for row in rows for e in row)
 
     def test_pole_before_the_first_transcendental_node_is_reported(self):
         pole = div(sym(Y), sym(X))
@@ -931,6 +933,49 @@ def _assert_same_derivative(pruned, reference):
     assert pruned == reference
 
 
+def _reference_facts(e, memo):
+    """Reference node facts: a plain recursive walk, memoized by identity."""
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    symbols, flags = frozenset(), 0
+    if isinstance(e, Sym):
+        symbols = frozenset({e.symbol})
+    elif not isinstance(e, Const):
+        if isinstance(e, Add):
+            kids = e.terms
+        elif isinstance(e, Mul):
+            kids = e.factors
+        elif isinstance(e, Div):
+            kids = (e.num, e.den)
+        elif isinstance(e, PowInt):
+            kids = (e.base,)
+        else:
+            kids = (e.arg,)
+        for k in kids:
+            k_symbols, k_flags = _reference_facts(k, memo)
+            symbols, flags = symbols | k_symbols, flags | k_flags
+        zeros = (ZERO_CONST, Neg(ZERO_CONST))
+        if isinstance(e, Div) and e.den in zeros or isinstance(e, Ln) and e.arg in zeros:
+            flags |= odeobs.expr._POLE
+        if isinstance(e, (Ln, Exp)):
+            flags |= odeobs.expr._LN_EXP
+    memo[id(e)] = (e, (symbols, flags))
+    return symbols, flags
+
+
+def _nodes_with_reference_facts(root):
+    memo = {}
+    _reference_facts(root, memo)
+    return memo.values()
+
+
+def _assert_facts_written(root):
+    """Every node of ``root`` holds the reference facts, read off its slots."""
+    for node, facts in _nodes_with_reference_facts(root):
+        assert (node._symbols, node._flags) == facts, node
+
+
 class TestPrunedDiff:
     def test_matches_the_unpruned_walk_on_random_expressions(self):
         rng = random.Random(71)
@@ -992,8 +1037,8 @@ class TestPrunedDiff:
             assert (diff(e, Y) == ZERO_CONST) is (Y not in symbols and not has_pole)
         assert [has_ln_exp(e) for e, _, _ in cases] == [False] * 4 + [True]
 
-    def test_node_facts_walk_does_not_recurse(self):
-        # both walks start at the 5,000-level root of a tree not tabled yet
+    def test_node_facts_of_a_deep_tree_need_no_recursion(self):
+        # a 5,000-level tree, whose root's facts are read and pruned at once
         def deep(v, w):
             e = sym(X)
             for _ in range(5000):
@@ -1004,6 +1049,27 @@ class TestPrunedDiff:
         e = deep(B, A)
         assert diff(e, Y) == ZERO_CONST
         assert free_symbols(e) == {X, A, B}
+
+    def test_node_facts_match_the_reference_walk(self):
+        rng = random.Random(79)
+        trees = []
+        for _ in range(500):
+            trees.append(_pruning_expr(rng, rng.randint(1, 4), []))
+            trees.append(random_expr(rng, depth=4, allow_ln=True))
+        kinds = {type(node) for tree in trees for node, _ in _nodes_with_reference_facts(tree)}
+        assert {Ln, Exp, Div} <= kinds
+        assert any(tree._flags & odeobs.expr._POLE for tree in trees)
+        for tree in trees:
+            _assert_facts_written(tree)
+            assert copy.copy(tree) is tree and copy.deepcopy(tree) is tree
+        # unpickled after the originals died, so built anew from the pickle
+        data = pickle.dumps(trees)
+        alive = [weakref.ref(tree) for tree in trees]
+        del trees
+        gc.collect()
+        assert any(ref() is None for ref in alive)
+        for tree in pickle.loads(data):
+            _assert_facts_written(tree)
 
     def test_parameter_only_subtrees_are_not_walked(self):
         # a parameter-only factor is not differentiated: only x and the
@@ -1041,3 +1107,5 @@ class TestPrunedDiff:
                     row = jac.entries[o * (k + 1) + d]
                     for s, entry in zip(jac.states, row):
                         _assert_same_derivative(entry, _unpruned_diff(component, s, {}))
+                        # the node facts of every compiled entry, last rows included
+                        _assert_facts_written(entry)

@@ -30,8 +30,8 @@ from odeobs.model import (
 from odeobs.poly import normalize_rational
 
 
-def semantically_equal(a, b, var_order=None):
-    return normalize_rational(add(a, neg(b)), var_order=var_order).num.is_zero
+def semantically_equal(a, b):
+    return normalize_rational(add(a, neg(b))).num.is_zero
 
 
 SIR_TEXT = """

@@ -49,9 +49,9 @@ X = Symbol("x", "state")
 class TestNormalize:
     def test_sum_over_common_denominator(self):
         table = {"S": S, "I": I}
-        rf = normalize_rational(parse_expr("S/I + 1", table), var_order=(S, I))
-        assert rf.num == Poly((S, I), {(1, 0): Fraction(1), (0, 1): Fraction(1)})
-        assert rf.den == Poly((S, I), {(0, 1): Fraction(1)})
+        rf = normalize_rational(parse_expr("S/I + 1", table))
+        assert rf.num == Poly((I, S), {(0, 1): Fraction(1), (1, 0): Fraction(1)})
+        assert rf.den == Poly((I, S), {(1, 0): Fraction(1)})
 
     def test_gcd_cancellation(self):
         # the form is not reduced: (x^2 - 1)/(x - 1) keeps its factor x - 1,
