@@ -179,7 +179,8 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise _InputError("need dt > 0 and T >= dt")
     # the trajectory holds n float64 values per step, and numpy indexes at
     # most sys.maxsize bytes
-    if not args.T / args.dt * sys_model.n * 8 < _sys.maxsize:
+    size = args.T / args.dt * sys_model.n * 8
+    if not size < _sys.maxsize:
         raise _InputError(
             f"--T {args.T} over --dt {args.dt} is more steps than an array can index"
         )
@@ -187,7 +188,12 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     try:
         traj = integrate_rk4(sys_model, x0, params, args.dt, args.T)
     except KeyError as exc:
-        raise _InputError(str(exc)) from exc
+        raise _InputError(exc.args[0]) from exc
+    except MemoryError:
+        raise _InputError(
+            f"--T {args.T} over --dt {args.dt} needs a {size:.3g}-byte trajectory, "
+            "more memory than can be allocated"
+        ) from None
     except EvaluationError as exc:
         _sys.stderr.write(f"integration failed: {exc}\n")
         return EXIT_ANALYSIS

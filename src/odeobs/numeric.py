@@ -2,10 +2,12 @@
 
 The integrator is a deliberately plain fixed-step classical Runge-Kutta: the
 systems here are smooth and small, and a fixed grid keeps drift measurements
-and output comparisons deterministic.  Each run compiles the whole step
-into one generated straight-line function of the n state scalars: the four
-stages, their inputs and the update, with structurally equal subexpressions
-computed once per stage.  The loop calls it once per step.  Drift and
+and output comparisons deterministic.  Each run compiles the time loop
+itself into one generated function of the n state scalars: its body is the
+whole step in straight-line code, the four stages, their inputs and the
+update, with structurally equal subexpressions computed once per stage.
+The state stays in local variables, and ``integrate_rk4`` calls the loop
+once per block of rows, each row appended as it is computed.  Drift and
 observed outputs run the same kind of program over the trajectory, reading
 Python floats a block of rows at a time; so a pole on the trajectory raises
 ``ZeroDivisionError`` instead of turning into ``inf``.  The source is printed
@@ -33,7 +35,7 @@ from .graph import build_graph, forward_closure
 from .model import ConservedQuantity, ObservationSet, OdeSystem
 
 ZERO_DISTANCE = 1e-12  # outputs closer than this over the grid count as identical
-_ROW_BLOCK = 256  # trajectory rows read as Python floats at a time
+_ROW_BLOCK = 256  # trajectory rows integrated, or read as Python floats, at a time
 
 
 class EvaluationError(Exception):
@@ -89,10 +91,15 @@ def compile_functions(
 
     Without ``dt`` the result maps a list of state rows to a list of tuples:
     each row's value of every expression.  With ``dt`` the expressions are the
-    right-hand sides and the result is one classical RK4 step: a function of
-    the n state scalars that returns the next state as a tuple.  Each stage
-    evaluates the right-hand sides at ``x + (dt/2)*k`` or ``x + dt*k``, and
-    the update is ``x + dt/6*(k1 + 2.0*k2 + 2.0*k3 + k4)``.
+    right-hand sides and the result is a classical RK4 loop
+    ``run(x0, ..., x{n-1}, steps, append)``: it takes up to ``steps`` steps
+    from the given state and passes each new state to ``append`` as a tuple.
+    Each stage evaluates the right-hand sides at ``x + (dt/2)*k`` or
+    ``x + dt*k``, and the update is ``x + dt/6*(k1 + 2.0*k2 + 2.0*k3 + k4)``.
+    At the first state with a non-finite entry it returns ``True`` without
+    appending that state; after ``steps`` steps it returns ``False``.  A
+    stage's ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``
+    propagates, and the states appended before it are the trajectory so far.
     """
     emit = FloatPrinter(exprs, params).emit
     xs = [f"x{i}" for i in range(len(states))]
@@ -109,24 +116,34 @@ def compile_functions(
         ]
     else:
         # dt > 0, so every scale prints as a plain literal; repr round-trips
-        lines = [f"def _compiled({args}):"]
+        lines = [f"def _compiled({args} steps, append):", "    for _ in range(steps):"]
         ks: List[List[str]] = []
         for stage, scale in enumerate((None, dt / 2.0, dt / 2.0, dt), start=1):
             inputs = xs
             if scale is not None:
                 inputs = [f"u{stage}_{i}" for i in range(len(xs))]
                 lines += [
-                    f"    {u} = {x} + {scale!r} * {k}" for u, x, k in zip(inputs, xs, ks[-1])
+                    f"        {u} = {x} + {scale!r} * {k}" for u, x, k in zip(inputs, xs, ks[-1])
                 ]
             ks.append([f"k{stage}_{i}" for i in range(len(xs))])
             values = emit(dict(zip(states, inputs)))
-            lines += [f"    {k} = {v}" for k, v in zip(ks[-1], values)]
-        update = ", ".join(
-            f"{x} + {dt / 6.0!r} * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+            lines += [f"        {k} = {v}" for k, v in zip(ks[-1], values)]
+        # each update reads only its own state and ks, so updating in place
+        # computes what a simultaneous update would
+        lines += [
+            f"        {x} = {x} + {dt / 6.0!r} * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
             for x, a, b, c, d in zip(xs, *ks)
-        )
-        lines.append(f"    return ({update},)")
-    namespace = {"math": math, "inf": math.inf, "nan": math.nan}
+        ]
+        # a sum of finite entries can overflow, so only a non-finite sum
+        # pays for the test of each entry
+        lines += [
+            f"        row = ({args})",
+            "        if not isfinite(sum(row)) and not all(map(isfinite, row)):",
+            "            return True",
+            "        append(row)",
+            "    return False",
+        ]
+    namespace = {"math": math, "inf": math.inf, "nan": math.nan, "isfinite": math.isfinite}
     exec("\n".join(lines) + "\n", namespace)
     return namespace["_compiled"]
 
@@ -159,30 +176,27 @@ def integrate_rk4(
         raise ValueError("dt must be positive")
     if T < dt:
         raise ValueError("T must be at least dt")
-    step = compile_functions(sys.states, sys.rhs, _normalize_params(sys, params), dt)
+    run = compile_functions(sys.states, sys.rhs, _normalize_params(sys, params), dt)
     steps = int(math.floor(T / dt + 1e-9))
     x = _normalize_x0(sys, x0).tolist()
     values = np.empty((steps + 1, sys.n), dtype=float)
     values[0] = x
     diverged = False
-    filled = steps + 1
-    isfinite = math.isfinite
-    for i in range(steps):
+    filled = 1
+    while filled <= steps and not diverged:
+        rows: List[Tuple[float, ...]] = []
         try:
-            x = step(*x)
+            diverged = run(*x, min(_ROW_BLOCK, steps + 1 - filled), rows.append)
         except ZeroDivisionError:
-            raise EvaluationError(i * dt, "division by zero") from None
+            raise EvaluationError((filled + len(rows) - 1) * dt, "division by zero") from None
         except ValueError as exc:
-            raise EvaluationError(i * dt, str(exc)) from None
+            raise EvaluationError((filled + len(rows) - 1) * dt, str(exc)) from None
         except OverflowError:
             diverged = True
-            filled = i + 1
-            break
-        if not all(map(isfinite, x)):
-            diverged = True
-            filled = i + 1
-            break
-        values[i + 1] = x
+        if rows:
+            values[filled:filled + len(rows)] = rows
+            filled += len(rows)
+            x = rows[-1]
     times = np.arange(filled) * dt
     return Trajectory(
         states=sys.states,
@@ -221,7 +235,8 @@ def conserved_drift(traj: Trajectory, quantity: Union[ConservedQuantity, Expr]) 
     """max over the grid of |H(x(t)) - H(x(0))|."""
     expr = quantity.expr if isinstance(quantity, ConservedQuantity) else quantity
     series = _scalars(traj, [expr])(traj)[:, 0]
-    return float(np.max(np.abs(series - series[0])))
+    with np.errstate(invalid="ignore"):  # H(x(0)) = inf gives inf - inf: the drift is nan
+        return float(np.max(np.abs(series - series[0])))
 
 
 def _output_distance(series_a: np.ndarray, series_b: np.ndarray) -> float:

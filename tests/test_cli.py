@@ -578,6 +578,71 @@ class TestSimulate:
         assert (code, out) == (1, "")
         assert err == f"error: {message}\n"
 
+    def test_grid_numpy_cannot_allocate_is_input_error(self, capsys):
+        # 2.4e15 bytes is past the user address space: refused at once, nothing touched
+        code, out, err = run(
+            capsys, "simulate", str(model_path("sir")), "--x0", "1,1,1",
+            "--params", "beta=1,lambda=1", "--dt", "1e-9", "--T", "1e5",
+        )
+        assert (code, out) == (1, "")
+        assert err == (
+            "error: --T 100000.0 over --dt 1e-09 needs a 2.4e+15-byte trajectory, "
+            "more memory than can be allocated\n"
+        )
+
+    @pytest.mark.parametrize(
+        "params, message",
+        [
+            ("beta=1", "missing parameter values for ['lambda']"),
+            ("beta=1,lambda=1,gamma=2", "unknown parameter 'gamma'"),
+        ],
+    )
+    def test_parameter_error_is_printed_without_quotes(self, capsys, params, message):
+        code, out, err = run(
+            capsys, "simulate", str(model_path("sir")), "--x0", "1,1,1",
+            "--params", params, "--dt", "0.1", "--T", "1",
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    # model -> (x0, params) of a run that stays finite
+    SHIPPED = {
+        "sir": ("997,3,0", "beta=0.0004,lambda=0.04"),
+        "toy": ("2,5", "a=1"),
+        "lv": ("2,1", "R=2,D=1,B=1,M=1"),
+        "mm": ("1,5,0,0", "k1=2,km1=1,k2=0.5"),
+    }
+    EXTREMES = ["0", "-1", "-0.5", "nan", "inf", "-inf", "1e-300", "1e300"]
+
+    def test_numeric_flags_never_reach_the_catch_all(self, capsys):
+        rng = random.Random(16)
+        codes, unallocatable = set(), 0
+        for case in range(120):
+            name = rng.choice(sorted(self.SHIPPED))
+            x0, params = self.SHIPPED[name]
+            n = len(x0.split(","))
+            while True:
+                dt = rng.choice(self.EXTREMES + ["0.01", "0.25", "1e-9"])
+                T = rng.choice(self.EXTREMES + ["1", "10", "1e5"])
+                steps = float(T) / float(dt) if float(dt) > 0 else 0.0
+                # a grid between the bands would be allocated and integrated for minutes
+                if not 1e4 < steps < 2**50 / (8 * n):
+                    break
+            entries = x0.split(",")
+            if rng.random() < 0.5:
+                entries[rng.randrange(n)] = rng.choice(self.EXTREMES)
+            # "--flag=value", so that argparse reads a leading minus as part of the value
+            argv = (
+                "simulate", str(model_path(name)), "--x0=" + ",".join(entries),
+                "--params", params, "--dt=" + dt, "--T=" + T,
+            )
+            code, _, err = run(capsys, *argv)
+            assert code in (0, 1, 2), (case, argv, err)
+            assert "internal error" not in err, (case, argv, err)
+            codes.add(code)
+            unallocatable += "more memory than can be allocated" in err
+        assert {0, 1} <= codes
+        assert unallocatable > 0
+
 
 SIR_SIMULATION = ("--x0", "997,3,0", "--params", "beta=0.0004,lambda=0.04", "--dt", "0.1", "--T", "1")
 

@@ -11,6 +11,8 @@ import odeobs.numeric
 from odeobs.expr import Add, Const, Div, Exp, Ln, Mul, Neg, PowInt, Sym, children, parse_expr
 from odeobs.model import ObservationSet, parse_model, reduce_by_conserved, verify_all_conserved
 from odeobs.numeric import (
+    _ROW_BLOCK,
+    EvaluationError,
     compile_functions,
     conserved_drift,
     distinguishability,
@@ -131,6 +133,91 @@ class TestIntegrateRk4:
         assert traj.values[-1][0] == 12.0
 
 
+def _reference_run(sys, x0, params, dt, steps):
+    """Reference RK4 loop: one ``_reference_step`` per step, each row checked.
+
+    Returns the rows up to the first non-finite one and whether the run
+    stopped there; a stage error is raised as ``integrate_rk4`` names it.
+    """
+    point = {p: float(params[p.name]) for p in sys.params}
+    rows = [tuple(x0)]
+    for i in range(steps):
+        try:
+            x = _reference_step(sys.states, sys.rhs, point, dt, rows[-1])
+        except OverflowError:
+            return rows, True
+        except ZeroDivisionError:
+            raise EvaluationError(i * dt, "division by zero") from None
+        except ValueError as exc:
+            raise EvaluationError(i * dt, str(exc)) from None
+        if not all(map(math.isfinite, x)):
+            return rows, True
+        rows.append(x)
+    return rows, False
+
+
+class TestBlockLoop:
+    """``integrate_rk4`` runs ``_ROW_BLOCK`` steps per call of the generated loop."""
+
+    DT = 2.0**-6  # every grid time below is exact
+
+    def _model(self, rhs):
+        lines = ["model: m", "params: a", "states: x, y"]
+        return parse_model("\n".join(lines + [f"d{s}/dt = {rhs[s]}" for s in "xy"]) + "\n")
+
+    def _same_as_reference(self, sys, x0, params, dt, steps):
+        traj = integrate_rk4(sys, x0, params, dt, steps * dt)
+        rows, diverged = _reference_run(sys, x0, params, dt, steps)
+        assert traj.values.tobytes() == np.array(rows).tobytes()
+        assert traj.diverged == diverged
+        assert np.array_equal(traj.times, np.arange(len(rows)) * dt)
+        return traj
+
+    def test_partial_last_block_matches_a_per_step_loop(self, lv):
+        steps = 3 * _ROW_BLOCK + 17
+        traj = self._same_as_reference(lv, LV_X0, LV_PARAMS, self.DT, steps)
+        assert not traj.diverged and len(traj.times) == steps + 1
+
+    @pytest.mark.parametrize(
+        "rhs",
+        [
+            {"x": "a*x*y", "y": "x*y"},  # a product reaches inf: the non-finite row
+            {"x": "a*x^3", "y": "x"},  # a float power overflows: OverflowError
+        ],
+    )
+    def test_divergence_past_the_first_block_truncates_where_a_per_step_loop_does(self, rhs):
+        sys = self._model(rhs)
+        traj = self._same_as_reference(sys, (0.5, 0.5), {"a": 1.0}, 2.0**-9, 8 * _ROW_BLOCK)
+        assert traj.diverged and _ROW_BLOCK + 1 < len(traj.times) < 8 * _ROW_BLOCK
+
+    @pytest.mark.parametrize(
+        "rhs, message",
+        [
+            # x reaches 0 exactly on the grid, a pole of dy/dt
+            ({"x": "-a", "y": "1/x"}, "division by zero"),
+            # x goes negative inside a stage, and dy/dt takes its ln
+            ({"x": "-a", "y": "ln(x)"}, "math domain error"),
+        ],
+    )
+    def test_stage_error_past_the_first_block_names_the_same_time(self, rhs, message):
+        sys = self._model(rhs)
+        x0 = ((_ROW_BLOCK + 40) * self.DT, 0.0)
+        steps = 2 * _ROW_BLOCK
+        with pytest.raises(EvaluationError) as expected:
+            _reference_run(sys, x0, {"a": 1.0}, self.DT, steps)
+        with pytest.raises(EvaluationError) as got:
+            integrate_rk4(sys, x0, {"a": 1.0}, self.DT, steps * self.DT)
+        assert (got.value.t, str(got.value)) == (expected.value.t, str(expected.value))
+        assert got.value.reason == message and got.value.t > _ROW_BLOCK * self.DT
+
+    def test_finite_row_whose_sum_overflows_is_not_divergence(self):
+        sys = self._model({"x": "a*y", "y": "a*x"})
+        steps = _ROW_BLOCK + 3
+        traj = self._same_as_reference(sys, (1e308, 1e308), {"a": 0.0}, self.DT, steps)
+        assert not traj.diverged and len(traj.times) == steps + 1
+        assert np.all(traj.values == 1e308)
+
+
 class TestCompiledPrograms:
     SYMS = parse_model("model: s\nparams: k\nstates: x, y\ndx/dt = x\ndy/dt = y\n")
 
@@ -168,8 +255,10 @@ class TestCompiledPrograms:
 
     def test_one_state_step_returns_a_one_tuple(self):
         sys = parse_model("model: d\nparams: a\nstates: x\ndx/dt = -a*x\n")
-        step = compile_functions(sys.states, sys.rhs, {sys.params[0]: 1.0}, 0.5)
-        x = step(1.0)
+        run = compile_functions(sys.states, sys.rhs, {sys.params[0]: 1.0}, 0.5)
+        rows = []
+        assert run(1.0, 1, rows.append) is False
+        (x,) = rows
         assert isinstance(x, tuple) and len(x) == 1
         # classical RK4 for x' = -x over h = 1/2: 1 - h + h^2/2 - h^3/6 + h^4/24
         assert x[0] == pytest.approx(1 - 0.5 + 0.125 - 0.125 / 6 + 0.0625 / 24, rel=1e-15)
@@ -185,21 +274,28 @@ class TestCompiledPrograms:
             params = {A: rng.choice([0.5, -1.5]), B: rng.choice([2.0, -0.25])}
             # -1 and -2 are poles of the random denominators (symbol + 1..5)
             x = tuple(rng.choice([-1.0, -2.0, rng.uniform(-2.0, 2.0)]) for _ in range(3))
-            step = compile_functions((X, Y, Z), rhs, params, 0.01)
+            run = compile_functions((X, Y, Z), rhs, params, 0.01)
             for _ in range(3):
+                rows = []
                 try:
                     expected = _reference_step((X, Y, Z), rhs, params, 0.01, x)
                 except (ArithmeticError, ValueError) as exc:
                     with pytest.raises(type(exc)) as info:
-                        step(*x)
+                        run(*x, 1, rows.append)
                     assert str(info.value) == str(exc)
                     outcomes.add(type(exc).__name__)
                     break
-                got = step(*x)
+                diverged = run(*x, 1, rows.append)
+                if diverged:
+                    # a non-finite row is reported, not appended
+                    assert rows == [] and not all(map(math.isfinite, expected))
+                    outcomes.add("diverged")
+                    break
+                (got,) = rows
                 assert [v.hex() for v in got] == [v.hex() for v in expected]
                 outcomes.add("ok")
                 x = got
-        assert {"ok", "ZeroDivisionError", "OverflowError"} <= outcomes
+        assert {"ok", "ZeroDivisionError", "OverflowError", "diverged"} <= outcomes
 
     def test_non_finite_parameter_is_a_value(self, toy):
         traj = integrate_rk4(toy, (1.0, 1.0), {"a": math.inf}, 0.1, 1.0)

@@ -19,14 +19,14 @@ from odeobs.expr import Symbol
 
 from test_rk4_pins import CASES
 
-# case -> (sha256 of the RK4 step source, sha256 of the row program source)
+# case -> (sha256 of the RK4 loop source, sha256 of the row program source)
 DIGESTS = {
-    'chain32_perm1': ('36eb326025df6458fba4fcdbece8768a9f1ac58d2361fc99c5f43f9a46323197', '6b8020521e8af2cb5d7debd73558af9136fe33fc86b9849f883f003adbad9a41'),
-    'lv': ('9f2936a84f1daa631bd726791c1207fe4ce7fca7c5774fea54c068b16b6115a1', 'c12b7759afb048ce4106c1ee25e9e98215ebdd0938f8e964415d0fc6977f8431'),
-    'mm': ('de89f9099c7257ec3e1ea82faaa50abd4fa920a4c4c9a918983838c0e92486b0', '14b63f0117ca300d7d8b84f6d548230d6d5b0f988c5a047772a39212df907ab8'),
-    'shared': ('bac95d84791ce1b7fd1f3eb1f0d376147817be439facd633c0125ca98194ea61', '294e456abd9e831c94056201112f5f8ddb8882e55d4ba09affea21767d966774'),
-    'sir': ('43d3d12ce6c6be52de737dd5d955fdb5bc6ad15d803b4be3504ba9a08a77b78a', '10a88264b6a253dfb833aa39313f5cec47a7652bf573a9ce3b4ec2d94c1a80df'),
-    'toy': ('b138a6f0fc5f89138f0223124edd92e4b38672bff63dcf6ec2013ad727c70090', 'b45ea303a5783baeeaaf8f93bd3507e22f5199c493a6463b12a3472ecc4ab3c4'),
+    'chain32_perm1': ('dd28b55739e764e257274ac83686a8931b09eafd542afa679a9c00f954ab6475', '6b8020521e8af2cb5d7debd73558af9136fe33fc86b9849f883f003adbad9a41'),
+    'lv': ('cb316f9e0afb3da1c99248184bb04afe1a5523e90de6457939ced1ad43137561', 'c12b7759afb048ce4106c1ee25e9e98215ebdd0938f8e964415d0fc6977f8431'),
+    'mm': ('cbbb23723f48ae2f06378090b62239b0d6e589d27dd0089416dceb4fd96db133', '14b63f0117ca300d7d8b84f6d548230d6d5b0f988c5a047772a39212df907ab8'),
+    'shared': ('2431316697378c0aaa61d2a71d918ac81f15beadc251c5cb6c2d91a50195a8a3', '294e456abd9e831c94056201112f5f8ddb8882e55d4ba09affea21767d966774'),
+    'sir': ('5329ac665d65782aa13fc1e03e394b7b878befea234e993944843467e3ef64d5', '10a88264b6a253dfb833aa39313f5cec47a7652bf573a9ce3b4ec2d94c1a80df'),
+    'toy': ('4d7d397d1d9565a08250da584ff234f656976f4623690de292bf6c52dec22f16', 'b45ea303a5783baeeaaf8f93bd3507e22f5199c493a6463b12a3472ecc4ab3c4'),
 }
 
 
