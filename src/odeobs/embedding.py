@@ -89,10 +89,6 @@ class EmbeddingJacobian:
     entries: Tuple[Tuple[Expr, ...], ...]  # rows x states
     states: Tuple[Symbol, ...]
 
-    @property
-    def n(self) -> int:
-        return len(self.states)
-
 
 @dataclass(frozen=True)
 class RankVerdict:
@@ -263,18 +259,17 @@ def generic_rank(
 
 
 def rank_at_point(j: EmbeddingJacobian, point: Mapping[Symbol, Fraction]) -> int:
-    """Exact rank of the Jacobian at one fully bound rational point."""
+    """Exact rank of the Jacobian at one fully bound rational point, where
+    degenerate loci are checked.  A pole raises ``DivisionByZeroError``."""
     return linalg.rank(compile_exact(j.entries).run(point))
 
 
 @dataclass(frozen=True)
 class ObservabilityAssessment:
-    label: str
     k: int
     n: int
     rank: RankVerdict
     observable: bool
-    probe_ranks: Tuple[Tuple[dict, Optional[int]], ...]
     rank_growing: Optional[bool]  # rank still increasing past order k; never from k >= n-1
 
 
@@ -284,27 +279,17 @@ def observability_verdict(
     k: Union[int, str] = AUTO_ORDER,
     seed: int = 0,
     trials: int = DEFAULT_TRIALS,
-    probe_points: Sequence[Mapping[Symbol, Fraction]] = (),
 ) -> ObservabilityAssessment:
     """Bundle embedding construction, Jacobian, and the generic rank test.
 
-    ``probe_points`` are user-supplied full assignments at which the local
-    rank is also reported (degenerate loci are found by inspection, not
-    solved for).  When the generic rank falls short of n, ``rank_growing``
-    says whether the rank was still growing: ``False`` at order n-1 or above,
-    where the rank has stopped for good, and otherwise the sampled rank of
-    the embedding extended one order higher.
+    When the generic rank falls short of n, ``rank_growing`` says whether
+    the rank was still growing: ``False`` at order n-1 or above, where the
+    rank has stopped for good, and otherwise the sampled rank of the
+    embedding extended one order higher.
     """
     embedding = build_embedding(sys, obs, k)
     jac = jacobian(embedding, sys)
     verdict = generic_rank(jac, seed=seed, trials=trials)
-    probes = []
-    program = compile_exact(jac.entries) if probe_points else None
-    for point in probe_points:
-        try:
-            probes.append((dict(point), linalg.rank(program.run(point))))
-        except (DivisionByZeroError, ZeroDivisionError):
-            probes.append((dict(point), None))
     rank_growing: Optional[bool] = None
     if verdict.generic_rank < sys.n:
         if embedding.order >= sys.n - 1:
@@ -319,11 +304,9 @@ def observability_verdict(
             higher_verdict = generic_rank(jacobian(higher, sys), seed=seed, trials=trials)
             rank_growing = higher_verdict.generic_rank > verdict.generic_rank
     return ObservabilityAssessment(
-        label=obs.label,
         k=embedding.order,
         n=sys.n,
         rank=verdict,
         observable=verdict.generic_rank == sys.n,
-        probe_ranks=tuple(probes),
         rank_growing=rank_growing,
     )

@@ -65,9 +65,6 @@ from dataclasses import FrozenInstanceError, dataclass
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
-# Exact arithmetic substrate: always lowest terms, positive denominator.
-Rational = Fraction
-
 ExprLike = Union["Expr", int, Fraction]
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")

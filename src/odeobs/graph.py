@@ -187,17 +187,16 @@ def scc_condensation(g: InferenceGraph) -> Condensation:
     return Condensation(tuple(ordered), tuple(dag_edges), roots)
 
 
-def minimal_sensor_sets(
-    c: Condensation, limit: int = DEFAULT_SENSOR_SET_CAP
-) -> SensorMenu:
-    """All ways to pick one variable from each source component."""
+def minimal_sensor_sets(c: Condensation) -> SensorMenu:
+    """All ways to pick one variable from each source component, stopping at
+    ``DEFAULT_SENSOR_SET_CAP`` sets (the menu is then ``truncated``)."""
     roots = c.root_components()
     if not roots:
         return SensorMenu((), False)
     sets: List[SensorSet] = []
     truncated = False
     for choice in itertools.product(*roots):
-        if len(sets) >= limit:
+        if len(sets) >= DEFAULT_SENSOR_SET_CAP:
             truncated = True
             break
         sets.append(SensorSet(frozenset(choice)))

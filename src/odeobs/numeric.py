@@ -53,10 +53,6 @@ class Trajectory:
     params: Dict[str, float]
     diverged: bool = False
 
-    @property
-    def n(self) -> int:
-        return len(self.states)
-
 
 @dataclass(frozen=True)
 class WitnessPair:
@@ -248,7 +244,8 @@ def _output_distance(series_a: np.ndarray, series_b: np.ndarray) -> float:
     shared = min(len(series_a), len(series_b))
     distance = 0.0
     for j in range(series_a.shape[1]):
-        gap = float(np.max(np.abs(series_a[:shared, j] - series_b[:shared, j])))
+        with np.errstate(invalid="ignore"):  # inf - inf is nan, read below
+            gap = float(np.max(np.abs(series_a[:shared, j] - series_b[:shared, j])))
         if math.isnan(gap):
             return math.inf
         distance = max(distance, gap)

@@ -5,10 +5,9 @@ This is the semantic backbone of the package: an identity holds iff
 N/D of polynomials (:class:`RationalForm`), built by expanding the tree and
 never reduced: ``e`` is identically zero iff N is the zero polynomial, and
 ``e`` depends on a variable x iff N*dD/dx - D*dN/dx is not.  The polynomial
-representation is a sparse exponent-vector map with a fixed
-graded-lexicographic monomial order, so printing is deterministic.  Its
-coefficients follow the number convention of every exact layer: an int when
-integral, a Fraction only otherwise.
+representation is a sparse exponent-vector map.  Its coefficients follow
+the number convention of every exact layer: an int when integral, a
+Fraction only otherwise.
 
 An expression with ln/exp has no rational form; :func:`is_zero` samples it
 over floats instead.  The expression and its top-level terms are compiled
@@ -46,10 +45,6 @@ from .expr import (
 from .expr import DomainError as _DomainError
 
 Monomial = tuple  # one exponent per variable
-
-
-def _grlex_key(mono: Monomial) -> tuple:
-    return (sum(mono), mono)
 
 
 class Poly:
@@ -152,7 +147,7 @@ class Poly:
             total += term
         return total
 
-    # -- equality and printing ----------------------------------------------
+    # -- equality -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
@@ -160,32 +155,6 @@ class Poly:
             and self.vars == other.vars
             and self.coeffs == other.coeffs
         )
-
-    def __repr__(self) -> str:
-        return f"Poly({self.to_str()})"
-
-    def to_str(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for mono in sorted(self.coeffs, key=_grlex_key, reverse=True):
-            coeff = self.coeffs[mono]
-            factors = [
-                v.name if e == 1 else f"{v.name}^{e}"
-                for v, e in zip(self.vars, mono)
-                if e
-            ]
-            if not factors:
-                body = str(abs(coeff))
-            elif abs(coeff) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(coeff))] + factors)
-            if not parts:
-                parts.append(("-" if coeff < 0 else "") + body)
-            else:
-                parts.append((" - " if coeff < 0 else " + ") + body)
-        return "".join(parts)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +175,6 @@ class RationalForm:
         if d == 0:
             raise ZeroDivisionError("pole of rational form")
         return self.num.eval(point) / d
-
-    def __str__(self) -> str:
-        return f"({self.num.to_str()}) / ({self.den.to_str()})"
 
 
 def _default_order(e: Expr) -> tuple:

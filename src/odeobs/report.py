@@ -56,10 +56,7 @@ def _assessment_to_json(assessment: ObservabilityAssessment, seed: int) -> dict:
         "observable_generic": assessment.observable,
         "rank": _rank_to_json(assessment.rank, seed),
         "rank_growing_past_default": assessment.rank_growing,
-        "probes": [
-            {"point": _point_to_json(point), "rank": rank}
-            for point, rank in assessment.probe_ranks
-        ],
+        "probes": [],
     }
 
 

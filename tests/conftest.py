@@ -53,6 +53,19 @@ def mat_mul(a, b):
     ]
 
 
+def poly_to_sympy(p):
+    """The sympy polynomial of a ``Poly``, over sympy symbols of the same names."""
+    import sympy
+
+    return sympy.Add(
+        *[
+            sympy.Rational(c.numerator, c.denominator)
+            * sympy.Mul(*[sympy.Symbol(v.name) ** k for v, k in zip(p.vars, mono)])
+            for mono, c in p.coeffs.items()
+        ]
+    )
+
+
 # ---------------------------------------------------------------------------
 # random expression generation for property tests
 

@@ -10,7 +10,8 @@ import pytest
 
 import odeobs.cli
 from odeobs.cli import main
-from odeobs.expr import MAX_NESTING
+from odeobs.expr import MAX_NESTING, ExprError
+from odeobs.model import ModelError, parse_model
 from odeobs.report import render_text
 
 from conftest import model_path
@@ -424,6 +425,32 @@ class TestMutatedModels:
             code, _, err = run(capsys, "analyze", str(model), "--trials", "2")
             assert code in (0, 1, 2), (case, text)
             assert not err.startswith("internal error"), (case, text, err)
+            codes.add(code)
+        assert {0, 1} <= codes
+
+    # --k stops at n+1 below: a huge --k extends the embedding once per order
+    # with no bound, the known runaway (ROADMAP item 5), not what this checks
+    K_FLAGS = ("auto", "0", "1", "2", "3", "4", "5", "-1", "1.5", "x", "")
+    TRIALS_FLAGS = ("1", "2", "3", "0", "-1", "x")
+    SEED_FLAGS = ("0", "7", "-3", str(2**40), "x")
+
+    def test_analyze_flags_never_reach_the_catch_all(self, tmp_path, capsys):
+        model = tmp_path / "mutated.model"
+        rng = random.Random(20261019)
+        shipped = [(name, model_path(name).read_text()) for name in self.REDUCTIONS]
+        states = {name: parse_model(text).n for name, text in shipped}
+        codes = set()
+        for case, (name, text) in enumerate([*self._cases(), *shipped]):
+            try:
+                n = parse_model(text).n
+            except (ModelError, ExprError):  # analyze exits 1 before reading --k
+                n = states[name]
+            k = rng.choice([f for f in self.K_FLAGS if not f.isdigit() or int(f) <= n + 1])
+            flags = ("--k", k, "--trials", rng.choice(self.TRIALS_FLAGS), "--seed", rng.choice(self.SEED_FLAGS))
+            model.write_text(text)
+            code, _, err = run(capsys, "analyze", str(model), *flags)
+            assert code in (0, 1, 2), (case, flags, text)
+            assert not err.startswith("internal error"), (case, flags, text, err)
             codes.add(code)
         assert {0, 1} <= codes
 

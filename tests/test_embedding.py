@@ -17,6 +17,7 @@ from odeobs.embedding import (
 from odeobs.expr import (
     Const,
     Div,
+    DivisionByZeroError,
     Sym,
     Symbol,
     add,
@@ -216,6 +217,26 @@ class TestRankAtPoint:
             point = {s: Fraction(rng.randint(-30, 30)) for s in symbols}
             assert rank_at_point(jac, point) <= generic
 
+    @staticmethod
+    def _pole_model():
+        """dx/dt = k/(x - 1), dy/dt = x*y, observing x: a pole at x = 1."""
+        x, y, k = Symbol("x", "state"), Symbol("y", "state"), Symbol("k", "parameter")
+        rhs = (parse_expr("k/(x - 1)", {"x": x, "k": k}), parse_expr("x*y", {"x": x, "y": y}))
+        sys = OdeSystem(name="pole", states=(x, y), params=(k,), rhs=rhs)
+        jac = jacobian(build_embedding(sys, ObservationSet((sym(x),), "x")), sys)
+        return jac, (x, y, k)
+
+    def test_regular_point_of_a_model_with_a_pole_has_the_generic_rank(self):
+        jac, (x, y, k) = self._pole_model()
+        regular = {x: Fraction(3), y: Fraction(2), k: Fraction(5)}
+        assert rank_at_point(jac, regular) == generic_rank(jac, seed=0).generic_rank
+
+    def test_pole_raises_the_error_the_sampler_skips(self):
+        # generic_rank_of treats DivisionByZeroError as a pole and draws again
+        jac, (x, y, k) = self._pole_model()
+        with pytest.raises(DivisionByZeroError):
+            rank_at_point(jac, {x: Fraction(1), y: Fraction(2), k: Fraction(5)})
+
 
 class TestObservabilityVerdict:
     def test_sir_positive_and_negative(self, sir):
@@ -232,28 +253,6 @@ class TestObservabilityVerdict:
         v_s = observability_verdict(toy, obs_named(toy, "S"), seed=0)
         assert v_r.rank.generic_rank == 1 and not v_r.observable
         assert v_s.rank.generic_rank == 2 and v_s.observable
-
-    def test_probe_points_reported(self, sir):
-        point = {
-            sir.state_named("S"): Fraction(5),
-            sir.state_named("I"): Fraction(0),
-            sir.state_named("R"): Fraction(7),
-            sir.params[0]: Fraction(1, 3),
-            sir.params[1]: Fraction(2),
-        }
-        v = observability_verdict(sir, obs_named(sir, "R"), seed=0, probe_points=[point])
-        assert v.probe_ranks[0][1] == 2
-
-    def test_probe_at_pole_is_none_and_others_match_rank_at_point(self):
-        x, y, k = Symbol("x", "state"), Symbol("y", "state"), Symbol("k", "parameter")
-        rhs = (parse_expr("k/(x - 1)", {"x": x, "k": k}), parse_expr("x*y", {"x": x, "y": y}))
-        sys = OdeSystem(name="pole", states=(x, y), params=(k,), rhs=rhs)
-        obs = ObservationSet((sym(x),), "x")
-        regular = {x: Fraction(3), y: Fraction(2), k: Fraction(5)}
-        pole = {x: Fraction(1), y: Fraction(2), k: Fraction(5)}
-        v = observability_verdict(sys, obs, seed=0, probe_points=[regular, pole])
-        jac = jacobian(build_embedding(sys, obs), sys)
-        assert v.probe_ranks == ((regular, rank_at_point(jac, regular)), (pole, None))
 
 
 CHAIN6 = """model: chain6

@@ -262,10 +262,17 @@ class TestSensorMenus:
             assert len(menu.sets) == expected
 
     def test_truncation_flag(self):
-        nodes = tuple(Symbol(f"v{i}", "state") for i in range(8))
-        g = InferenceGraph(nodes=nodes, edges=())
-        menu = minimal_sensor_sets(scc_condensation(g), limit=0)
-        assert menu.truncated and len(menu.sets) == 0
+        # 14 two-node cycles, each its own source component: 2**14 = 16,384 choices
+        nodes = tuple(Symbol(f"v{i:02d}", "state") for i in range(28))
+        edges = tuple(
+            edge
+            for a, b in zip(nodes[::2], nodes[1::2])
+            for edge in ((a, b), (b, a))
+        )
+        c = scc_condensation(InferenceGraph(nodes=nodes, edges=edges))
+        assert len(c.roots) == 14
+        menu = minimal_sensor_sets(c)
+        assert menu.truncated and len(menu.sets) == graph_module.DEFAULT_SENSOR_SET_CAP == 10_000
 
 
 class TestGraphicalObservable:

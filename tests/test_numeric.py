@@ -407,6 +407,13 @@ class TestDistinguishability:
         )
         assert pair.output_distance == math.inf
 
+    def test_both_outputs_starting_at_inf_read_infinitely_far(self, toy):
+        # inf - inf in the subtraction itself must not leak a RuntimeWarning
+        pair = distinguishability(
+            toy, obs_named(toy, "R"), (math.inf, 1.0), (math.inf, 2.0), {"a": 1.0}, 0.1, 1.0
+        )
+        assert pair.output_distance == math.inf
+
     def test_pole_in_an_output_raises(self, toy):
         obs = ObservationSet((parse_expr("R/(S - 5)", toy.symbol_table()),), "pole")
         with pytest.raises(ZeroDivisionError):

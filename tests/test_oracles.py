@@ -49,7 +49,7 @@ from odeobs.expr import (  # noqa: E402
 from odeobs.model import parse_model  # noqa: E402
 from odeobs.poly import NONZERO_EXACT, ZERO_EXACT, is_zero, normalize_rational  # noqa: E402
 
-from conftest import GEN_SYMBOLS, model_path, random_expr  # noqa: E402
+from conftest import GEN_SYMBOLS, model_path, poly_to_sympy, random_expr  # noqa: E402
 from test_generated_reports import chain, mm_tail, twin  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
@@ -179,16 +179,6 @@ def test_exact_program_matches_sympy(seed, point):
     expected = [[to_sympy(e).xreplace(sub) for e in row] for row in rows]
     got = program.run(point)
     assert [[sympy.Rational(v.numerator, v.denominator) for v in row] for row in got] == expected
-
-
-def poly_to_sympy(p):
-    return sympy.Add(
-        *[
-            sympy.Rational(c.numerator, c.denominator)
-            * sympy.Mul(*[SYMPY_SYMBOLS[v] ** k for v, k in zip(p.vars, mono)])
-            for mono, c in p.coeffs.items()
-        ]
-    )
 
 
 def rational_expr(rng):
