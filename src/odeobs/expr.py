@@ -845,6 +845,7 @@ def compile_exact(rows: Sequence[Sequence[Expr]]) -> ExactProgram:
 
 # precedence of the printed Python operators, loosest first
 _SUM, _PRODUCT, _UNARY, _POWER, _ATOM = range(5)
+_POLYNOMIAL = (Add, Mul, Neg, Const, Sym)  # the node kinds FloatPrinter.polynomial allows
 
 
 def _literal(value: float) -> tuple:
@@ -869,7 +870,13 @@ class FloatPrinter:
     one a plain tree walk gives, bit for bit, and so is the first exception
     raised.  A ``Neg`` term of a sum is printed as a subtraction: in IEEE
     arithmetic ``a + (-b)`` is exactly ``a - b``.  Parameters are inlined as
-    float literals.
+    float literals, except that a product factor or a divisor whose parameter
+    is exactly ``1.0`` is left out, and a product left with no factor prints
+    ``1.0``: ``x*1.0`` and ``x/1.0`` are ``x`` bit for bit, and neither can
+    raise.  ``-1.0`` is kept, since ``-1.0*x`` and ``-x`` differ in the sign
+    of a NaN.  :attr:`polynomial` says whether the source holds only
+    ``+``, ``-`` and ``*``, which numpy computes on float64 columns with the
+    same bits and without raising.
     """
 
     def __init__(self, exprs: Sequence[Expr], params: Mapping[Symbol, float]):
@@ -880,6 +887,7 @@ class FloatPrinter:
         for _, args, _ in self.instrs:
             uses.update(args)
         self.shared = {v for v, n in uses.items() if n > 1}
+        self.polynomial = all(op in _POLYNOMIAL for op, _, _ in self.instrs)
         self.params = params
         self.n_bound = 0
         self.env: Mapping[Symbol, str] = {}
@@ -895,6 +903,11 @@ class FloatPrinter:
         """Source of value ``v``, parenthesized unless it binds at least as tightly as ``least``."""
         text, precedence = self._printed(v)
         return text if precedence >= least else f"({text})"
+
+    def _unit(self, v: int) -> bool:
+        """Whether value ``v`` is a parameter equal to 1.0 (a state local is never one)."""
+        op, _, payload = self.instrs[v]
+        return op is Sym and payload not in self.env and self.params.get(payload) == 1.0
 
     def _printed(self, v: int) -> tuple:
         # two frames per tree level (this and _emit), and no generator frames
@@ -920,16 +933,25 @@ class FloatPrinter:
                     parts.append(" + " + self._emit(a, _PRODUCT))
             text, precedence = "".join(parts), _SUM
         elif op is Mul:
-            parts = [self._emit(args[0], _PRODUCT)]
-            for a in args[1:]:
-                parts.append(" * " + self._emit(a, _UNARY))
-            text, precedence = "".join(parts), _PRODUCT
+            kept = [a for a in args if not self._unit(a)]
+            if not kept:
+                text, precedence = "1.0", _ATOM
+            elif len(kept) == 1:
+                text, precedence = self._printed(kept[0])
+            else:
+                parts = [self._emit(kept[0], _PRODUCT)]
+                for a in kept[1:]:
+                    parts.append(" * " + self._emit(a, _UNARY))
+                text, precedence = "".join(parts), _PRODUCT
         elif op is Neg:
             text, precedence = "-" + self._emit(args[0], _UNARY), _UNARY
         elif op is Div:
             num, den = args
-            text = f"{self._emit(num, _PRODUCT)} / {self._emit(den, _UNARY)}"
-            precedence = _PRODUCT
+            if self._unit(den):
+                text, precedence = self._printed(num)
+            else:
+                text = f"{self._emit(num, _PRODUCT)} / {self._emit(den, _UNARY)}"
+                precedence = _PRODUCT
         elif op is PowInt:
             text, precedence = f"{self._emit(args[0], _ATOM)} ** {payload.exponent}", _POWER
         else:

@@ -8,12 +8,18 @@ whole step in straight-line code, the four stages, their inputs and the
 update, with structurally equal subexpressions computed once per stage.
 The state stays in local variables, and ``integrate_rk4`` calls the loop
 once per block of rows, each row appended as it is computed.  Drift and
-observed outputs run the same kind of program over the trajectory, reading
+observed outputs that are polynomial (only ``+``, ``-`` and ``*``) run once
+on the trajectory's state columns with numpy, which computes the same bits
+as Python floats and, like them, raises nothing.  Any other drift or output
+runs the same kind of program as the loop over the trajectory, reading
 Python floats a block of rows at a time; so a pole on the trajectory raises
 ``ZeroDivisionError`` instead of turning into ``inf``.  The source is printed
 by :class:`odeobs.expr.FloatPrinter` from the lowering that
 :func:`odeobs.expr.compile_exact` runs: the expressions are lowered once per
-compiled function, and printed once per RK4 stage.
+compiled function, and printed once per RK4 stage; a parameter equal to
+1.0 is left out of the products and quotients it would scale.
+:func:`distinguishability` and :func:`unobservability_witness` compile the
+RK4 loop once for all the trajectories they integrate.
 
 A search for an unobservability witness perturbs the base point only along
 state directions whose values cannot influence the observed outputs (states
@@ -97,48 +103,68 @@ def compile_functions(
     stage's ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``
     propagates, and the states appended before it are the trajectory so far.
     """
-    emit = FloatPrinter(exprs, params).emit
+    printer = FloatPrinter(exprs, params)
+    if dt is None:
+        return _row_program(printer, states)
     xs = [f"x{i}" for i in range(len(states))]
     args = ", ".join(xs) + ","
-    if dt is None:
-        values = ", ".join(emit(dict(zip(states, xs))))
-        lines = [
-            "def _compiled(rows):",
-            "    out = []",
-            "    append = out.append",
-            f"    for {args} in rows:",
-            f"        append(({values},))",
-            "    return out",
-        ]
-    else:
-        # dt > 0, so every scale prints as a plain literal; repr round-trips
-        lines = [f"def _compiled({args} steps, append):", "    for _ in range(steps):"]
-        ks: List[List[str]] = []
-        for stage, scale in enumerate((None, dt / 2.0, dt / 2.0, dt), start=1):
-            inputs = xs
-            if scale is not None:
-                inputs = [f"u{stage}_{i}" for i in range(len(xs))]
-                lines += [
-                    f"        {u} = {x} + {scale!r} * {k}" for u, x, k in zip(inputs, xs, ks[-1])
-                ]
-            ks.append([f"k{stage}_{i}" for i in range(len(xs))])
-            values = emit(dict(zip(states, inputs)))
-            lines += [f"        {k} = {v}" for k, v in zip(ks[-1], values)]
-        # each update reads only its own state and ks, so updating in place
-        # computes what a simultaneous update would
-        lines += [
-            f"        {x} = {x} + {dt / 6.0!r} * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
-            for x, a, b, c, d in zip(xs, *ks)
-        ]
-        # a sum of finite entries can overflow, so only a non-finite sum
-        # pays for the test of each entry
-        lines += [
-            f"        row = ({args})",
-            "        if not isfinite(sum(row)) and not all(map(isfinite, row)):",
-            "            return True",
-            "        append(row)",
-            "    return False",
-        ]
+    # dt > 0, so every scale prints as a plain literal; repr round-trips
+    lines = [f"def _compiled({args} steps, append):", "    for _ in range(steps):"]
+    ks: List[List[str]] = []
+    for stage, scale in enumerate((None, dt / 2.0, dt / 2.0, dt), start=1):
+        inputs = xs
+        if scale is not None:
+            inputs = [f"u{stage}_{i}" for i in range(len(xs))]
+            lines += [
+                f"        {u} = {x} + {scale!r} * {k}" for u, x, k in zip(inputs, xs, ks[-1])
+            ]
+        ks.append([f"k{stage}_{i}" for i in range(len(xs))])
+        values = printer.emit(dict(zip(states, inputs)))
+        lines += [f"        {k} = {v}" for k, v in zip(ks[-1], values)]
+    # each update reads only its own state and ks, so updating in place
+    # computes what a simultaneous update would
+    lines += [
+        f"        {x} = {x} + {dt / 6.0!r} * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+        for x, a, b, c, d in zip(xs, *ks)
+    ]
+    # a sum of finite entries can overflow, so only a non-finite sum
+    # pays for the test of each entry
+    lines += [
+        f"        row = ({args})",
+        "        if not isfinite(sum(row)) and not all(map(isfinite, row)):",
+        "            return True",
+        "        append(row)",
+        "    return False",
+    ]
+    return _exec(lines)
+
+
+def _row_program(printer: FloatPrinter, states: Sequence[Symbol]) -> Callable:
+    """The printed expressions as a map from a list of state rows to a list of value tuples."""
+    xs = [f"x{i}" for i in range(len(states))]
+    values = ", ".join(printer.emit(dict(zip(states, xs))))
+    return _exec([
+        "def _compiled(rows):",
+        "    out = []",
+        "    append = out.append",
+        f"    for {', '.join(xs)}, in rows:",
+        f"        append(({values},))",
+        "    return out",
+    ])
+
+
+def _column_program(printer: FloatPrinter, states: Sequence[Symbol]) -> Callable:
+    """The printed expressions as a function of the n state columns, returning one value each.
+
+    A value is an array, or a float where the expression reads no state.
+    """
+    xs = [f"x{i}" for i in range(len(states))]
+    values = ", ".join(printer.emit(dict(zip(states, xs))))
+    return _exec([f"def _compiled({', '.join(xs)},):", f"    return ({values},)"])
+
+
+def _exec(lines: List[str]) -> Callable:
+    """The function ``_compiled`` that the source ``lines`` define."""
     namespace = {"math": math, "inf": math.inf, "nan": math.nan, "isfinite": math.isfinite}
     exec("\n".join(lines) + "\n", namespace)
     return namespace["_compiled"]
@@ -168,11 +194,20 @@ def integrate_rk4(
     T: float,
 ) -> Trajectory:
     """Classical fixed-step RK4 from t=0 to T; divergence truncates."""
+    return _integrate(_rk4_loop(sys, params, dt, T), sys, x0, params, dt, T)
+
+
+def _rk4_loop(sys: OdeSystem, params: Mapping, dt: float, T: float) -> Callable:
+    """The compiled RK4 loop of ``sys``, after checking the grid."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     if T < dt:
         raise ValueError("T must be at least dt")
-    run = compile_functions(sys.states, sys.rhs, _normalize_params(sys, params), dt)
+    return compile_functions(sys.states, sys.rhs, _normalize_params(sys, params), dt)
+
+
+def _integrate(run: Callable, sys: OdeSystem, x0, params: Mapping, dt: float, T: float) -> Trajectory:
+    """The trajectory from ``x0`` of the RK4 loop ``run`` that :func:`_rk4_loop` compiled."""
     steps = int(math.floor(T / dt + 1e-9))
     x = _normalize_x0(sys, x0).tolist()
     values = np.empty((steps + 1, sys.n), dtype=float)
@@ -210,12 +245,28 @@ def _scalars(traj: Trajectory, exprs: Sequence[Expr]) -> Callable[[Trajectory], 
     """Evaluator of ``exprs`` on the grid, with the states and parameters of ``traj``.
 
     It maps a trajectory to one row per grid point, one column per
-    expression.  Rows are read as Python floats, ``_ROW_BLOCK`` at a time, so
-    a pole raises ``ZeroDivisionError`` and an overflowing power
-    ``OverflowError``.
+    expression.  When the printed source holds only ``+``, ``-`` and ``*``,
+    it runs once on the state columns: numpy's float64 elementwise
+    operations are the IEEE operations Python's floats make, none of which
+    raises in Python (overflow gives ``inf``, ``inf - inf`` gives ``nan``),
+    so the values are the same bits.  Otherwise rows are read as Python
+    floats, ``_ROW_BLOCK`` at a time, so a pole raises ``ZeroDivisionError``
+    and an overflowing power ``OverflowError``, the first of the row order.
     """
     params = {Symbol(name, "parameter"): value for name, value in traj.params.items()}
-    program = compile_functions(traj.states, exprs, params)
+    printer = FloatPrinter(exprs, params)
+    if printer.polynomial:
+        columns = _column_program(printer, traj.states)
+
+        def series(run: Trajectory) -> np.ndarray:
+            out = np.empty((len(run.values), len(exprs)), dtype=float)
+            with np.errstate(all="ignore"):  # Python floats overflow and make nan silently too
+                for j, value in enumerate(columns(*run.values.T)):
+                    out[:, j] = value  # a float, for an expression of no state, fills the column
+            return out
+
+        return series
+    program = _row_program(printer, traj.states)
 
     def series(run: Trajectory) -> np.ndarray:
         values = run.values
@@ -268,8 +319,9 @@ def distinguishability(
     ``ValueError`` for ln of a non-positive value, ``OverflowError`` when a
     power or exp leaves the float range.
     """
-    traj_a = integrate_rk4(sys, x0_a, params, dt, T)
-    traj_b = integrate_rk4(sys, x0_b, params, dt, T)
+    run = _rk4_loop(sys, params, dt, T)
+    traj_a = _integrate(run, sys, x0_a, params, dt, T)
+    traj_b = _integrate(run, sys, x0_b, params, dt, T)
     outputs = _scalars(traj_a, obs.outputs)
     return WitnessPair(
         x0_a=tuple(_normalize_x0(sys, x0_a)),
@@ -307,7 +359,8 @@ def unobservability_witness(
     if not hidden:
         return None
     base = _normalize_x0(sys, base_point)
-    traj = integrate_rk4(sys, base, params, dt, T)
+    run = _rk4_loop(sys, params, dt, T)
+    traj = _integrate(run, sys, base, params, dt, T)
     outputs = _scalars(traj, obs.outputs)
     base_series = outputs(traj)
     for s in hidden:
@@ -316,7 +369,7 @@ def unobservability_witness(
             shifted = base.copy()
             shifted[i] += sign * delta
             distance = _output_distance(
-                base_series, outputs(integrate_rk4(sys, shifted, params, dt, T))
+                base_series, outputs(_integrate(run, sys, shifted, params, dt, T))
             )
             if distance < threshold:
                 return WitnessPair(

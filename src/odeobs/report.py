@@ -8,7 +8,8 @@ are recorded as exact fraction strings and keys are emitted sorted.
 
 from __future__ import annotations
 
-import json
+import math
+from json.encoder import encode_basestring_ascii
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
 from . import __version__
@@ -203,7 +204,66 @@ def build_report(
 
 
 def report_to_json(report: dict) -> str:
-    return json.dumps(report, indent=2, sort_keys=True) + "\n"
+    """``json.dumps(report, indent=2, sort_keys=True)`` and a newline, byte for byte.
+
+    json encodes in C only without ``indent``, so this writes the indented
+    layout itself: strings through json's own ASCII escaper, keys sorted,
+    floats as ``float.__repr__`` or ``NaN``/``Infinity``/``-Infinity``, ints
+    as ``int.__repr__``, tuples as lists.  Keys must be strings, as every
+    report's are; another key, or a value json would not encode, raises
+    ``TypeError``.
+    """
+    out: List[str] = []
+    _write_json(report, "\n", out)
+    out.append("\n")
+    return "".join(out)
+
+
+def _write_json(value, newline: str, out: List[str]) -> None:
+    """Append the JSON text of ``value`` to ``out``; ``newline`` starts its lines."""
+    if isinstance(value, str):
+        out.append(encode_basestring_ascii(value))
+    elif value is None:
+        out.append("null")
+    elif value is True:
+        out.append("true")
+    elif value is False:
+        out.append("false")
+    elif isinstance(value, int):
+        out.append(int.__repr__(value))
+    elif isinstance(value, float):
+        if value != value:
+            out.append("NaN")
+        elif value == math.inf:
+            out.append("Infinity")
+        elif value == -math.inf:
+            out.append("-Infinity")
+        else:
+            out.append(float.__repr__(value))
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        out.append("[")
+        for i, item in enumerate(value):
+            out.append(inner if i == 0 else "," + inner)
+            _write_json(item, inner, out)
+        out += (newline, "]")
+    elif isinstance(value, dict):
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        out.append("{")
+        for i, key in enumerate(sorted(value)):
+            if not isinstance(key, str):
+                raise TypeError(f"keys must be str, not {type(key).__name__}")
+            out += (inner if i == 0 else "," + inner, encode_basestring_ascii(key), ": ")
+            _write_json(value[key], inner, out)
+        out += (newline, "}")
+    else:
+        raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
 def _set_str(names: Sequence[str]) -> str:

@@ -430,13 +430,13 @@ class TestUnobservabilityWitness:
             "dx4/dt = k*x3\nobserve up: x1\n"
         )
         calls = []
-        original = odeobs.numeric.integrate_rk4
+        original = odeobs.numeric._integrate
 
         def counting(*args, **kwargs):
-            calls.append(args[1])
+            calls.append(args[2])
             return original(*args, **kwargs)
 
-        monkeypatch.setattr(odeobs.numeric, "integrate_rk4", counting)
+        monkeypatch.setattr(odeobs.numeric, "_integrate", counting)
         witness = unobservability_witness(
             chain, chain.observations[0], (1.0, 1.0, 1.0, 1.0), {"k": 1.0}, 0.1, 2.0, 0.5,
             threshold=0.0,

@@ -15,22 +15,25 @@ import hashlib
 import pytest
 
 from odeobs import numeric
-from odeobs.expr import Symbol
+from odeobs.expr import FloatPrinter, Symbol, parse_expr
+from odeobs.model import ObservationSet
 
-from test_rk4_pins import CASES
+from conftest import A, B, X, Y
+from test_rk4_pins import CASES, chain
 
 # case -> (sha256 of the RK4 loop source, sha256 of the row program source)
 DIGESTS = {
-    'chain32_perm1': ('dd28b55739e764e257274ac83686a8931b09eafd542afa679a9c00f954ab6475', '6b8020521e8af2cb5d7debd73558af9136fe33fc86b9849f883f003adbad9a41'),
-    'lv': ('cb316f9e0afb3da1c99248184bb04afe1a5523e90de6457939ced1ad43137561', 'c12b7759afb048ce4106c1ee25e9e98215ebdd0938f8e964415d0fc6977f8431'),
-    'mm': ('cbbb23723f48ae2f06378090b62239b0d6e589d27dd0089416dceb4fd96db133', '14b63f0117ca300d7d8b84f6d548230d6d5b0f988c5a047772a39212df907ab8'),
+    'chain32_perm1': ('61e84f62e95ce4593e54918dd9150e667ebd383604fbfc7a61ca3e49a6e963f1', '009007f3037a38e8555537cc426f06da1e3e1e8a60f59cc216f31384de7e50e8'),
+    'lv': ('aa59e80d0901d97e74b577421679c9940a7a232a32764184b2302882689527a6', '2fea9aebd508c7a3a58fae130ce4fd219442410ae4dd1a677b015ac4e56fcd69'),
+    'mm': ('086cbf0f820c2a90f87116470d93ecfdd16b9fa989a6d17b458ca8e1838381e8', 'e4ac2464b1d5168c188b4eee38142a6642cd1e7a6219585649e617bd8a2fa9b4'),
     'shared': ('2431316697378c0aaa61d2a71d918ac81f15beadc251c5cb6c2d91a50195a8a3', '294e456abd9e831c94056201112f5f8ddb8882e55d4ba09affea21767d966774'),
     'sir': ('5329ac665d65782aa13fc1e03e394b7b878befea234e993944843467e3ef64d5', '10a88264b6a253dfb833aa39313f5cec47a7652bf573a9ce3b4ec2d94c1a80df'),
-    'toy': ('4d7d397d1d9565a08250da584ff234f656976f4623690de292bf6c52dec22f16', 'b45ea303a5783baeeaaf8f93bd3507e22f5199c493a6463b12a3472ecc4ab3c4'),
+    'toy': ('0fa30abdbde772257d413aee1c21dd92260fee182a6a0d5f397c3f07cb29c86f', 'b86f0568e9753f6f98cc463f02ef1a747ddfb34adce71a9e61de264081ecc006'),
 }
 
 
-def _sources(monkeypatch, name):
+def _recording(monkeypatch):
+    """The list that every source ``numeric`` runs through ``exec`` is appended to."""
     sources = []
 
     def recording_exec(source, namespace):
@@ -38,6 +41,11 @@ def _sources(monkeypatch, name):
         builtins.exec(source, namespace)
 
     monkeypatch.setattr(numeric, "exec", recording_exec, raising=False)
+    return sources
+
+
+def _sources(monkeypatch, name):
+    sources = _recording(monkeypatch)
     sys, _, params, dt, _ = CASES[name]()
     params = {Symbol(k, "parameter"): float(v) for k, v in params.items()}
     exprs = list(sys.rhs) + [q.expr for q in sys.conserved]
@@ -52,3 +60,30 @@ def test_printed_source_digests(monkeypatch, name):
     step, rows = _sources(monkeypatch, name)
     digests = tuple(hashlib.sha256(s.encode()).hexdigest() for s in (step, rows))
     assert digests == DIGESTS[name]
+
+
+def test_unit_rate_leaves_no_product_by_one(monkeypatch):
+    step, _ = _sources(monkeypatch, "ring32_k1")
+    assert "1.0 *" not in step and "* 1.0" not in step
+
+
+def test_unit_parameters_fold_out_of_products_and_divisors():
+    symbols = {"x": X, "y": Y, "a": A, "b": B}
+    exprs = [parse_expr(t, symbols) for t in ("a*x", "a*a", "x/a", "x*y/a", "-(a*y)", "b*x", "a + x")]
+    printed = FloatPrinter(exprs, {A: 1.0, B: -1.0}).emit({X: "x0", Y: "x1"})
+    # -1.0*x and -x differ in the sign of a nan, so b = -1.0 stays
+    assert printed == ["x0", "1.0", "x0", "x0 * x1", "-x1", "-1.0 * x0", "1.0 + x0"]
+
+
+def test_witness_search_compiles_one_rk4_loop(monkeypatch):
+    # chain-12 observing x6: x7..x12 are hidden, and threshold 0 makes the
+    # search try both signs of all six
+    sys = chain(12, 0)
+    observed = ObservationSet((parse_expr("x6", sys.symbol_table()),), "mid")
+    sources = _recording(monkeypatch)
+    params = {p.name: 1.0 for p in sys.params}
+    witness = numeric.unobservability_witness(
+        sys, observed, [1.0] * sys.n, params, 0.1, 1.0, 0.1, threshold=0.0
+    )
+    assert witness is None
+    assert [s.splitlines()[0].endswith("steps, append):") for s in sources] == [True, False]
