@@ -161,10 +161,15 @@ def _parse_params(text: str) -> dict:
         name, sep, value = chunk.partition("=")
         if not sep:
             raise _InputError(f"--params expects name=value pairs, got {chunk!r}")
+        name = name.strip()
+        if name in out:
+            raise _InputError(f"--params gives {name} more than once")
         try:
-            out[name.strip()] = float(value)
+            out[name] = float(value)
         except ValueError:
             raise _InputError(f"bad parameter value in {chunk!r}") from None
+        if not math.isfinite(out[name]):
+            raise _InputError(f"parameter {name} must be a finite number, got {out[name]}")
     return out
 
 
@@ -185,6 +190,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"--T {args.T} over --dt {args.dt} is more steps than an array can index"
         )
     _check_writable(args.csv)
+    failure = None
     try:
         traj = integrate_rk4(sys_model, x0, params, args.dt, args.T)
     except KeyError as exc:
@@ -195,7 +201,15 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "more memory than can be allocated"
         ) from None
     except EvaluationError as exc:
-        _sys.stderr.write(f"integration failed: {exc}\n")
+        failure = exc
+    # checked once the grid is allocated, so that a grid too large for memory is
+    # the error named whatever the start; from a non-finite start the loop stops,
+    # or a stage fails, at the first step
+    for value in x0:
+        if not math.isfinite(value):
+            raise _InputError(f"--x0 values must be finite numbers, got {value}")
+    if failure is not None:
+        _sys.stderr.write(f"integration failed: {failure}\n")
         return EXIT_ANALYSIS
     if args.csv:
         _write(args.csv, trajectory_to_csv(traj))

@@ -19,7 +19,9 @@ by :class:`odeobs.expr.FloatPrinter` from the lowering that
 compiled function, and printed once per RK4 stage; a parameter equal to
 1.0 is left out of the products and quotients it would scale.
 :func:`distinguishability` and :func:`unobservability_witness` compile the
-RK4 loop once for all the trajectories they integrate.
+RK4 loop once for all the trajectories they integrate.  numpy is imported
+inside the functions that build or read an array, so importing this module,
+as the exact ``analyze``, ``verify`` and ``graph`` commands do, never loads it.
 
 A search for an unobservability witness perturbs the base point only along
 state directions whose values cannot influence the observed outputs (states
@@ -33,8 +35,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
-
-import numpy as np
 
 from .expr import Expr, FloatPrinter, Symbol
 from .graph import build_graph, forward_closure
@@ -171,6 +171,8 @@ def _exec(lines: List[str]) -> Callable:
 
 
 def _normalize_x0(sys: OdeSystem, x0) -> np.ndarray:
+    import numpy as np
+
     if isinstance(x0, Mapping):
         by_name = {
             (k.name if isinstance(k, Symbol) else str(k)): float(v)
@@ -208,6 +210,8 @@ def _rk4_loop(sys: OdeSystem, params: Mapping, dt: float, T: float) -> Callable:
 
 def _integrate(run: Callable, sys: OdeSystem, x0, params: Mapping, dt: float, T: float) -> Trajectory:
     """The trajectory from ``x0`` of the RK4 loop ``run`` that :func:`_rk4_loop` compiled."""
+    import numpy as np
+
     steps = int(math.floor(T / dt + 1e-9))
     x = _normalize_x0(sys, x0).tolist()
     values = np.empty((steps + 1, sys.n), dtype=float)
@@ -253,6 +257,8 @@ def _scalars(traj: Trajectory, exprs: Sequence[Expr]) -> Callable[[Trajectory], 
     floats, ``_ROW_BLOCK`` at a time, so a pole raises ``ZeroDivisionError``
     and an overflowing power ``OverflowError``, the first of the row order.
     """
+    import numpy as np
+
     params = {Symbol(name, "parameter"): value for name, value in traj.params.items()}
     printer = FloatPrinter(exprs, params)
     if printer.polynomial:
@@ -280,6 +286,8 @@ def _scalars(traj: Trajectory, exprs: Sequence[Expr]) -> Callable[[Trajectory], 
 
 def conserved_drift(traj: Trajectory, quantity: Union[ConservedQuantity, Expr]) -> float:
     """max over the grid of |H(x(t)) - H(x(0))|."""
+    import numpy as np
+
     expr = quantity.expr if isinstance(quantity, ConservedQuantity) else quantity
     series = _scalars(traj, [expr])(traj)[:, 0]
     with np.errstate(invalid="ignore"):  # H(x(0)) = inf gives inf - inf: the drift is nan
@@ -292,6 +300,8 @@ def _output_distance(series_a: np.ndarray, series_b: np.ndarray) -> float:
     A ``nan`` gap (an output that is ``inf - inf`` on the grid, say) tells
     nothing about the distance, so it reads as infinitely far.
     """
+    import numpy as np
+
     shared = min(len(series_a), len(series_b))
     distance = 0.0
     for j in range(series_a.shape[1]):

@@ -631,6 +631,36 @@ class TestSimulate:
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    @pytest.mark.parametrize(
+        "x0, params, message",
+        [
+            # a non-finite start printed "1 points" and "divergence", exit 0
+            ("nan,0.1,0", "beta=0.5,lambda=0.1", "--x0 values must be finite numbers, got nan"),
+            ("997,-inf,0", "beta=0.5,lambda=0.1", "--x0 values must be finite numbers, got -inf"),
+            # a nan rate printed "drift N: 0.000e+00", which reads as exact conservation
+            ("997,3,0", "beta=nan,lambda=0.1", "parameter beta must be a finite number, got nan"),
+            ("997,3,0", "beta=0.5,lambda=inf", "parameter lambda must be a finite number, got inf"),
+            # the last value of a repeated name was used without a word
+            ("997,3,0", "beta=0.5,lambda=0.1,beta=1", "--params gives beta more than once"),
+            ("997,3,0", "beta=0.5, beta =0.5,lambda=0.1", "--params gives beta more than once"),
+        ],
+    )
+    def test_non_finite_or_repeated_values_are_input_errors(self, capsys, x0, params, message):
+        code, out, err = run(
+            capsys, "simulate", str(model_path("sir")), "--x0", x0,
+            "--params", params, "--dt", "0.1", "--T", "1",
+        )
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_non_finite_start_is_input_error_where_the_first_stage_fails(self, tmp_path, capsys):
+        model = tmp_path / "lg.model"
+        model.write_text("model: lg\nparams: a\nstates: x, y\ndx/dt = a*ln(y)\ndy/dt = -a*y\n")
+        code, out, err = run(
+            capsys, "simulate", str(model), "--x0", "1,-inf",
+            "--params", "a=1", "--dt", "0.1", "--T", "1",
+        )
+        assert (code, out, err) == (1, "", "error: --x0 values must be finite numbers, got -inf\n")
+
     # model -> (x0, params) of a run that stays finite
     SHIPPED = {
         "sir": ("997,3,0", "beta=0.0004,lambda=0.04"),
