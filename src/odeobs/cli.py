@@ -129,14 +129,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     any_refuted = False
     for quantity, verdict in zip(sys_model.conserved, verdicts):
         line = f"{quantity.level_name} = {quantity.expr}: {verdict.status}"
-        if verdict.status == "refuted" and verdict.witness:
-            parts = ", ".join(
-                f"{s.name}={v}" for s, v in sorted(verdict.witness.items(), key=lambda kv: kv[0].name)
-            )
-            line += f" (witness {parts})"
+        if verdict.status == "refuted":
             any_refuted = True
-        elif verdict.status == "refuted":
-            any_refuted = True
+            if verdict.witness:
+                witness = sorted(verdict.witness.items(), key=lambda kv: kv[0].name)
+                line += " (witness " + ", ".join(f"{s.name}={v}" for s, v in witness) + ")"
         _sys.stdout.write(line + "\n")
     if not sys_model.conserved:
         _sys.stdout.write("(no conserved quantities declared)\n")
@@ -148,9 +145,13 @@ def _parse_x0(text: str, n: int) -> List[float]:
     if len(parts) != n:
         raise _InputError(f"--x0 expects {n} comma-separated values, got {len(parts)}")
     try:
-        return [float(p) for p in parts]
+        x0 = [float(p) for p in parts]
     except ValueError as exc:
         raise _InputError(f"bad --x0 value: {exc}") from None
+    for value in x0:
+        if not math.isfinite(value):
+            raise _InputError(f"--x0 values must be finite numbers, got {value}")
+    return x0
 
 
 def _parse_params(text: str) -> dict:
@@ -190,7 +191,6 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             f"--T {args.T} over --dt {args.dt} is more steps than an array can index"
         )
     _check_writable(args.csv)
-    failure = None
     try:
         traj = integrate_rk4(sys_model, x0, params, args.dt, args.T)
     except KeyError as exc:
@@ -201,15 +201,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             "more memory than can be allocated"
         ) from None
     except EvaluationError as exc:
-        failure = exc
-    # checked once the grid is allocated, so that a grid too large for memory is
-    # the error named whatever the start; from a non-finite start the loop stops,
-    # or a stage fails, at the first step
-    for value in x0:
-        if not math.isfinite(value):
-            raise _InputError(f"--x0 values must be finite numbers, got {value}")
-    if failure is not None:
-        _sys.stderr.write(f"integration failed: {failure}\n")
+        _sys.stderr.write(f"integration failed: {exc}\n")
         return EXIT_ANALYSIS
     if args.csv:
         _write(args.csv, trajectory_to_csv(traj))

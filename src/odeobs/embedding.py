@@ -201,7 +201,7 @@ def generic_rank_of(
         point = {s: rng.randint(-bound, bound) for s in symbols}
         try:
             r = linalg.rank(program.run(point)) if rational else _float_rank(program, point)
-        except (DivisionByZeroError, ZeroDivisionError):
+        except DivisionByZeroError:
             continue  # a pole
         if r is None:  # an entry is not a finite float: as in poly's zero test
             bound = max(4, bound // 2)

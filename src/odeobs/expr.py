@@ -285,36 +285,6 @@ class Expr(_Interned):
 
     __slots__ = ("_symbols", "_flags")
 
-    def __add__(self, other: ExprLike) -> "Expr":
-        return add(self, as_expr(other))
-
-    def __radd__(self, other: ExprLike) -> "Expr":
-        return add(as_expr(other), self)
-
-    def __sub__(self, other: ExprLike) -> "Expr":
-        return add(self, neg(as_expr(other)))
-
-    def __rsub__(self, other: ExprLike) -> "Expr":
-        return add(as_expr(other), neg(self))
-
-    def __mul__(self, other: ExprLike) -> "Expr":
-        return mul(self, as_expr(other))
-
-    def __rmul__(self, other: ExprLike) -> "Expr":
-        return mul(as_expr(other), self)
-
-    def __truediv__(self, other: ExprLike) -> "Expr":
-        return div(self, as_expr(other))
-
-    def __rtruediv__(self, other: ExprLike) -> "Expr":
-        return div(as_expr(other), self)
-
-    def __pow__(self, exponent: int) -> "Expr":
-        return pow_int(self, exponent)
-
-    def __neg__(self) -> "Expr":
-        return neg(self)
-
     def __str__(self) -> str:
         return to_str(self)
 

@@ -198,16 +198,14 @@ def parse_model(text: str) -> OdeSystem:
             lines.append((idx, stripped))
     pos = 0
 
-    def take(prefix: str, required: bool = True) -> Optional[Tuple[int, str]]:
+    def take(prefix: str) -> Tuple[int, str]:
         nonlocal pos
         if pos < len(lines) and lines[pos][1].startswith(prefix):
             line_no, content = lines[pos]
             pos += 1
             return line_no, content[len(prefix):].strip()
-        if required:
-            where = lines[pos][0] if pos < len(lines) else (lines[-1][0] if lines else 1)
-            raise ModelSyntaxError(f"expected {prefix!r} line", where)
-        return None
+        where = lines[pos][0] if pos < len(lines) else (lines[-1][0] if lines else 1)
+        raise ModelSyntaxError(f"expected {prefix!r} line", where)
 
     _, name = take("model:")
     if not name:

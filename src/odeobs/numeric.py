@@ -8,13 +8,13 @@ whole step in straight-line code, the four stages, their inputs and the
 update, with structurally equal subexpressions computed once per stage.
 The state stays in local variables, and ``integrate_rk4`` calls the loop
 once per block of rows, each row appended as it is computed.  Drift and
-observed outputs that are polynomial (only ``+``, ``-`` and ``*``) run once
-on the trajectory's state columns with numpy, which computes the same bits
-as Python floats and, like them, raises nothing.  Any other drift or output
-runs the same kind of program as the loop over the trajectory, reading
-Python floats a block of rows at a time; so a pole on the trajectory raises
-``ZeroDivisionError`` instead of turning into ``inf``.  The source is printed
-by :class:`odeobs.expr.FloatPrinter` from the lowering that
+observed outputs are one printed function of the n state values.  When it
+is polynomial (only ``+``, ``-`` and ``*``) it runs once on the trajectory's
+state columns with numpy, which computes the same bits as Python floats
+and, like them, raises nothing.  Any other function runs once per row on
+Python floats; so a pole on the trajectory raises ``ZeroDivisionError``
+instead of turning into ``inf``.  The source is printed by
+:class:`odeobs.expr.FloatPrinter` from the lowering that
 :func:`odeobs.expr.compile_exact` runs: the expressions are lowered once per
 compiled function, and printed once per RK4 stage; a parameter equal to
 1.0 is left out of the products and quotients it would scale.
@@ -87,25 +87,21 @@ def compile_functions(
     states: Sequence[Symbol],
     exprs: Sequence[Expr],
     params: Mapping[Symbol, float],
-    dt: Optional[float] = None,
+    dt: float,
 ) -> Callable:
-    """Compile expressions over the state scalars ``x0 ... x{n-1}``, parameters inlined.
+    """Compile the classical RK4 loop of the right-hand sides ``exprs``, parameters inlined.
 
-    Without ``dt`` the result maps a list of state rows to a list of tuples:
-    each row's value of every expression.  With ``dt`` the expressions are the
-    right-hand sides and the result is a classical RK4 loop
-    ``run(x0, ..., x{n-1}, steps, append)``: it takes up to ``steps`` steps
-    from the given state and passes each new state to ``append`` as a tuple.
-    Each stage evaluates the right-hand sides at ``x + (dt/2)*k`` or
-    ``x + dt*k``, and the update is ``x + dt/6*(k1 + 2.0*k2 + 2.0*k3 + k4)``.
-    At the first state with a non-finite entry it returns ``True`` without
-    appending that state; after ``steps`` steps it returns ``False``.  A
-    stage's ``ZeroDivisionError``, ``ValueError`` or ``OverflowError``
-    propagates, and the states appended before it are the trajectory so far.
+    The result is ``run(x0, ..., x{n-1}, steps, append)``: it takes up to
+    ``steps`` steps from the given state and passes each new state to
+    ``append`` as a tuple.  Each stage evaluates the right-hand sides at
+    ``x + (dt/2)*k`` or ``x + dt*k``, and the update is
+    ``x + dt/6*(k1 + 2.0*k2 + 2.0*k3 + k4)``.  At the first state with a
+    non-finite entry it returns ``True`` without appending that state; after
+    ``steps`` steps it returns ``False``.  A stage's ``ZeroDivisionError``,
+    ``ValueError`` or ``OverflowError`` propagates, and the states appended
+    before it are the trajectory so far.
     """
     printer = FloatPrinter(exprs, params)
-    if dt is None:
-        return _row_program(printer, states)
     xs = [f"x{i}" for i in range(len(states))]
     args = ", ".join(xs) + ","
     # dt > 0, so every scale prints as a plain literal; repr round-trips
@@ -139,24 +135,11 @@ def compile_functions(
     return _exec(lines)
 
 
-def _row_program(printer: FloatPrinter, states: Sequence[Symbol]) -> Callable:
-    """The printed expressions as a map from a list of state rows to a list of value tuples."""
-    xs = [f"x{i}" for i in range(len(states))]
-    values = ", ".join(printer.emit(dict(zip(states, xs))))
-    return _exec([
-        "def _compiled(rows):",
-        "    out = []",
-        "    append = out.append",
-        f"    for {', '.join(xs)}, in rows:",
-        f"        append(({values},))",
-        "    return out",
-    ])
+def _scalar_function(printer: FloatPrinter, states: Sequence[Symbol]) -> Callable:
+    """The printed expressions as a function of the n state values, returning one value each.
 
-
-def _column_program(printer: FloatPrinter, states: Sequence[Symbol]) -> Callable:
-    """The printed expressions as a function of the n state columns, returning one value each.
-
-    A value is an array, or a float where the expression reads no state.
+    Called on Python floats it returns floats; called on the state columns,
+    arrays, or a float where an expression reads no state.
     """
     xs = [f"x{i}" for i in range(len(states))]
     values = ", ".join(printer.emit(dict(zip(states, xs))))
@@ -249,36 +232,36 @@ def _scalars(traj: Trajectory, exprs: Sequence[Expr]) -> Callable[[Trajectory], 
     """Evaluator of ``exprs`` on the grid, with the states and parameters of ``traj``.
 
     It maps a trajectory to one row per grid point, one column per
-    expression.  When the printed source holds only ``+``, ``-`` and ``*``,
-    it runs once on the state columns: numpy's float64 elementwise
-    operations are the IEEE operations Python's floats make, none of which
-    raises in Python (overflow gives ``inf``, ``inf - inf`` gives ``nan``),
-    so the values are the same bits.  Otherwise rows are read as Python
-    floats, ``_ROW_BLOCK`` at a time, so a pole raises ``ZeroDivisionError``
-    and an overflowing power ``OverflowError``, the first of the row order.
+    expression, all computed by one printed scalar function.  When its
+    source holds only ``+``, ``-`` and ``*``, it runs once on the state
+    columns: numpy's float64 elementwise operations are the IEEE operations
+    Python's floats make, none of which raises in Python (overflow gives
+    ``inf``, ``inf - inf`` gives ``nan``), so the values are the same bits.
+    Otherwise it runs once per row on Python floats, read ``_ROW_BLOCK``
+    rows at a time, so a pole raises ``ZeroDivisionError`` and an
+    overflowing power ``OverflowError``, the first of the row order.
     """
     import numpy as np
 
     params = {Symbol(name, "parameter"): value for name, value in traj.params.items()}
     printer = FloatPrinter(exprs, params)
+    function = _scalar_function(printer, traj.states)
     if printer.polynomial:
-        columns = _column_program(printer, traj.states)
 
         def series(run: Trajectory) -> np.ndarray:
             out = np.empty((len(run.values), len(exprs)), dtype=float)
             with np.errstate(all="ignore"):  # Python floats overflow and make nan silently too
-                for j, value in enumerate(columns(*run.values.T)):
+                for j, value in enumerate(function(*run.values.T)):
                     out[:, j] = value  # a float, for an expression of no state, fills the column
             return out
 
         return series
-    program = _row_program(printer, traj.states)
 
     def series(run: Trajectory) -> np.ndarray:
         values = run.values
         out = np.empty((len(values), len(exprs)), dtype=float)
         for a in range(0, len(values), _ROW_BLOCK):
-            out[a:a + _ROW_BLOCK] = program(values[a:a + _ROW_BLOCK].tolist())
+            out[a:a + _ROW_BLOCK] = [function(*row) for row in values[a:a + _ROW_BLOCK].tolist()]
         return out
 
     return series

@@ -308,6 +308,13 @@ class TestVerify:
         code, out, _ = run(capsys, "verify", str(model), "--seed", "0")
         assert (code, out) == (3, "Q = x: refuted (witness x=770880)\n")
 
+    def test_refuted_without_witness_exits_three(self, tmp_path, capsys):
+        # the residual is the constant 1: refuted, with no point to show
+        model = tmp_path / "drift.model"
+        model.write_text("model: drift\nparams: a\nstates: x\ndx/dt = 1\nconserved Q: x\n")
+        code, out, err = run(capsys, "verify", str(model))
+        assert (code, out, err) == (3, "Q = x: refuted\n", "")
+
     def test_zero_test_without_samples_is_named_analysis_error(self, tmp_path, capsys):
         # every sample point is a pole of Q's derivative: no verdict, not "probabilistic"
         model = tmp_path / "undecided.model"
@@ -643,6 +650,14 @@ class TestSimulate:
             # the last value of a repeated name was used without a word
             ("997,3,0", "beta=0.5,lambda=0.1,beta=1", "--params gives beta more than once"),
             ("997,3,0", "beta=0.5, beta =0.5,lambda=0.1", "--params gives beta more than once"),
+            # values that do not read as a pair or a number
+            ("997,3,0", "beta", "--params expects name=value pairs, got 'beta'"),
+            ("997,3,0", "beta=abc,lambda=0.1", "bad parameter value in 'beta=abc'"),
+            (
+                "997,abc,0",
+                "beta=1,lambda=0.1",
+                "bad --x0 value: could not convert string to float: 'abc'",
+            ),
         ],
     )
     def test_non_finite_or_repeated_values_are_input_errors(self, capsys, x0, params, message):
@@ -651,6 +666,16 @@ class TestSimulate:
             "--params", params, "--dt", "0.1", "--T", "1",
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    def test_pole_of_the_right_hand_side_is_analysis_error(self, tmp_path, capsys):
+        model = tmp_path / "pole.model"
+        model.write_text("model: pole\nparams: a\nstates: x, y\ndx/dt = 1/(y - 1)\ndy/dt = 0*y\n")
+        code, out, err = run(
+            capsys, "simulate", str(model), "--x0", "1,1",
+            "--params", "a=1", "--dt", "0.1", "--T", "1",
+        )
+        assert (code, out) == (2, "")
+        assert err == "integration failed: evaluation failed at t=0.0: division by zero\n"
 
     def test_non_finite_start_is_input_error_where_the_first_stage_fails(self, tmp_path, capsys):
         model = tmp_path / "lg.model"
@@ -697,6 +722,13 @@ class TestSimulate:
             assert "internal error" not in err, (case, argv, err)
             codes.add(code)
             unallocatable += "more memory than can be allocated" in err
+        # a finite start on a grid no address space holds: 1e14 steps of two
+        # states are 1.6e15 bytes, so nothing is integrated
+        _, _, err = run(
+            capsys, "simulate", str(model_path("lv")), "--x0=2,1",
+            "--params", self.SHIPPED["lv"][1], "--dt=1e-9", "--T=1e5",
+        )
+        unallocatable += "more memory than can be allocated" in err
         assert {0, 1} <= codes
         assert unallocatable > 0
 

@@ -2,10 +2,11 @@
 
 ``numeric._scalars`` runs a list of functions built from ``+``, ``-`` and
 ``*`` alone on the trajectory's columns with numpy, and any other list row
-by row over Python floats.  The column values must be the row program's
-bits, which must be a plain tree walk's bits (the printed source leaves out
-unit parameters, the walk multiplies by them), on trajectories that hold
-the values where float arithmetic is least forgiving.
+by row over Python floats; both call the same printed scalar function.  The
+column values must be its bits on each row, which must be a plain tree
+walk's bits (the printed source leaves out unit parameters, the walk
+multiplies by them), on trajectories that hold the values where float
+arithmetic is least forgiving.
 """
 
 import math
@@ -22,14 +23,14 @@ from odeobs.expr import Const, FloatPrinter, add, mul, neg, parse_expr, sym  # n
 from odeobs.model import parse_model  # noqa: E402
 from odeobs.numeric import (  # noqa: E402
     Trajectory,
+    _scalar_function,
     _scalars,
-    compile_functions,
     conserved_drift,
     integrate_rk4,
 )
 
 from conftest import A, B, X, Y, Z  # noqa: E402
-from test_numeric import _tree_walk  # noqa: E402
+from test_numeric import _by_row, _tree_walk  # noqa: E402
 
 SETTINGS = settings(max_examples=300, deadline=None, derandomize=True)
 
@@ -84,8 +85,8 @@ def test_columns_are_the_row_programs_bits(exprs, rows, a, b):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         columns = _scalars(traj, exprs)(traj)
-    program = compile_functions((X, Y, Z), exprs, params)
-    for row, got, expected in zip(rows, columns, program([list(r) for r in rows])):
+    function = _scalar_function(FloatPrinter(exprs, params), (X, Y, Z))
+    for row, got, expected in zip(rows, columns, _by_row(function, rows)):
         walked = [_tree_walk(e, {X: row[0], Y: row[1], Z: row[2], **params}) for e in exprs]
         assert _hex(got) == _hex(expected) == _hex(walked)
 
@@ -105,9 +106,9 @@ STILL = parse_model(
 def test_pole_on_the_grid_raises_the_row_programs_error():
     traj = integrate_rk4(STILL, (1.0, 1.0), {"a": 1.0}, 0.1, 1.0)
     quantity = parse_expr("x*y + 1/(y - 1)", STILL.symbol_table())
-    program = compile_functions(STILL.states, [quantity], {STILL.params[0]: 1.0})
+    function = _scalar_function(FloatPrinter([quantity], {STILL.params[0]: 1.0}), STILL.states)
     with pytest.raises(ZeroDivisionError) as expected:
-        program(traj.values.tolist())
+        _by_row(function, traj.values.tolist())
     with pytest.raises(ZeroDivisionError) as got:
         conserved_drift(traj, quantity)
     assert str(got.value) == str(expected.value)

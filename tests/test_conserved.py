@@ -20,6 +20,7 @@ from odeobs.model import (
     ConservedSet,
     ModelError,
     NotAffineError,
+    parse_model,
     verify_all_conserved,
 )
 from odeobs.poly import normalize_rational
@@ -303,6 +304,37 @@ class TestAlternativeObservables:
         )
         assert search.positive_sets() == ()
         assert "dependent" in search.results[0].reason
+
+    @pytest.mark.parametrize(
+        "body, known, reason",
+        [
+            # dG/ds = [[1, 1], [2, 2]] for s = (x, y)
+            (
+                "states: x, y, z\ndx/dt = k*(y - x)\ndy/dt = k*(x - y)\ndz/dt = 0*z\n"
+                "conserved G: x + y\nconserved H: 2*x + 2*y + z\n",
+                ("x", "y"),
+                "dG/ds not generically invertible",
+            ),
+            (
+                "states: x, y\ndx/dt = 0*x\ndy/dt = k*(x - y)\nconserved G: x\n",
+                ("x",),
+                "dG/dr generic rank 0 < 1",
+            ),
+            # one state: the s block takes it, and nothing is left to replace it by
+            (
+                "states: x\ndx/dt = 0*x\nconserved G: x\n",
+                ("x",),
+                "conditions hold but no solvable replacement variables exist",
+            ),
+            ("states: x\ndx/dt = k*x\n", ("x",), "no conserved quantities supplied"),
+        ],
+    )
+    def test_search_names_why_it_found_nothing(self, body, known, reason):
+        sys = parse_model("model: m\nparams: k\n" + body)
+        updated, g = verified_set(sys)
+        search = alternative_observables(updated, g, [sys.state_named(v) for v in known], seed=0)
+        assert search.positive_sets() == ()
+        assert [r.reason for r in search.results] == [reason]
 
     def test_independence_check(self, mm):
         updated, g = verified_set(mm)

@@ -116,6 +116,20 @@ class TestParse:
             parse_expr("S + ", SIR_SYMS)
         assert err.value.position == 4
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("(S + 1", "expected ')' (at position 6)"),
+            ("ln(S", "expected ')' (at position 4)"),
+            ("S^I", "expected integer exponent (at position 2)"),
+            ("1.5*S", "decimal literals are not supported; write a fraction p/q (at position 0)"),
+        ],
+    )
+    def test_syntax_error_names_what_was_expected(self, text, message):
+        with pytest.raises(ExprSyntaxError) as err:
+            parse_expr(text, SIR_SYMS)
+        assert str(err.value) == message
+
     def test_implicit_multiplication_rejected(self):
         with pytest.raises(ExprSyntaxError):
             parse_expr("2 S", SIR_SYMS)
@@ -273,6 +287,11 @@ class TestSubstitute:
         for _ in range(10):
             point = {x: Fraction(rng.randint(-9, 9)) for x in (k1, E0, e_, s_, c_)}
             assert eval_exact(res, point) == eval_exact(expected, point)
+
+    def test_substitution_reaches_inside_exp_and_ln(self):
+        e = parse_expr("exp(S*I) - ln(I)", SIR_SYMS)
+        res = substitute(e, {I: parse_expr("R + 1", SIR_SYMS)})
+        assert res is parse_expr("exp(S*(R + 1)) - ln(R + 1)", SIR_SYMS)
 
     def test_shared_dag_substitutes_once_per_node(self):
         # e -> e*x + e, 18 times: 4x more paths per level, 3 more nodes

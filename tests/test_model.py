@@ -6,6 +6,7 @@ import pytest
 from odeobs.expr import (
     Const,
     Sym,
+    Symbol,
     UnknownSymbolError,
     add,
     eval_exact,
@@ -94,6 +95,30 @@ class TestParseModel:
         with pytest.raises(UnknownSymbolError):
             parse_model(SIR_TEXT.replace("observe R: R", "observe b: beta"))
 
+    ROTATION = "model: m\nparams: a\nstates: x, y\ndx/dt = a*y\ndy/dt = -a*x\n"
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("model:\nparams: a\nstates: x\ndx/dt = a\n", "line 1: model name missing"),
+            ("model: m\nparams: a\nstates: x, x\ndx/dt = a\n", "line 3: repeated identifier"),
+            ("model: m\nparams: a, b, a\nstates: x\ndx/dt = a\n", "line 2: repeated identifier"),
+            (
+                "model: m\nparams: a\nstates: x, a\ndx/dt = a\nda/dt = 0\n",
+                "line 3: state and parameter names overlap",
+            ),
+            (ROTATION + "conserved Q: a\n", "line 6: conserved expression involves no state"),
+            (
+                ROTATION + "conserved Q: x^2 + y^2\nconserved Q: 2*x^2 + 2*y^2\n",
+                "line 7: duplicate conserved level name",
+            ),
+        ],
+    )
+    def test_refusal_names_the_line(self, text, message):
+        with pytest.raises(ModelSyntaxError) as err:
+            parse_model(text)
+        assert str(err.value) == message
+
     def test_comments_and_blank_lines_ignored(self):
         noisy = "# heading\n\n" + SIR_TEXT.replace(
             "dS/dt = -beta*S*I", "dS/dt = -beta*S*I   # infection"
@@ -124,6 +149,21 @@ class TestVerifyConserved:
         # the witness genuinely violates invariance: dH/dt = -lambda*I != 0
         residual = lie_derivative(sir, bogus.expr)
         assert eval_exact(residual, verdict.witness) != 0
+
+    def test_undeclared_symbol_is_named(self, sir):
+        table = dict(sir.symbol_table(), gamma=Symbol("gamma", "parameter"))
+        with pytest.raises(UnknownSymbolError, match="unknown symbol 'gamma'"):
+            verify_conserved(sir, ConservedQuantity(parse_expr("S + gamma", table), "G"))
+
+    def test_ln_exp_residual_is_probabilistic(self):
+        # d/dt (exp(x) - y) = exp(x)*a - exp(x)*a: not rational, so only
+        # sampled zero, never certified
+        sys = parse_model(
+            "model: p\nparams: a\nstates: x, y\ndx/dt = a\ndy/dt = exp(x)*a\n"
+            "conserved Q: exp(x) - y\n"
+        )
+        verdict = verify_conserved(sys, sys.conserved[0])
+        assert (verdict.status, verdict.witness) == ("probabilistic", None)
 
     def test_verified_flag_copy_on_write(self, sir):
         updated, _ = verify_all_conserved(sir)

@@ -8,11 +8,14 @@ import numpy as np
 import pytest
 
 import odeobs.numeric
-from odeobs.expr import Add, Const, Div, Exp, Ln, Mul, Neg, PowInt, Sym, children, parse_expr
+from odeobs.expr import (
+    Add, Const, Div, Exp, FloatPrinter, Ln, Mul, Neg, PowInt, Sym, children, parse_expr,
+)
 from odeobs.model import ObservationSet, parse_model, reduce_by_conserved, verify_all_conserved
 from odeobs.numeric import (
     _ROW_BLOCK,
     EvaluationError,
+    _scalar_function,
     compile_functions,
     conserved_drift,
     distinguishability,
@@ -51,6 +54,11 @@ def _tree_walk(e, point):
     if isinstance(e, PowInt):
         return kids[0] ** e.exponent
     return math.log(kids[0]) if isinstance(e, Ln) else math.exp(kids[0])
+
+
+def _by_row(function, rows):
+    """The values of a scalar function on each state row, as ``numeric._scalars`` reads rows."""
+    return [function(*row) for row in rows]
 
 
 def _reference_step(states, rhs, params, dt, x):
@@ -221,37 +229,41 @@ class TestBlockLoop:
 class TestCompiledPrograms:
     SYMS = parse_model("model: s\nparams: k\nstates: x, y\ndx/dt = x\ndy/dt = y\n")
 
-    def _program(self, *texts, dt=None):
-        exprs = [parse_expr(t, self.SYMS.symbol_table()) for t in texts]
-        params = {self.SYMS.params[0]: 0.5}
-        return compile_functions(self.SYMS.states, exprs, params, dt)
+    def _exprs(self, texts):
+        return [parse_expr(t, self.SYMS.symbol_table()) for t in texts]
+
+    def _function(self, *texts):
+        printer = FloatPrinter(self._exprs(texts), {self.SYMS.params[0]: 0.5})
+        return _scalar_function(printer, self.SYMS.states)
 
     def test_equal_subtrees_built_apart_are_computed_once(self):
-        f = self._program("ln(x + 1)*y - k", "y/ln(x + 1)", "ln(x + 1)")
+        f = self._function("ln(x + 1)*y - k", "y/ln(x + 1)", "ln(x + 1)")
         logs = [i for i in dis.get_instructions(f) if i.argval == "log"]
         assert len(logs) == 1
-        assert f([[math.e - 1.0, 2.0]]) == [(1.5, 2.0, 1.0)]
+        assert _by_row(f, [[math.e - 1.0, 2.0]]) == [(1.5, 2.0, 1.0)]
         with pytest.raises(ZeroDivisionError):
-            f([[math.e - 1.0, 2.0], [0.0, 3.0]])  # ln(0 + 1) = 0 is a pole of y/ln(x + 1)
+            _by_row(f, [[math.e - 1.0, 2.0], [0.0, 3.0]])  # ln(0 + 1) = 0 is a pole of y/ln(x + 1)
 
     def test_names_bind_in_printing_order(self):
         # x^2 first occurs inside the first factor, then as the last factor
-        f = self._program("ln(x^2 + 1)*y*x^2", "x^2")
-        assert f([[1.0, 2.0]]) == [(math.log(2.0) * 2.0, 1.0)]
+        f = self._function("ln(x^2 + 1)*y*x^2", "x^2")
+        assert _by_row(f, [[1.0, 2.0]]) == [(math.log(2.0) * 2.0, 1.0)]
 
     def test_zero_checks_do_not_count_as_uses(self):
         # a denominator read once is printed inline, one read twice is bound
-        once = self._program("y/(x + 1)")
+        once = self._function("y/(x + 1)")
         assert not [n for n in once.__code__.co_varnames if n.startswith("c")]
-        assert once([[1.0, 3.0]]) == [(1.5,)]
-        twice = self._program("y/(x + 1)", "(x + 1)*y")
+        assert _by_row(once, [[1.0, 3.0]]) == [(1.5,)]
+        twice = self._function("y/(x + 1)", "(x + 1)*y")
         assert "c0" in twice.__code__.co_varnames
-        step = self._program("y/(x + 1)", "-x", dt=0.5)
+        step = compile_functions(
+            self.SYMS.states, self._exprs(["y/(x + 1)", "-x"]), {self.SYMS.params[0]: 0.5}, 0.5
+        )
         assert not [n for n in step.__code__.co_varnames if n.startswith("c")]
 
     def test_row_program_values(self):
-        f = self._program("x*y - k", "-x", "y^2/x")
-        assert f([[1.0, 2.0], [4.0, 0.5]]) == [(1.5, -1.0, 4.0), (1.5, -4.0, 0.0625)]
+        f = self._function("x*y - k", "-x", "y^2/x")
+        assert _by_row(f, [[1.0, 2.0], [4.0, 0.5]]) == [(1.5, -1.0, 4.0), (1.5, -4.0, 0.0625)]
 
     def test_one_state_step_returns_a_one_tuple(self):
         sys = parse_model("model: d\nparams: a\nstates: x\ndx/dt = -a*x\n")
@@ -303,7 +315,7 @@ class TestCompiledPrograms:
 
     def test_unbound_symbol_rejected(self):
         with pytest.raises(KeyError, match="unbound symbol 'k'"):
-            compile_functions(self.SYMS.states, [parse_expr("k*x", self.SYMS.symbol_table())], {})
+            compile_functions(self.SYMS.states, self._exprs(["k*x"]), {}, 0.1)
 
 
 class TestConservedDrift:

@@ -13,9 +13,13 @@ verdict's witness must be a point where the expression has a nonzero value.
 The fact that lets the rank test stop at order n-1, that the rank of an
 output stacked with its derivatives grows no more past order n-1, is checked
 on Lie derivatives that sympy builds from the model text alone, together
-with the rank odeobs reports.
+with the rank odeobs reports.  So is ``conserved.eliminate_states``: sympy
+solves the level equations of each candidate and builds the transformed
+right-hand sides, and the Lie derivatives of every state along them must be
+those of the original system composed with the solution.
 """
 
+import itertools
 import random
 import re
 from fractions import Fraction
@@ -46,7 +50,15 @@ from odeobs.expr import (  # noqa: E402
     neg,
     pow_int,
 )
-from odeobs.model import parse_model  # noqa: E402
+from odeobs.conserved import eliminate_states  # noqa: E402
+from odeobs.linalg import SingularMatrixError  # noqa: E402
+from odeobs.model import (  # noqa: E402
+    ConservedSet,
+    NotAffineError,
+    ZeroCoefficientError,
+    parse_model,
+    verify_all_conserved,
+)
 from odeobs.poly import NONZERO_EXACT, ZERO_EXACT, is_zero, normalize_rational  # noqa: E402
 
 from conftest import GEN_SYMBOLS, model_path, poly_to_sympy, random_expr  # noqa: E402
@@ -125,7 +137,7 @@ def to_sympy(e):
     if isinstance(e, Const):
         return sympy.Rational(e.value.numerator, e.value.denominator)
     if isinstance(e, Sym):
-        return SYMPY_SYMBOLS[e.symbol]
+        return sympy.Symbol(e.symbol.name)
     if isinstance(e, Add):
         return sympy.Add(*[to_sympy(t) for t in e.terms])
     if isinstance(e, Mul):
@@ -263,11 +275,11 @@ def test_nonzero_witness_is_a_nonzero_value_in_the_domain(seed):
 
 
 def sympy_model(text):
-    """States, parameters, right-hand sides and observation sets of a model
-    file, read by sympy alone: ``^`` is ``**`` and ``ln`` is ``log``.  Every
-    declared name is read through a prefixed alias, so that ``lambda``,
-    ``I`` or ``beta`` are plain symbols."""
-    names, rhs, observations = {}, {}, {}
+    """States, parameters, right-hand sides, observation sets and conserved
+    quantities of a model file, read by sympy alone: ``^`` is ``**`` and
+    ``ln`` is ``log``.  Every declared name is read through a prefixed alias,
+    so that ``lambda``, ``I`` or ``beta`` are plain symbols."""
+    names, rhs, observations, conserved = {}, {}, {}, {}
 
     def declare(body):
         return [names.setdefault(n.strip(), sympy.Symbol(n.strip())) for n in body.split(",")]
@@ -289,15 +301,17 @@ def sympy_model(text):
             rhs[names[equation[1]]] = parse(equation[2])
         elif head.startswith("observe "):
             observations[head[len("observe "):].strip()] = declare(body)
+        elif head.startswith("conserved "):
+            conserved[head[len("conserved "):].strip()] = parse(body)
     states = list(rhs)
     params = [v for v in names.values() if v not in rhs]
-    return states, params, rhs, observations
+    return states, params, rhs, observations, conserved
 
 
 def sympy_ranks(model, label, orders, rng, points=3):
     """The largest rank over ``points`` random rational points of the stacked
     gradients of each output and its Lie derivatives, up to each order."""
-    states, params, rhs, observations = model
+    states, params, rhs, observations, _ = model
 
     def value():
         return sympy.Rational(rng.randint(-1000, 1000), rng.randint(1, 50))
@@ -373,3 +387,47 @@ def polynomial_models(draw):
 @given(polynomial_models(), st.integers(0, 2**16))
 def test_rank_stops_growing_on_polynomial_systems(text, seed):
     check_rank_stops_by_order_n_minus_1(text, seed)
+
+
+def lie(expr, states, field):
+    return sum(sympy.diff(expr, x) * f for x, f in zip(states, field))
+
+
+@pytest.mark.parametrize(
+    "name, levels",
+    [("sir", ("N",)), ("mm", ("E0",)), ("mm", ("S0",)), ("mm", ("E0", "S0")), ("toy", ("Q0",))],
+)
+def test_eliminate_states_matches_sympy(name, levels):
+    text = model_path(name).read_text()
+    states, _, rhs, _, conserved = sympy_model(text)
+    f = [rhs[x] for x in states]
+    sys, _ = verify_all_conserved(parse_model(text))
+    g = ConservedSet(tuple(sys.conserved_named(level) for level in levels))
+    equations = [conserved[level] - sympy.Symbol(level) for level in levels]
+    solvable = []
+    for w in itertools.combinations(states, len(levels)):
+        solutions = sympy.solve(equations, w, dict=True)
+        eliminate = [sys.state_named(str(v)) for v in w]
+        if len(solutions) != 1 or set(solutions[0]) != set(w):
+            with pytest.raises((NotAffineError, ZeroCoefficientError, SingularMatrixError)):
+                eliminate_states(sys, g, eliminate)
+            continue
+        solvable.append(w)
+        sigma = solutions[0]
+        composed = [fx.xreplace(sigma) for fx in f]
+        others = [(x, fx) for x, fx in zip(states, composed) if x not in sigma]
+        ours = [to_sympy(e) for e in eliminate_states(sys, g, eliminate).rhs]
+        for x, fx, got in zip(states, composed, ours):
+            # an eliminated state moves as its solution does along the others
+            expected = lie(sigma[x], *zip(*others)) if x in sigma else fx
+            assert sympy.cancel(got - expected) == 0, (w, x)
+            # which, as the quantities are conserved, is its own rate composed with the solution
+            assert sympy.cancel(expected - fx) == 0, (w, x)
+        # L^k_F x = (L^k_f x) o sigma for k >= 1, the chain-rule identity that
+        # lets a candidate's Jacobian rows be read off the original system's
+        for x in states:
+            original, transformed = x, x
+            for k in range(1, len(states)):
+                original, transformed = lie(original, states, f), lie(transformed, states, ours)
+                assert sympy.cancel(transformed - original.xreplace(sigma)) == 0, (w, x, k)
+    assert solvable

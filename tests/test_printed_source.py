@@ -1,12 +1,13 @@
-"""The float source that ``numeric.compile_functions`` executes, pinned by digest.
+"""The float source that ``numeric`` executes, pinned by digest.
 
 The trajectory pins of ``test_rk4_pins`` show that the printed code computes
 the same bits; these show that it is the same text.  For each model both
-programs are captured as they reach ``exec``: the RK4 step of the
-right-hand sides, and the row program of the right-hand sides, the
-conserved quantities and the observed outputs.  The models are the four
-shipped ones, a generated linear chain in shuffled declaration order, and a
-model whose right-hand sides repeat structurally equal subtrees.
+printed functions are captured as they reach ``exec``: the RK4 loop of the
+right-hand sides that ``compile_functions`` prints, and the scalar function
+of the right-hand sides, the conserved quantities and the observed outputs,
+which drift and outputs run on the state columns or row by row.  The models
+are the four shipped ones, a generated linear chain in shuffled declaration
+order, and a model whose right-hand sides repeat structurally equal subtrees.
 """
 
 import builtins
@@ -21,14 +22,14 @@ from odeobs.model import ObservationSet
 from conftest import A, B, X, Y
 from test_rk4_pins import CASES, chain
 
-# case -> (sha256 of the RK4 loop source, sha256 of the row program source)
+# case -> (sha256 of the RK4 loop source, sha256 of the scalar function source)
 DIGESTS = {
-    'chain32_perm1': ('61e84f62e95ce4593e54918dd9150e667ebd383604fbfc7a61ca3e49a6e963f1', '009007f3037a38e8555537cc426f06da1e3e1e8a60f59cc216f31384de7e50e8'),
-    'lv': ('aa59e80d0901d97e74b577421679c9940a7a232a32764184b2302882689527a6', '2fea9aebd508c7a3a58fae130ce4fd219442410ae4dd1a677b015ac4e56fcd69'),
-    'mm': ('086cbf0f820c2a90f87116470d93ecfdd16b9fa989a6d17b458ca8e1838381e8', 'e4ac2464b1d5168c188b4eee38142a6642cd1e7a6219585649e617bd8a2fa9b4'),
-    'shared': ('2431316697378c0aaa61d2a71d918ac81f15beadc251c5cb6c2d91a50195a8a3', '294e456abd9e831c94056201112f5f8ddb8882e55d4ba09affea21767d966774'),
-    'sir': ('5329ac665d65782aa13fc1e03e394b7b878befea234e993944843467e3ef64d5', '10a88264b6a253dfb833aa39313f5cec47a7652bf573a9ce3b4ec2d94c1a80df'),
-    'toy': ('0fa30abdbde772257d413aee1c21dd92260fee182a6a0d5f397c3f07cb29c86f', 'b86f0568e9753f6f98cc463f02ef1a747ddfb34adce71a9e61de264081ecc006'),
+    'chain32_perm1': ('61e84f62e95ce4593e54918dd9150e667ebd383604fbfc7a61ca3e49a6e963f1', 'f1087b57011cc7cc7e08932a9b41a9a098fb4a8f2e49374cc40fb29aa13a019f'),
+    'lv': ('aa59e80d0901d97e74b577421679c9940a7a232a32764184b2302882689527a6', '51ad0bdcd2fb102dbc2a01bd484209396aefaa8b3aa27e88b49d1c7dcbcb4354'),
+    'mm': ('086cbf0f820c2a90f87116470d93ecfdd16b9fa989a6d17b458ca8e1838381e8', '7f5d8989480cbd80c5e4e6d2a0323b167d1e8e25ee6975aca1120ff9baf7f095'),
+    'shared': ('2431316697378c0aaa61d2a71d918ac81f15beadc251c5cb6c2d91a50195a8a3', 'f5bcc70105780cf46f22fc8c6dce7a04e4b29586f9cbd9fd838cf7381e069fdf'),
+    'sir': ('5329ac665d65782aa13fc1e03e394b7b878befea234e993944843467e3ef64d5', '55269798134d8103a482ad25ff9d1d296ea8fbf93b216184d19f3befc8a067b2'),
+    'toy': ('0fa30abdbde772257d413aee1c21dd92260fee182a6a0d5f397c3f07cb29c86f', '330865b18f4f49178a4eba3705cbb22d062d3a561e6fb38cbce36e74e6661a21'),
 }
 
 
@@ -51,7 +52,7 @@ def _sources(monkeypatch, name):
     exprs = list(sys.rhs) + [q.expr for q in sys.conserved]
     exprs += [out for obs in sys.observations for out in obs.outputs]
     numeric.compile_functions(sys.states, sys.rhs, params, dt)
-    numeric.compile_functions(sys.states, exprs, params)
+    numeric._scalar_function(FloatPrinter(exprs, params), sys.states)
     return sources
 
 
