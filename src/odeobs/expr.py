@@ -44,15 +44,20 @@ from its own construction on, so every node has them from birth and no walk
 exists to write them.  :func:`free_symbols`, :func:`has_ln_exp`, the
 pruning of :func:`diff` and :func:`compile_exact` read them.
 
-Expression DAGs are lowered to code in one way, with two consumers: the
-DAG's post-order, one instruction per distinct node after those of its
-children, which :class:`ExactProgram` runs over int/Fraction or over floats
-with one register per value, and :class:`FloatPrinter` prints as Python
-float source.  :func:`eval_exact` and :func:`eval_float` are one-entry
+Expression DAGs are lowered to code in one way: the DAG's post-order, one
+instruction per distinct node after those of its children, which come in
+the order :func:`children` gives them.  An instruction is ``(node class,
+value ids of the children, payload)``, its value id is its index in the
+list, and the payload of a ``Sym`` is its symbol, of a ``Const`` its exact
+value (an int when integral), and of every other node the node itself.
+:class:`ExactProgram` runs the code over int/Fraction or over floats with
+one register per value, :class:`FloatPrinter` prints it as Python float
+source, and :func:`odeobs.poly.normalize_rational` runs it over pairs of
+polynomials.  :func:`eval_exact` and :func:`eval_float` are one-entry
 runs; no evaluator walks the tree.  Every evaluator runs operands before
 their operation, so each raises the first error of the post-order: a
 numerator's before its denominator's, an ln/exp argument's before the
-ln/exp.  The instruction format is private to this module.
+ln/exp.
 """
 
 from __future__ import annotations
@@ -642,15 +647,10 @@ def _exact(value):
 
 
 class _Lowering:
-    """Walks expression DAGs once, emitting their post-order.
-
-    An instruction is ``(node class, value ids of the children, payload)``,
-    and its value id is its index in ``instrs``.  Each distinct node is one
-    instruction, placed after those of its children, which come in the
-    order :func:`children` gives them (a quotient's numerator before its
-    denominator); nodes are interned, so structurally equal subtrees are one
-    node and share one instruction.  The payload of a ``Sym`` is its symbol,
-    of a ``Const`` its exact value, and of every other node the node itself.
+    """Walks expression DAGs once, emitting their post-order into ``instrs``
+    (the module docstring gives the format), which :class:`ExactProgram`,
+    :class:`FloatPrinter` and :func:`odeobs.poly.normalize_rational` read.
+    Nodes are interned, so equal subtrees share one instruction.
 
     A class rather than nested functions: a recursive closure is a reference
     cycle, which would keep the tables alive until the cyclic garbage
@@ -688,14 +688,15 @@ class ExactProgram:
     Python ints, and a value becomes a Fraction only at a quotient that does
     not divide or a negative power, or through a non-integral constant.
     :meth:`run_float` runs the same instructions over IEEE doubles, ln/exp
-    included.  Either raises the first error of that order.
+    included.  Either raises the first error of that order.  The fields are
+    read-only; :func:`odeobs.poly.normalize_rational` reads the code too.
     """
 
-    __slots__ = ("symbols", "rational", "_code", "_outputs")
+    __slots__ = ("symbols", "rational", "instrs", "outputs")
     symbols: frozenset  # every symbol the matrix mentions
     rational: bool  # no ln/exp node
-    _code: tuple
-    _outputs: tuple
+    instrs: tuple  # the instructions, in the format of the module docstring
+    outputs: tuple  # the value id of each entry, row by row
 
     def run(self, point: Mapping[Symbol, Fraction]) -> list:
         """Exact values of the entries at ``point``, as a list of rows of int
@@ -708,7 +709,7 @@ class ExactProgram:
         """
         regs: list = []  # one register per instruction
         store = regs.append
-        for op, args, payload in self._code:
+        for op, args, payload in self.instrs:
             if op is Mul:
                 value = regs[args[0]]
                 for a in args[1:]:
@@ -746,7 +747,7 @@ class ExactProgram:
             else:  # Ln or Exp
                 raise TranscendentalNodeError(payload)
             store(value)
-        return [[regs[v] for v in row] for row in self._outputs]
+        return [[regs[v] for v in row] for row in self.outputs]
 
     def run_float(self, point: Mapping[Symbol, float]) -> list:
         """IEEE double values of the entries at ``point``, as a list of rows.
@@ -764,7 +765,7 @@ class ExactProgram:
         """
         regs: list = []  # one register per instruction
         store = regs.append
-        for op, args, payload in self._code:
+        for op, args, payload in self.instrs:
             if op is Mul:
                 value = 1.0
                 for a in args:
@@ -798,7 +799,7 @@ class ExactProgram:
             else:  # Exp
                 value = math.exp(regs[args[0]])
             store(value)
-        return [[regs[v] for v in row] for row in self._outputs]
+        return [[regs[v] for v in row] for row in self.outputs]
 
 
 def compile_exact(rows: Sequence[Sequence[Expr]]) -> ExactProgram:

@@ -15,7 +15,7 @@ import weakref
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from .expr import Expr, Symbol, TranscendentalNodeError, diff, free_symbols
+from .expr import Expr, Symbol, diff, free_symbols, has_ln_exp
 from .model import OdeSystem
 from .poly import ZeroTestUndecidedError, is_zero, normalize_rational
 
@@ -84,16 +84,15 @@ def _dependencies(rhs: Expr, states: Tuple[Symbol, ...], seed: int) -> Set[Symbo
 
 def _rational_form_symbols(rhs: Expr) -> Optional[frozenset]:
     """The symbols that ``rhs`` depends on as a rational function, or None
-    when ``rhs`` has ln/exp.
+    when ``rhs`` has ln/exp: read before expanding, as :func:`is_zero` does.
 
     With ``rhs`` = N/D unreduced, x is one of them iff d(N/D)/dx is not
     zero, that is iff N*dD/dx - D*dN/dx is not the zero polynomial.  When D
     does not mention x, that is iff N does.
     """
-    try:
-        form = normalize_rational(rhs)
-    except TranscendentalNodeError:
+    if has_ln_exp(rhs):
         return None
+    form = normalize_rational(rhs)
     num, den = form.num, form.den
 
     def enters(i: int) -> bool:
@@ -212,11 +211,16 @@ def graphical_observable(c: Condensation, observed: Iterable[Symbol]) -> Graphic
     return GraphicalVerdict(sufficient=not missing, missing_roots=missing)
 
 
+_DOT_KEYWORDS = frozenset(("node", "edge", "graph", "digraph", "subgraph", "strict"))
+
+
 def export_dot(g: InferenceGraph, c: Condensation) -> str:
     """Deterministic DOT rendering; SCCs as clusters, source SCCs marked."""
     if not g.nodes:
         return "digraph {\n}\n"
     root_nodes = {n for i in c.roots for n in c.components[i]}
+    # a DOT keyword (in any case) as a bare ID would start a statement
+    ids = {n: f'"{n.name}"' if n.name.lower() in _DOT_KEYWORDS else n.name for n in g.nodes}
     lines = ["digraph inference {"]
     for i, comp in enumerate(c.components):
         tag = " (source)" if i in c.roots else ""
@@ -224,12 +228,12 @@ def export_dot(g: InferenceGraph, c: Condensation) -> str:
         lines.append(f'    label="scc_{i}{tag}";')
         for node in comp:
             if node in root_nodes:
-                lines.append(f"    {node.name} [root=true, penwidth=2];")
+                lines.append(f"    {ids[node]} [root=true, penwidth=2];")
             else:
-                lines.append(f"    {node.name};")
+                lines.append(f"    {ids[node]};")
         lines.append("  }")
     for a, b in g.edges:
-        lines.append(f"  {a.name} -> {b.name};")
+        lines.append(f"  {ids[a]} -> {ids[b]};")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

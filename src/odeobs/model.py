@@ -247,12 +247,12 @@ def parse_model(text: str) -> OdeSystem:
             raise ModelSyntaxError(
                 f"level name {level!r} collides with a declared symbol", line_no
             )
+        if any(q.level_name == level for q in conserved):
+            raise ModelSyntaxError("duplicate conserved level name", line_no)
         expr = parse_expr(expr_text.strip(), table)
         if not any(s.kind == "state" for s in free_symbols(expr)):
             raise ModelSyntaxError("conserved expression involves no state", line_no)
         conserved.append(ConservedQuantity(expr, level))
-    if len({q.level_name for q in conserved}) != len(conserved):
-        raise ModelSyntaxError("duplicate conserved level name", lines[pos - 1][0])
 
     observations: List[ObservationSet] = []
     while pos < len(lines) and lines[pos][1].startswith("observe "):

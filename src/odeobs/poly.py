@@ -2,17 +2,18 @@
 
 This is the semantic backbone of the package: an identity holds iff
 :func:`is_zero` says so.  A rational expression is written as one quotient
-N/D of polynomials (:class:`RationalForm`), built by expanding the tree and
-never reduced: ``e`` is identically zero iff N is the zero polynomial, and
-``e`` depends on a variable x iff N*dD/dx - D*dN/dx is not.  The polynomial
-representation is a sparse exponent-vector map.  Its coefficients follow
-the number convention of every exact layer: an int when integral, a
-Fraction only otherwise.
+N/D of polynomials (:class:`RationalForm`), never reduced: ``e`` is
+identically zero iff N is the zero polynomial, and ``e`` depends on a
+variable x iff N*dD/dx - D*dN/dx is not.  The polynomial representation is
+a sparse exponent-vector map.  Its coefficients follow the number
+convention of every exact layer: an int when integral, a Fraction only
+otherwise.
 
-An expression with ln/exp has no rational form; :func:`is_zero` samples it
-over floats instead.  The expression and its top-level terms are compiled
-once per test (:func:`odeobs.expr.compile_exact`), and one float run per
-draw gives both the value and the scale it is compared against.
+Each test compiles its expression once (:func:`odeobs.expr.compile_exact`).
+N/D is a pass over that program, which then runs at the witness samples.
+An expression with ln/exp has no rational form and is sampled over floats;
+its top-level terms are compiled with it, and one float run per draw gives
+both the value and the scale it is compared against.
 """
 
 from __future__ import annotations
@@ -28,10 +29,9 @@ from .expr import (
     Const,
     Div,
     DivisionByZeroError,
-    Exp,
+    ExactProgram,
     Expr,
     ExprError,
-    Ln,
     Mul,
     Neg,
     PowInt,
@@ -190,75 +190,67 @@ def _times(a: Poly, b: Poly, one: Poly) -> Poly:
     return a * b
 
 
-def _to_fraction_pair(
-    e: Expr, vars: tuple, one: Poly, memo: Optional[dict] = None
-) -> tuple:
-    """Numerator and denominator Poly of ``e``.
-
-    Every constant-1 denominator is the object ``one``, so a polynomial
-    ``e`` (the usual case) is expanded without multiplying by it.  Each
-    distinct subtree is expanded once per call: ``memo`` holds the pairs of
-    the subtrees completed so far, so a pole raises where a walk of the
-    tree, numerator before denominator, meets it first.
+def _rational_form(program: ExactProgram, vars: tuple) -> RationalForm:
+    """N/D over ``vars`` of the one entry of ``program``, from an (N, D) pair
+    per instruction.  Every constant-1 denominator is the object ``one``, so
+    a polynomial entry (the usual case) is expanded without multiplying by it.
     """
-    if memo is None:
-        memo = {}
-    pair = memo.get(e)
-    if pair is not None:
-        return pair
-    if isinstance(e, Const):
-        pair = Poly.constant(vars, e.value), one
-    elif isinstance(e, Sym):
-        pair = Poly.variable(vars, e.symbol), one
-    elif isinstance(e, Neg):
-        n, d = _to_fraction_pair(e.arg, vars, one, memo)
-        pair = -n, d
-    elif isinstance(e, Add):
-        n, d = Poly.zero(vars), one
-        for t in e.terms:
-            tn, td = _to_fraction_pair(t, vars, one, memo)
-            n = _times(n, td, one) + _times(tn, d, one)
-            d = _times(d, td, one)
-        pair = n, d
-    elif isinstance(e, Mul):
-        n, d = one, one
-        for f in e.factors:
-            fn, fd = _to_fraction_pair(f, vars, one, memo)
-            n = _times(n, fn, one)
-            d = _times(d, fd, one)
-        pair = n, d
-    elif isinstance(e, Div):
-        nn, nd = _to_fraction_pair(e.num, vars, one, memo)
-        dn, dd = _to_fraction_pair(e.den, vars, one, memo)
-        if dn.is_zero:
-            raise DivisionByZeroError(e)
-        pair = _times(nn, dd, one), _times(nd, dn, one)
-    elif isinstance(e, PowInt):
-        bn, bd = _to_fraction_pair(e.base, vars, one, memo)
-        k = e.exponent
-        if k >= 0:
-            pair = bn.power(k), bd if bd is one else bd.power(k)
-        elif bn.is_zero:
-            raise DivisionByZeroError(e)
-        else:
-            pair = bd.power(-k), bn.power(-k)
-    elif isinstance(e, (Ln, Exp)):
-        raise TranscendentalNodeError(e)
-    else:
-        raise TypeError(f"unhandled node {e!r}")
-    memo[e] = pair
-    return pair
+    one = Poly.constant(vars, 1)
+    pairs: list = []  # one (N, D) per instruction
+    for op, args, payload in program.instrs:
+        if op is Mul:
+            n, d = one, one
+            for a in args:
+                fn, fd = pairs[a]
+                n = _times(n, fn, one)
+                d = _times(d, fd, one)
+            pair = n, d
+        elif op is Add:
+            n, d = Poly.zero(vars), one
+            for a in args:
+                tn, td = pairs[a]
+                n = _times(n, td, one) + _times(tn, d, one)
+                d = _times(d, td, one)
+            pair = n, d
+        elif op is Sym:
+            pair = Poly.variable(vars, payload), one
+        elif op is Const:
+            pair = Poly.constant(vars, payload), one
+        elif op is Neg:
+            n, d = pairs[args[0]]
+            pair = -n, d
+        elif op is Div:
+            (nn, nd), (dn, dd) = pairs[args[0]], pairs[args[1]]
+            if dn.is_zero:
+                raise DivisionByZeroError(payload)
+            pair = _times(nn, dd, one), _times(nd, dn, one)
+        elif op is PowInt:
+            bn, bd = pairs[args[0]]
+            k = payload.exponent
+            if k >= 0:
+                pair = bn.power(k), bd if bd is one else bd.power(k)
+            elif bn.is_zero:
+                raise DivisionByZeroError(payload)
+            else:
+                pair = bd.power(-k), bn.power(-k)
+        else:  # Ln or Exp
+            raise TranscendentalNodeError(payload)
+        pairs.append(pair)
+    ((out,),) = program.outputs
+    return RationalForm(*pairs[out])
 
 
 def normalize_rational(e: Expr) -> RationalForm:
     """The rational Expr ``e`` over one common denominator, not reduced.
 
-    Raises :class:`DivisionByZeroError` at a quotient by an identically zero
-    polynomial, so the returned den is never the zero polynomial.  The
-    variables are ordered states, then parameters, each by name.
+    A pass over :func:`odeobs.expr.compile_exact`'s post-order, which raises
+    the first error of that order, as :meth:`ExactProgram.run` does:
+    :class:`DivisionByZeroError` at a quotient by an identically zero
+    polynomial (so the returned den is never the zero polynomial), and
+    :class:`TranscendentalNodeError` at an ln/exp node, after its argument.
+    The variables are ordered states, then parameters, each by name.
     """
-    vars = _default_order(e)
-    return RationalForm(*_to_fraction_pair(e, vars, Poly.constant(vars, 1)))
+    return _rational_form(compile_exact(((e,),)), _default_order(e))
 
 
 # ---------------------------------------------------------------------------
@@ -326,16 +318,17 @@ def is_zero(e: Expr, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ZeroTestRes
     domain.  Which of the two tests runs is decided before any expansion,
     so a rational pole in an expression with ln/exp is met by the sampler.
     """
-    symbols = tuple(sorted(free_symbols(e), key=lambda s: s.sort_key))
+    symbols = _default_order(e)
     rng = random.Random(seed)
     if has_ln_exp(e):
         return _sampled_zero_test(e, symbols, rng, trials)
-    rf = normalize_rational(e)
-    if rf.num.is_zero:
-        return ZeroTestResult(ZERO_EXACT)
-    if rf.num.is_constant:
-        return ZeroTestResult(NONZERO_EXACT, witness={})
+    # one program gives N/D and runs at the witness samples
     program = compile_exact(((e,),))
+    num = _rational_form(program, symbols).num
+    if num.is_zero:
+        return ZeroTestResult(ZERO_EXACT)
+    if num.is_constant:
+        return ZeroTestResult(NONZERO_EXACT, witness={})
     for _ in range(4 * trials):
         point = _sample_point(rng, symbols)
         try:

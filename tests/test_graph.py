@@ -1,6 +1,8 @@
 import random
 from fractions import Fraction
 
+import pytest
+
 import odeobs.conserved
 import odeobs.graph as graph_module
 import odeobs.report
@@ -98,6 +100,24 @@ class TestBuildGraph:
         rhs = (parse_expr("x*ln(x)/(k - k)", (x, k)),)
         sys = OdeSystem(name="pole", states=(x,), params=(k,), rhs=rhs)
         assert build_graph(sys).edge_names() == (("x", "x"),)
+
+    @pytest.mark.parametrize(
+        "text, edges",
+        [
+            ("ln(1/(x - x))", (("y", "y"),)),
+            ("1/(y - y) + ln(x)", (("x", "x"), ("y", "y"))),
+        ],
+    )
+    def test_pole_beside_ln_takes_the_sampled_test(self, text, edges):
+        # ln/exp chooses the sampled test before any expansion, so a
+        # rational pole is never expanded, wherever it sits
+        x, y = Symbol("x", "state"), Symbol("y", "state")
+        f = parse_expr(text, (x, y))
+        sys = OdeSystem(name="pole", states=(x, y), params=(), rhs=(f, sym(y)))
+        sampled = tuple(
+            ("x", v.name) for v in (x, y) if not is_zero(diff(f, v)).is_zero_like
+        )
+        assert build_graph(sys).edge_names() == sampled + (("y", "y"),) == edges
 
     def test_scaling_invariance(self, sir):
         scaled = OdeSystem(
@@ -340,6 +360,17 @@ class TestDot:
     def test_empty_graph(self):
         g = InferenceGraph(nodes=(), edges=())
         assert export_dot(g, scc_condensation(g)) == "digraph {\n}\n"
+
+    def test_keyword_names_are_quoted(self):
+        text = "model: m\nparams: a\nstates: node, Edge\ndnode/dt = a*Edge\ndEdge/dt = -a*node\n"
+        g = build_graph(parse_model(text))
+        dot = export_dot(g, scc_condensation(g))
+        assert '    "node" [root=true, penwidth=2];' in dot
+        assert '    "Edge" [root=true, penwidth=2];' in dot
+        assert '  "node" -> "Edge";' in dot
+        assert '  "Edge" -> "node";' in dot
+        for name in ("node", "Edge"):
+            assert name not in dot.replace(f'"{name}"', "")
 
     def test_mm_full_dot(self, mm):
         g = build_graph(mm)

@@ -112,6 +112,11 @@ class TestParseModel:
                 ROTATION + "conserved Q: x^2 + y^2\nconserved Q: 2*x^2 + 2*y^2\n",
                 "line 7: duplicate conserved level name",
             ),
+            (
+                ROTATION + "conserved T: x^2 + y^2\nconserved T: 2*x^2 + 2*y^2\n"
+                "conserved U: 3*x^2 + 3*y^2\n",
+                "line 7: duplicate conserved level name",
+            ),
         ],
     )
     def test_refusal_names_the_line(self, text, message):
