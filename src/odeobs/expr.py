@@ -837,17 +837,18 @@ class FloatPrinter:
     tree.  Within one :meth:`emit` call, a composite value that the
     lowering's instructions and the expressions read more than once is
     computed at its first use, bound there with ``:=``, and read by name
-    after that.  The evaluation order is unchanged, so every value is the
-    one a plain tree walk gives, bit for bit, and so is the first exception
-    raised.  A ``Neg`` term of a sum is printed as a subtraction: in IEEE
-    arithmetic ``a + (-b)`` is exactly ``a - b``.  Parameters are inlined as
-    float literals, except that a product factor or a divisor whose parameter
-    is exactly ``1.0`` is left out, and a product left with no factor prints
-    ``1.0``: ``x*1.0`` and ``x/1.0`` are ``x`` bit for bit, and neither can
-    raise.  ``-1.0`` is kept, since ``-1.0*x`` and ``-x`` differ in the sign
-    of a NaN.  :attr:`polynomial` says whether the source holds only
-    ``+``, ``-`` and ``*``, which numpy computes on float64 columns with the
-    same bits and without raising.
+    after that; one that folds to a bare local, name or literal is read as
+    that text instead.  The evaluation order is unchanged, so every value is
+    the one a plain tree walk gives, bit for bit, and so is the first
+    exception raised.  A ``Neg`` term of a sum is printed as a subtraction:
+    in IEEE arithmetic ``a + (-b)`` is exactly ``a - b``.  Parameters are
+    inlined as float literals, except that a product factor or a divisor
+    whose parameter is exactly ``1.0`` is left out, and a product left with
+    no factor prints ``1.0``: ``x*1.0`` and ``x/1.0`` are ``x`` bit for bit,
+    and neither can raise.  ``-1.0`` is kept, since ``-1.0*x`` and ``-x``
+    differ in the sign of a NaN.  :attr:`polynomial` says whether the source
+    holds only ``+``, ``-`` and ``*``, which numpy computes on float64
+    columns with the same bits and without raising.
     """
 
     def __init__(self, exprs: Sequence[Expr], params: Mapping[Symbol, float]):
@@ -879,6 +880,18 @@ class FloatPrinter:
         """Whether value ``v`` is a parameter equal to 1.0 (a state local is never one)."""
         op, _, payload = self.instrs[v]
         return op is Sym and payload not in self.env and self.params.get(payload) == 1.0
+
+    def _bare(self, v: int) -> bool:
+        """Whether value ``v`` prints as a bare local, bound name or literal: a
+        leaf, or a product or quotient left with at most one such operand once
+        its unit parameters fold out."""
+        op, args, _ = self.instrs[v]
+        if op is Const or op is Sym or v in self.names:
+            return True
+        if op is Mul:
+            kept = [a for a in args if not self._unit(a)]
+            return not kept or (len(kept) == 1 and self._bare(kept[0]))
+        return op is Div and self._unit(args[1]) and self._bare(args[0])
 
     def _printed(self, v: int) -> tuple:
         # two frames per tree level (this and _emit), and no generator frames
@@ -928,7 +941,7 @@ class FloatPrinter:
         else:
             function = "math.log" if op is Ln else "math.exp"
             text, precedence = f"{function}({self._emit(args[0], _SUM)})", _ATOM
-        if v not in self.shared:
+        if v not in self.shared or self._bare(v):
             return text, precedence
         name = self.names[v] = f"c{self.n_bound}"
         self.n_bound += 1

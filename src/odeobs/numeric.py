@@ -6,14 +6,18 @@ and output comparisons deterministic.  Each run compiles the time loop
 itself into one generated function of the n state scalars: its body is the
 whole step in straight-line code, the four stages, their inputs and the
 update, with structurally equal subexpressions computed once per stage.
-The state stays in local variables, and ``integrate_rk4`` calls the loop
-once per block of rows, each row appended as it is computed.  Drift and
-observed outputs are one printed function of the n state values.  When it
-is polynomial (only ``+``, ``-`` and ``*``) it runs once on the trajectory's
-state columns with numpy, which computes the same bits as Python floats
-and, like them, raises nothing.  Any other function runs once per row on
-Python floats; so a pole on the trajectory raises ``ZeroDivisionError``
-instead of turning into ``inf``.  The source is printed by
+The state stays in local variables, and each step writes it straight into
+the trajectory's float64 array with one ``struct`` ``pack_into`` call.
+``integrate_rk4`` calls the loop once per block of ``_ROW_BLOCK`` rows and
+then checks the block's rows for finiteness, so the loop itself tests
+nothing per step; a stage error ends the loop and is returned with the
+offset of the rows written before it.  Drift and observed outputs are one
+printed function of the n state values.  When it is polynomial (only
+``+``, ``-`` and ``*``) it runs once on the trajectory's state columns
+with numpy, which computes the same bits as Python floats and, like them,
+raises nothing.  Any other function runs once per row on Python floats; so
+a pole on the trajectory raises ``ZeroDivisionError`` instead of turning
+into ``inf``.  The source is printed by
 :class:`odeobs.expr.FloatPrinter` from the lowering that
 :func:`odeobs.expr.compile_exact` runs: the expressions are lowered once per
 compiled function, and printed once per RK4 stage; a parameter equal to
@@ -33,6 +37,7 @@ observability empirically.  Finding no witness never proves observability.
 from __future__ import annotations
 
 import math
+import struct
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -91,46 +96,51 @@ def compile_functions(
 ) -> Callable:
     """Compile the classical RK4 loop of the right-hand sides ``exprs``, parameters inlined.
 
-    The result is ``run(x0, ..., x{n-1}, steps, append)``: it takes up to
-    ``steps`` steps from the given state and passes each new state to
-    ``append`` as a tuple.  Each stage evaluates the right-hand sides at
+    The result is ``run(x0, ..., x{n-1}, steps, pack, buf, offset)``: it
+    takes ``steps`` steps from the given state and writes each new state
+    with one call ``pack(buf, offset, x0, ..., x{n-1})``, advancing
+    ``offset`` by ``8*n`` bytes, so ``pack`` is the ``pack_into`` of
+    ``struct.Struct(f"{n}d")`` and ``buf`` a writable buffer, such as the
+    bytes of a float64 array.  Each stage evaluates the right-hand sides at
     ``x + (dt/2)*k`` or ``x + dt*k``, and the update is
-    ``x + dt/6*(k1 + 2.0*k2 + 2.0*k3 + k4)``.  At the first state with a
-    non-finite entry it returns ``True`` without appending that state; after
-    ``steps`` steps it returns ``False``.  A stage's ``ZeroDivisionError``,
-    ``ValueError`` or ``OverflowError`` propagates, and the states appended
-    before it are the trajectory so far.
+    ``x + dt/6*(k1 + 2.0*k2 + 2.0*k3 + k4)``.  It checks no state for
+    finiteness.  It returns ``(offset, None)`` after ``steps`` steps; a
+    stage's ``ZeroDivisionError``, ``ValueError`` or ``OverflowError`` ends
+    it, returned as ``(offset, error)``, where ``offset`` is past the last
+    state written.
     """
     printer = FloatPrinter(exprs, params)
     xs = [f"x{i}" for i in range(len(states))]
     args = ", ".join(xs) + ","
     # dt > 0, so every scale prints as a plain literal; repr round-trips
-    lines = [f"def _compiled({args} steps, append):", "    for _ in range(steps):"]
+    lines = [
+        f"def _compiled({args} steps, pack, buf, offset):",
+        "    try:",
+        "        for _ in range(steps):",
+    ]
     ks: List[List[str]] = []
     for stage, scale in enumerate((None, dt / 2.0, dt / 2.0, dt), start=1):
         inputs = xs
         if scale is not None:
             inputs = [f"u{stage}_{i}" for i in range(len(xs))]
             lines += [
-                f"        {u} = {x} + {scale!r} * {k}" for u, x, k in zip(inputs, xs, ks[-1])
+                f"            {u} = {x} + {scale!r} * {k}" for u, x, k in zip(inputs, xs, ks[-1])
             ]
         ks.append([f"k{stage}_{i}" for i in range(len(xs))])
         values = printer.emit(dict(zip(states, inputs)))
-        lines += [f"        {k} = {v}" for k, v in zip(ks[-1], values)]
+        lines += [f"            {k} = {v}" for k, v in zip(ks[-1], values)]
     # each update reads only its own state and ks, so updating in place
     # computes what a simultaneous update would
     lines += [
-        f"        {x} = {x} + {dt / 6.0!r} * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
+        f"            {x} = {x} + {dt / 6.0!r} * ({a} + 2.0 * {b} + 2.0 * {c} + {d})"
         for x, a, b, c, d in zip(xs, *ks)
     ]
-    # a sum of finite entries can overflow, so only a non-finite sum
-    # pays for the test of each entry
     lines += [
-        f"        row = ({args})",
-        "        if not isfinite(sum(row)) and not all(map(isfinite, row)):",
-        "            return True",
-        "        append(row)",
-        "    return False",
+        f"            pack(buf, offset, {', '.join(xs)})",
+        f"            offset += {8 * len(xs)}",
+        "    except (ZeroDivisionError, ValueError, OverflowError) as exc:",
+        "        return offset, exc",
+        "    return offset, None",
     ]
     return _exec(lines)
 
@@ -148,7 +158,7 @@ def _scalar_function(printer: FloatPrinter, states: Sequence[Symbol]) -> Callabl
 
 def _exec(lines: List[str]) -> Callable:
     """The function ``_compiled`` that the source ``lines`` define."""
-    namespace = {"math": math, "inf": math.inf, "nan": math.nan, "isfinite": math.isfinite}
+    namespace = {"math": math, "inf": math.inf, "nan": math.nan}
     exec("\n".join(lines) + "\n", namespace)
     return namespace["_compiled"]
 
@@ -157,10 +167,13 @@ def _normalize_x0(sys: OdeSystem, x0) -> np.ndarray:
     import numpy as np
 
     if isinstance(x0, Mapping):
-        by_name = {
-            (k.name if isinstance(k, Symbol) else str(k)): float(v)
-            for k, v in x0.items()
-        }
+        names = {s.name for s in sys.states}
+        by_name: Dict[str, float] = {}
+        for key, value in x0.items():
+            name = key.name if isinstance(key, Symbol) else str(key)
+            if name not in names:
+                raise KeyError(f"unknown state {name!r}")
+            by_name[name] = float(value)
         try:
             return np.array([by_name[s.name] for s in sys.states], dtype=float)
         except KeyError as exc:
@@ -192,29 +205,41 @@ def _rk4_loop(sys: OdeSystem, params: Mapping, dt: float, T: float) -> Callable:
 
 
 def _integrate(run: Callable, sys: OdeSystem, x0, params: Mapping, dt: float, T: float) -> Trajectory:
-    """The trajectory from ``x0`` of the RK4 loop ``run`` that :func:`_rk4_loop` compiled."""
+    """The trajectory from ``x0`` of the RK4 loop ``run`` that :func:`_rk4_loop` compiled.
+
+    ``run`` writes ``_ROW_BLOCK`` rows at a time straight into the
+    trajectory array, and each block's rows are then checked for
+    finiteness.  The first non-finite row truncates the trajectory, also
+    when a stage failed later in the block: the loop stepped on from a
+    state that a per-step check would have stopped at.
+    """
     import numpy as np
 
     steps = int(math.floor(T / dt + 1e-9))
     x = _normalize_x0(sys, x0).tolist()
     values = np.empty((steps + 1, sys.n), dtype=float)
     values[0] = x
+    pack = struct.Struct(f"{sys.n}d").pack_into
+    buf = memoryview(values).cast("B")
+    row_bytes = values.itemsize * sys.n
     diverged = False
     filled = 1
-    while filled <= steps and not diverged:
-        rows: List[Tuple[float, ...]] = []
-        try:
-            diverged = run(*x, min(_ROW_BLOCK, steps + 1 - filled), rows.append)
-        except ZeroDivisionError:
-            raise EvaluationError((filled + len(rows) - 1) * dt, "division by zero") from None
-        except ValueError as exc:
-            raise EvaluationError((filled + len(rows) - 1) * dt, str(exc)) from None
-        except OverflowError:
+    while filled <= steps:
+        offset, error = run(*x, min(_ROW_BLOCK, steps + 1 - filled), pack, buf, filled * row_bytes)
+        written = offset // row_bytes
+        finite = np.isfinite(values[filled:written]).all(axis=1)
+        if not finite.all():
+            filled += int(finite.argmin())
             diverged = True
-        if rows:
-            values[filled:filled + len(rows)] = rows
-            filled += len(rows)
-            x = rows[-1]
+            break
+        filled = written
+        if isinstance(error, OverflowError):
+            diverged = True
+            break
+        if error is not None:
+            reason = "division by zero" if isinstance(error, ZeroDivisionError) else str(error)
+            raise EvaluationError((filled - 1) * dt, reason)
+        x = values[filled - 1].tolist()
     times = np.arange(filled) * dt
     return Trajectory(
         states=sys.states,

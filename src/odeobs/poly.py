@@ -190,12 +190,33 @@ def _times(a: Poly, b: Poly, one: Poly) -> Poly:
     return a * b
 
 
+def _sum(vars: tuple, terms: list) -> Poly:
+    """The sum of the polynomials ``terms``, added into one dict.
+
+    A monomial whose coefficient cancels is dropped at once, so a later
+    term that brings it back puts it last, as adding the terms one by one
+    would.
+    """
+    out: dict = {}
+    for term in terms:
+        for m, c in term.coeffs.items():
+            c = out.get(m, 0) + c
+            if c:
+                out[m] = c
+            else:
+                del out[m]
+    return Poly(vars, out)
+
+
 def _rational_form(program: ExactProgram, vars: tuple) -> RationalForm:
     """N/D over ``vars`` of the one entry of ``program``, from an (N, D) pair
     per instruction.  Every constant-1 denominator is the object ``one``, so
-    a polynomial entry (the usual case) is expanded without multiplying by it.
+    a polynomial entry (the usual case) is expanded without multiplying by
+    it, and a sum of such terms is added into one dict.
     """
     one = Poly.constant(vars, 1)
+    position = {v: i for i, v in enumerate(vars)}
+    zeros = (0,) * len(vars)
     pairs: list = []  # one (N, D) per instruction
     for op, args, payload in program.instrs:
         if op is Mul:
@@ -206,14 +227,18 @@ def _rational_form(program: ExactProgram, vars: tuple) -> RationalForm:
                 d = _times(d, fd, one)
             pair = n, d
         elif op is Add:
-            n, d = Poly.zero(vars), one
-            for a in args:
-                tn, td = pairs[a]
-                n = _times(n, td, one) + _times(tn, d, one)
-                d = _times(d, td, one)
-            pair = n, d
+            terms = [pairs[a] for a in args]
+            if all(td is one for _, td in terms):
+                pair = _sum(vars, [tn for tn, _ in terms]), one
+            else:
+                n, d = Poly.zero(vars), one
+                for tn, td in terms:
+                    n = _times(n, td, one) + _times(tn, d, one)
+                    d = _times(d, td, one)
+                pair = n, d
         elif op is Sym:
-            pair = Poly.variable(vars, payload), one
+            i = position[payload]
+            pair = Poly(vars, {zeros[:i] + (1,) + zeros[i + 1 :]: 1}), one
         elif op is Const:
             pair = Poly.constant(vars, payload), one
         elif op is Neg:

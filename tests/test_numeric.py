@@ -3,6 +3,7 @@ import functools
 import math
 import operator
 import random
+import struct
 
 import numpy as np
 import pytest
@@ -127,6 +128,15 @@ class TestIntegrateRk4:
         with pytest.raises(KeyError):
             integrate_rk4(sir, SIR_X0, {"beta": 1.0}, 0.1, 1.0)
 
+    def test_unknown_parameter_rejected(self, sir):
+        with pytest.raises(KeyError, match="unknown parameter 'Q'"):
+            integrate_rk4(sir, SIR_X0, {**SIR_PARAMS, "Q": 5.0}, 0.1, 1.0)
+
+    def test_unknown_state_rejected(self, sir):
+        x0 = {"S": 997.0, "I": 3.0, "R": 0.0, "Q": 5.0}
+        with pytest.raises(KeyError, match="unknown state 'Q'"):
+            integrate_rk4(sir, x0, SIR_PARAMS, 0.1, 1.0)
+
     def test_mapping_initial_state(self, sir):
         a = integrate_rk4(sir, SIR_X0, SIR_PARAMS, 0.1, 1.0)
         b = integrate_rk4(
@@ -165,13 +175,32 @@ def _reference_run(sys, x0, params, dt, steps):
 
 
 class TestBlockLoop:
-    """``integrate_rk4`` runs ``_ROW_BLOCK`` steps per call of the generated loop."""
+    """``integrate_rk4`` runs ``_ROW_BLOCK`` steps per call of the generated loop.
+
+    The loop writes every row it computes into the trajectory array and
+    checks none; ``integrate_rk4`` then checks the block's rows for
+    finiteness.  A per-step loop that checks each row must give the same
+    rows, the same truncation point and the same error.
+    """
 
     DT = 2.0**-6  # every grid time below is exact
 
     def _model(self, rhs):
         lines = ["model: m", "params: a", "states: x, y"]
         return parse_model("\n".join(lines + [f"d{s}/dt = {rhs[s]}" for s in "xy"]) + "\n")
+
+    def _clocked(self, rhs):
+        """A model whose first state is the time (ds/dt = 1), so an event can be placed at a step."""
+        lines = ["model: m", "params: a", "states: s, x, y", "ds/dt = 1"]
+        return parse_model("\n".join(lines + [f"d{v}/dt = {rhs[v]}" for v in "xy"]) + "\n")
+
+    def _overflowing_sum(self, row):
+        """Rate ``a`` for which dx/dt = a*s first gives a non-finite row at index ``row``.
+
+        The step to row j sums k1 + 2*k2 + 2*k3 + k4 = a*(6*j - 3)*dt, which
+        overflows with every stage input finite.
+        """
+        return float(np.finfo(float).max) / ((6 * row - 6) * self.DT)
 
     def _same_as_reference(self, sys, x0, params, dt, steps):
         traj = integrate_rk4(sys, x0, params, dt, steps * dt)
@@ -217,6 +246,40 @@ class TestBlockLoop:
             integrate_rk4(sys, x0, {"a": 1.0}, self.DT, steps * self.DT)
         assert (got.value.t, str(got.value)) == (expected.value.t, str(expected.value))
         assert got.value.reason == message and got.value.t > _ROW_BLOCK * self.DT
+
+    @pytest.mark.parametrize(
+        "row", [_ROW_BLOCK, _ROW_BLOCK + 1], ids=["last_of_block", "first_of_block"]
+    )
+    def test_non_finite_row_at_a_block_edge_truncates_there(self, row):
+        sys = self._clocked({"x": "a*s", "y": "-y"})
+        params = {"a": self._overflowing_sum(row)}
+        traj = self._same_as_reference(sys, (0.0, 0.0, 1.0), params, self.DT, 3 * _ROW_BLOCK)
+        assert traj.diverged and len(traj.times) == row
+
+    def test_non_finite_row_wins_over_a_later_stage_error_in_its_block(self):
+        # x = inf at row 356; the next step takes ln(1/inf) = ln(0), in the same block
+        row = _ROW_BLOCK + 100
+        sys = self._clocked({"x": "a*s", "y": "ln(1/x)"})
+        params = {"a": self._overflowing_sum(row)}
+        traj = self._same_as_reference(sys, (0.0, 1.0, 0.0), params, self.DT, 3 * _ROW_BLOCK)
+        assert traj.diverged and len(traj.times) == row
+        point, last = {sys.params[0]: params["a"]}, tuple(traj.values[-1].tolist())
+        non_finite = _reference_step(sys.states, sys.rhs, point, self.DT, last)
+        assert non_finite[1] == math.inf
+        with pytest.raises(ValueError, match="math domain error"):
+            _reference_step(sys.states, sys.rhs, point, self.DT, non_finite)
+
+    def test_overflow_error_in_the_middle_of_a_block_truncates_there(self):
+        # exp(a*s) leaves the float range first at the last stage of the step to row 384
+        row = _ROW_BLOCK + _ROW_BLOCK // 2
+        sys = self._clocked({"x": "exp(a*s)/(1 + exp(a*s))", "y": "-y"})
+        params = {"a": math.log(np.finfo(float).max) / ((row - 0.25) * self.DT)}
+        traj = self._same_as_reference(sys, (0.0, 0.0, 1.0), params, self.DT, 3 * _ROW_BLOCK)
+        assert traj.diverged and len(traj.times) == row
+        assert np.all(np.isfinite(traj.values))
+        point, last = {sys.params[0]: params["a"]}, tuple(traj.values[-1].tolist())
+        with pytest.raises(OverflowError):
+            _reference_step(sys.states, sys.rhs, point, self.DT, last)
 
     def test_finite_row_whose_sum_overflows_is_not_divergence(self):
         sys = self._model({"x": "a*y", "y": "a*x"})
@@ -268,12 +331,13 @@ class TestCompiledPrograms:
     def test_one_state_step_returns_a_one_tuple(self):
         sys = parse_model("model: d\nparams: a\nstates: x\ndx/dt = -a*x\n")
         run = compile_functions(sys.states, sys.rhs, {sys.params[0]: 1.0}, 0.5)
-        rows = []
-        assert run(1.0, 1, rows.append) is False
-        (x,) = rows
-        assert isinstance(x, tuple) and len(x) == 1
+        buf = bytearray(16)
+        # one step writes one 8-byte row at the offset it is given
+        assert run(1.0, 1, struct.Struct("d").pack_into, buf, 8) == (16, None)
+        assert buf[:8] == bytes(8)
+        (x,) = struct.unpack_from("d", buf, 8)
         # classical RK4 for x' = -x over h = 1/2: 1 - h + h^2/2 - h^3/6 + h^4/24
-        assert x[0] == pytest.approx(1 - 0.5 + 0.125 - 0.125 / 6 + 0.0625 / 24, rel=1e-15)
+        assert x == pytest.approx(1 - 0.5 + 0.125 - 0.125 / 6 + 0.0625 / 24, rel=1e-15)
 
     def test_step_matches_a_tree_walk_bit_for_bit(self):
         # random right-hand sides share subtrees by chance and negative
@@ -281,6 +345,7 @@ class TestCompiledPrograms:
         # walk raises, with the same text
         rng = random.Random(7)
         outcomes = set()
+        pack, buf = struct.Struct("3d").pack_into, bytearray(24)
         for _ in range(300):
             rhs = [random_expr(rng, depth=4, allow_ln=True) for _ in range(3)]
             params = {A: rng.choice([0.5, -1.5]), B: rng.choice([2.0, -0.25])}
@@ -288,23 +353,21 @@ class TestCompiledPrograms:
             x = tuple(rng.choice([-1.0, -2.0, rng.uniform(-2.0, 2.0)]) for _ in range(3))
             run = compile_functions((X, Y, Z), rhs, params, 0.01)
             for _ in range(3):
-                rows = []
                 try:
                     expected = _reference_step((X, Y, Z), rhs, params, 0.01, x)
                 except (ArithmeticError, ValueError) as exc:
-                    with pytest.raises(type(exc)) as info:
-                        run(*x, 1, rows.append)
-                    assert str(info.value) == str(exc)
+                    # the error is returned, with the offset of the rows written before it
+                    offset, error = run(*x, 1, pack, buf, 0)
+                    assert offset == 0 and type(error) is type(exc) and str(error) == str(exc)
                     outcomes.add(type(exc).__name__)
                     break
-                diverged = run(*x, 1, rows.append)
-                if diverged:
-                    # a non-finite row is reported, not appended
-                    assert rows == [] and not all(map(math.isfinite, expected))
+                assert run(*x, 1, pack, buf, 0) == (24, None)
+                got = struct.unpack_from("3d", buf)
+                assert [v.hex() for v in got] == [v.hex() for v in expected]
+                if not all(map(math.isfinite, got)):
+                    # a non-finite row is written like any other; integrate_rk4 stops at it
                     outcomes.add("diverged")
                     break
-                (got,) = rows
-                assert [v.hex() for v in got] == [v.hex() for v in expected]
                 outcomes.add("ok")
                 x = got
         assert {"ok", "ZeroDivisionError", "OverflowError", "diverged"} <= outcomes

@@ -24,12 +24,12 @@ from test_rk4_pins import CASES, chain
 
 # case -> (sha256 of the RK4 loop source, sha256 of the scalar function source)
 DIGESTS = {
-    'chain32_perm1': ('61e84f62e95ce4593e54918dd9150e667ebd383604fbfc7a61ca3e49a6e963f1', 'f1087b57011cc7cc7e08932a9b41a9a098fb4a8f2e49374cc40fb29aa13a019f'),
-    'lv': ('aa59e80d0901d97e74b577421679c9940a7a232a32764184b2302882689527a6', '51ad0bdcd2fb102dbc2a01bd484209396aefaa8b3aa27e88b49d1c7dcbcb4354'),
-    'mm': ('086cbf0f820c2a90f87116470d93ecfdd16b9fa989a6d17b458ca8e1838381e8', '7f5d8989480cbd80c5e4e6d2a0323b167d1e8e25ee6975aca1120ff9baf7f095'),
-    'shared': ('2431316697378c0aaa61d2a71d918ac81f15beadc251c5cb6c2d91a50195a8a3', 'f5bcc70105780cf46f22fc8c6dce7a04e4b29586f9cbd9fd838cf7381e069fdf'),
-    'sir': ('5329ac665d65782aa13fc1e03e394b7b878befea234e993944843467e3ef64d5', '55269798134d8103a482ad25ff9d1d296ea8fbf93b216184d19f3befc8a067b2'),
-    'toy': ('0fa30abdbde772257d413aee1c21dd92260fee182a6a0d5f397c3f07cb29c86f', '330865b18f4f49178a4eba3705cbb22d062d3a561e6fb38cbce36e74e6661a21'),
+    'chain32_perm1': ('59e1a0b1f6a638aebed6e9bb5864b7eb8cedf5f523657464bc31d8866925e59b', 'aeea9847fdfd7c5fe41c5809e8fa088aee81a0a56cf1fac13cd79af94a509092'),
+    'lv': ('5ba8f511fd40877ef2fc76abb8e23fd270464b37eef5d26b7511e34709870fc6', '51ad0bdcd2fb102dbc2a01bd484209396aefaa8b3aa27e88b49d1c7dcbcb4354'),
+    'mm': ('f3e616be36014c80129255c61ac320e8439ea4824ce51f86d85861d1d901cafb', '7f5d8989480cbd80c5e4e6d2a0323b167d1e8e25ee6975aca1120ff9baf7f095'),
+    'shared': ('2d23497112caff8e36a65a58df6d3a2e5b54080127a9fb9efb33a44c9952f9db', 'f5bcc70105780cf46f22fc8c6dce7a04e4b29586f9cbd9fd838cf7381e069fdf'),
+    'sir': ('af9f7f38483f8420e624207e00c369435934c71f81d58543dd3b1bd421bd4442', '55269798134d8103a482ad25ff9d1d296ea8fbf93b216184d19f3befc8a067b2'),
+    'toy': ('092d03a4c79b8326ae9d7c0def5d77c99565aa096e0354da4541cda17df4a56e', '21db173555d9ab51580ded756071cf590c9b1ac0812d68c5a491c40dd6a28038'),
 }
 
 
@@ -76,6 +76,15 @@ def test_unit_parameters_fold_out_of_products_and_divisors():
     assert printed == ["x0", "1.0", "x0", "x0 * x1", "-x1", "-1.0 * x0", "1.0 + x0"]
 
 
+def test_value_folded_to_a_bare_read_is_not_bound():
+    # with a = 1.0, a*x is x and (x*y)/a is x*y: each is read as its text, not bound anew
+    symbols = {"x": X, "y": Y, "a": A}
+    texts = ("a*x", "-(a*x)", "(x*y)/a", "x*y", "(x*y)/a", "a*a", "a*a + x")
+    exprs = [parse_expr(t, symbols) for t in texts]
+    printed = FloatPrinter(exprs, {A: 1.0}).emit({X: "x0", Y: "x1"})
+    assert printed == ["x0", "-x0", "(c0 := x0 * x1)", "c0", "c0", "1.0", "1.0 + x0"]
+
+
 def test_witness_search_compiles_one_rk4_loop(monkeypatch):
     # chain-12 observing x6: x7..x12 are hidden, and threshold 0 makes the
     # search try both signs of all six
@@ -87,4 +96,4 @@ def test_witness_search_compiles_one_rk4_loop(monkeypatch):
         sys, observed, [1.0] * sys.n, params, 0.1, 1.0, 0.1, threshold=0.0
     )
     assert witness is None
-    assert [s.splitlines()[0].endswith("steps, append):") for s in sources] == [True, False]
+    assert [s.splitlines()[0].endswith("steps, pack, buf, offset):") for s in sources] == [True, False]
