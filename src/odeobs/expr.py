@@ -44,6 +44,12 @@ from its own construction on, so every node has them from birth and no walk
 exists to write them.  :func:`free_symbols`, :func:`has_ln_exp`, the
 pruning of :func:`diff` and :func:`compile_exact` read them.
 
+:func:`diff` builds the derivatives of sums and products straight from
+their children, which a constructor left in normal form, without passing
+them through :func:`add` and :func:`mul` again; nodes out of normal form
+take those general constructors.  Either way the result is the interned
+node the constructors give.
+
 Expression DAGs are lowered to code in one way: the DAG's post-order, one
 instruction per distinct node after those of its children, which come in
 the order :func:`children` gives them.  An instruction is ``(node class,
@@ -545,11 +551,21 @@ def diff(e: Expr, v: Symbol, memo: Optional[dict] = None) -> Expr:
     shared too.  The memo lasts one call, or as long as the caller keeps the
     one passed as ``memo``; one memo serves one variable and keeps every
     node it has seen alive.
+
+    The result is the interned node that the smart constructors give for
+    the rules of calculus.  A sum's and a product's derivatives are built
+    straight from the node's normal-form children: a lone nonzero term of a
+    sum is the result itself, and each product-rule term of a product in
+    :func:`mul`'s normal form folds the derivative's sign and constant and
+    splices in its factors, as :func:`mul` would.  Nodes out of normal form
+    (built by hand, not by a constructor) go through :func:`add` and
+    :func:`mul`.
     """
     return _diff(e, v, {} if memo is None else memo)
 
 
 def _diff(e: Expr, v: Symbol, memo: dict) -> Expr:
+    # one function, so a tree level costs one frame: derivatives have no depth cap
     if v not in e._symbols and not e._flags & _POLE:
         return ZERO
     hit = memo.get(e)
@@ -559,15 +575,67 @@ def _diff(e: Expr, v: Symbol, memo: dict) -> Expr:
     if kind is Sym:
         d = ONE  # it mentions v, so it is v
     elif kind is Add:
-        d = add(*[_diff(t, v, memo) for t in e.terms])
+        terms = []  # the nonzero terms of the sum rule
+        for t in e.terms:
+            # the pruning and memo lookup above, written out: most terms end there
+            if v in t._symbols or t._flags & _POLE:
+                dt = memo.get(t)
+                if dt is None:
+                    dt = _diff(t, v, memo)
+                if dt is not ZERO:
+                    terms.append(dt)
+        d = terms[0] if len(terms) == 1 and type(terms[0]) is not Add else add(*terms)
     elif kind is Mul:
-        terms = []
-        for i, f in enumerate(e.factors):
-            df = _diff(f, v, memo)
+        factors = e.factors
+        # in mul's normal form: an optional leading constant c > 0, c != 1,
+        # then no Mul, Neg or Const
+        c, start = 1, 0
+        if type(factors[0]) is Const:
+            c, start = factors[0].value, 1
+        normal = c > 0 and factors[0] is not ONE
+        if normal:
+            for f in factors[start:]:
+                if type(f) is Mul or type(f) is Neg or type(f) is Const:
+                    normal = False
+                    break
+        terms = []  # the nonzero terms of the product rule
+        for i, f in enumerate(factors):
+            if v not in f._symbols and not f._flags & _POLE:
+                continue
+            df = memo.get(f)
+            if df is None:
+                df = _diff(f, v, memo)
             if df is ZERO:
                 continue
-            terms.append(mul(*e.factors[:i], df, *e.factors[i + 1 :]))
-        d = add(*terms)
+            if not normal:
+                terms.append(mul(*factors[:i], df, *factors[i + 1 :]))
+                continue
+            # the node mul(*factors[:i], df, *factors[i + 1:]) gives: df's
+            # sign and constant fold into c, and a product df (itself in
+            # normal form) splices in its factors
+            k = c
+            if type(df) is Neg:
+                k, df = -k, df.arg
+            if type(df) is Const:
+                if df is not ONE:
+                    k *= df.value
+                core = factors[start:i] + factors[i + 1 :]
+                if not core:
+                    terms.append(Const(k))
+                    continue
+            elif type(df) is Mul:
+                inner = df.factors
+                if type(inner[0]) is Const:
+                    k *= inner[0].value
+                    inner = inner[1:]
+                core = factors[start:i] + inner + factors[i + 1 :]
+            else:
+                core = factors[start:i] + (df,) + factors[i + 1 :]
+            if k != 1 and k != -1:
+                core = (Const(abs(k)),) + core
+            term = core[0] if len(core) == 1 else Mul(core)
+            terms.append(Neg(term) if k < 0 else term)
+        d = terms[0] if len(terms) == 1 and type(terms[0]) is not Add else add(*terms)
     elif kind is Neg:
         d = neg(_diff(e.arg, v, memo))
     elif kind is Div:
@@ -817,6 +885,7 @@ def compile_exact(rows: Sequence[Sequence[Expr]]) -> ExactProgram:
 # precedence of the printed Python operators, loosest first
 _SUM, _PRODUCT, _UNARY, _POWER, _ATOM = range(5)
 _POLYNOMIAL = (Add, Mul, Neg, Const, Sym)  # the node kinds FloatPrinter.polynomial allows
+_FOLDED = (Add, Mul, Neg)  # the kinds FloatPrinter prints as their value over parameters alone
 
 
 def _literal(value: float) -> tuple:
@@ -846,7 +915,12 @@ class FloatPrinter:
     whose parameter is exactly ``1.0`` is left out, and a product left with
     no factor prints ``1.0``: ``x*1.0`` and ``x/1.0`` are ``x`` bit for bit,
     and neither can raise.  ``-1.0`` is kept, since ``-1.0*x`` and ``-x``
-    differ in the sign of a NaN.  :attr:`polynomial` says whether the source
+    differ in the sign of a NaN.  A sum, product or negation over parameters
+    and constants alone prints as one literal, its value got by evaluating
+    its printed source once: the same float operations, done once per
+    printer instead of at every use, and ``+``, ``-`` and ``*`` never raise,
+    so the first error is unchanged.  Quotients, powers, ln and exp are
+    never folded.  :attr:`polynomial` says whether the source
     holds only ``+``, ``-`` and ``*``, which numpy computes on float64
     columns with the same bits and without raising.
     """
@@ -864,11 +938,21 @@ class FloatPrinter:
         self.n_bound = 0
         self.env: Mapping[Symbol, str] = {}
         self.names: dict = {}  # value id -> local name, once bound
+        self.folded: set = set()  # the value ids printed as their value
+        self.literals: dict = {}  # value id -> its value's literal, once evaluated
 
     def emit(self, env: Mapping[Symbol, str]) -> list:
         """Source of each expression, with ``env`` naming the state locals."""
         self.env = env
         self.names = {}
+        constant = set()  # the values over parameters and constants alone
+        self.folded = set()
+        for v, (op, args, payload) in enumerate(self.instrs):
+            if op is Const or (op is Sym and payload not in env and payload in self.params):
+                constant.add(v)
+            elif op in _FOLDED and all(a in constant for a in args):
+                constant.add(v)
+                self.folded.add(v)
         return [self._emit(v, _SUM) for v in self.outputs]
 
     def _emit(self, v: int, least: int) -> str:
@@ -883,10 +967,10 @@ class FloatPrinter:
 
     def _bare(self, v: int) -> bool:
         """Whether value ``v`` prints as a bare local, bound name or literal: a
-        leaf, or a product or quotient left with at most one such operand once
-        its unit parameters fold out."""
+        leaf, a folded value, or a product or quotient left with at most one
+        such operand once its unit parameters fold out."""
         op, args, _ = self.instrs[v]
-        if op is Const or op is Sym or v in self.names:
+        if op is Const or op is Sym or v in self.names or v in self.folded:
             return True
         if op is Mul:
             kept = [a for a in args if not self._unit(a)]
@@ -907,6 +991,9 @@ class FloatPrinter:
         name = self.names.get(v)
         if name is not None:
             return name, _ATOM
+        folded = v in self.folded
+        if folded and v in self.literals:
+            return self.literals[v]
         if op is Add:
             parts = [self._emit(args[0], _SUM)]
             for a in args[1:]:
@@ -941,6 +1028,10 @@ class FloatPrinter:
         else:
             function = "math.log" if op is Ln else "math.exp"
             text, precedence = f"{function}({self._emit(args[0], _SUM)})", _ATOM
+        if folded:
+            # text holds only literals and +, - and *, so eval cannot raise
+            literal = self.literals[v] = _literal(eval(text, {"inf": math.inf, "nan": math.nan}))
+            return literal
         if v not in self.shared or self._bare(v):
             return text, precedence
         name = self.names[v] = f"c{self.n_bound}"

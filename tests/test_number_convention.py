@@ -4,17 +4,22 @@ The smart constructors test the interned ``ZERO`` and ``ONE`` nodes by
 identity.  They are checked here against a copy of the value-comparing
 constructors and derivative they replaced: on seeded random expressions,
 hand-built nodes out of normal form included, both must return the very
-same node.  The number types that leave the exact layers are checked too:
-sample points, zero-test witnesses and polynomial coefficients.
+same node.  So must :func:`~odeobs.expr.diff` on the trees a report
+differentiates: every Lie derivative and gradient entry of the bundled and
+generated models and of their candidate systems.  The number types that
+leave the exact layers are checked too: sample points, zero-test witnesses
+and polynomial coefficients.
 """
 
 import copy
+import itertools
 import pickle
 import random
 from fractions import Fraction
 
 import pytest
 
+from odeobs.conserved import eliminate_states
 from odeobs.embedding import generic_rank_of, observability_verdict
 from odeobs.expr import (
     ONE,
@@ -43,10 +48,21 @@ from odeobs.expr import (
     pow_int,
     sym,
 )
-from odeobs.model import parse_model
+from odeobs.linalg import SingularMatrixError
+from odeobs.model import (
+    EXACT,
+    PROBABILISTIC,
+    ConservedSet,
+    NotAffineError,
+    ZeroCoefficientError,
+    along_field,
+    parse_model,
+    verify_all_conserved,
+)
 from odeobs.poly import NONZERO_EXACT, PROBABLY_NONZERO, is_zero, normalize_rational
 
 from conftest import GEN_SYMBOLS, X, Y, model_path
+from test_generated_reports import chain, mm_tail, twin
 
 # ---------------------------------------------------------------------------
 # the reference: constructors and derivative that compare constant values
@@ -257,6 +273,50 @@ def operand(rng, e):
     return e
 
 
+# ---------------------------------------------------------------------------
+# the trees a report differentiates
+
+MODEL_TEXTS = {
+    **{name: model_path(name).read_text() for name in ("sir", "mm", "toy", "lv")},
+    "chain7": chain(7),
+    "twin3": twin(3),
+    "mm_tail2": mm_tail(2),
+    # none of the models above has a constant other than -1 in a product;
+    # dimerization 2A <-> B with a catalyst C has squares, 2 and 1/2
+    "dimer": "\n".join(
+        [
+            "model: dimer",
+            "params: k1, k2",
+            "states: A, B, C",
+            "dA/dt = 2*k2*B - 2*k1*A^2*C",
+            "dB/dt = k1*A^2*C - k2*B",
+            "dC/dt = 0",
+            "conserved T: A + 2*B",
+            "observe A: A",
+        ]
+    )
+    + "\n",
+}
+
+
+def report_systems(text):
+    """The verified system and every candidate system the report's search
+    can build from it: each quantity alone and all of them jointly, solved
+    for each set of the states they mention that elimination accepts."""
+    sys, _ = verify_all_conserved(parse_model(text))
+    systems = [sys]
+    usable = [q for q in sys.conserved if q.verified in (EXACT, PROBABILISTIC)]
+    groups = [(q,) for q in usable] + ([tuple(usable)] if len(usable) > 1 else [])
+    for quantities in groups:
+        g = ConservedSet(quantities)
+        for w in itertools.combinations(g.state_vars(sys), len(quantities)):
+            try:
+                systems.append(eliminate_states(sys, g, w))
+            except (NotAffineError, ZeroCoefficientError, SingularMatrixError):
+                pass
+    return systems
+
+
 class TestIdentityOracle:
     def test_constructors_and_diff_return_the_reference_node(self):
         rng = random.Random(1301)
@@ -296,6 +356,29 @@ class TestIdentityOracle:
                     seen.add("Div by 0")
         assert {"Neg(Neg)", "Add in Add", "Mul in Mul", "Div by 0"} <= seen
         assert set(CONSTANTS) <= seen
+
+    @pytest.mark.parametrize("name", sorted(MODEL_TEXTS))
+    def test_diff_of_embedding_trees_returns_the_reference_node(self, name):
+        # L^k x_j to order n-1 and each gradient entry, differentiated by
+        # every state: the product and sum rules' direct builds on real trees
+        systems = report_systems(MODEL_TEXTS[name])
+        assert len(systems) > 1 or name == "lv"
+        for sys in systems:
+            memos = [{} for _ in sys.states]
+            ref_memos = [{} for _ in sys.states]
+            for x in sys.states:
+                component = sym(x)
+                for k in range(sys.n):
+                    gradient = []
+                    for s, memo, ref_memo in zip(sys.states, memos, ref_memos):
+                        d = diff(component, s, memo)
+                        assert d is ref_diff(component, s, ref_memo)
+                        gradient.append(d)
+                    for entry in gradient:
+                        for s, memo, ref_memo in zip(sys.states, memos, ref_memos):
+                            assert diff(entry, s, memo) is ref_diff(entry, s, ref_memo)
+                    if k < sys.n - 1:
+                        component = along_field(sys, gradient)
 
     def test_zero_and_one_are_the_interned_nodes(self):
         assert Const(0) is ZERO

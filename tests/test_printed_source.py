@@ -26,7 +26,7 @@ from test_rk4_pins import CASES, chain
 DIGESTS = {
     'chain32_perm1': ('59e1a0b1f6a638aebed6e9bb5864b7eb8cedf5f523657464bc31d8866925e59b', 'aeea9847fdfd7c5fe41c5809e8fa088aee81a0a56cf1fac13cd79af94a509092'),
     'lv': ('5ba8f511fd40877ef2fc76abb8e23fd270464b37eef5d26b7511e34709870fc6', '51ad0bdcd2fb102dbc2a01bd484209396aefaa8b3aa27e88b49d1c7dcbcb4354'),
-    'mm': ('f3e616be36014c80129255c61ac320e8439ea4824ce51f86d85861d1d901cafb', '7f5d8989480cbd80c5e4e6d2a0323b167d1e8e25ee6975aca1120ff9baf7f095'),
+    'mm': ('8c527845eac82dec7f6f350218d66573726f04497ad954f021ad4e4d3a3ab473', 'ebb47902eca8fd639777084f15d7d9fd58760a90487524f893f47184dfc2eaa6'),
     'shared': ('2d23497112caff8e36a65a58df6d3a2e5b54080127a9fb9efb33a44c9952f9db', 'f5bcc70105780cf46f22fc8c6dce7a04e4b29586f9cbd9fd838cf7381e069fdf'),
     'sir': ('af9f7f38483f8420e624207e00c369435934c71f81d58543dd3b1bd421bd4442', '55269798134d8103a482ad25ff9d1d296ea8fbf93b216184d19f3befc8a067b2'),
     'toy': ('092d03a4c79b8326ae9d7c0def5d77c99565aa096e0354da4541cda17df4a56e', '21db173555d9ab51580ded756071cf590c9b1ac0812d68c5a491c40dd6a28038'),
@@ -74,6 +74,30 @@ def test_unit_parameters_fold_out_of_products_and_divisors():
     printed = FloatPrinter(exprs, {A: 1.0, B: -1.0}).emit({X: "x0", Y: "x1"})
     # -1.0*x and -x differ in the sign of a nan, so b = -1.0 stays
     assert printed == ["x0", "1.0", "x0", "x0 * x1", "-x1", "-1.0 * x0", "1.0 + x0"]
+
+
+def test_parameter_only_sum_prints_as_its_value(monkeypatch):
+    # mm's (km1 + k2)*c: the sum of two parameters is computed once, not in every stage
+    step, rows = _sources(monkeypatch, "mm")
+    assert "1.0 + 0.5" not in step and "1.0 + 0.5" not in rows
+    assert "1.5 * x2" in step
+
+
+def test_only_sums_products_and_negations_over_parameters_fold():
+    symbols = {"x": X, "y": Y, "a": A, "b": B}
+    texts = ("(a + b)*x", "-(a*b) + x", "a*b*x", "(a - 2)*(b + 1/3)", "x/(a + b)", "a/b", "(a + b)^2", "a*x + b*x")
+    exprs = [parse_expr(t, symbols) for t in texts]
+    printed = FloatPrinter(exprs, {A: 0.1, B: 0.2}).emit({X: "x0", Y: "x1"})
+    assert printed == [
+        f"{0.1 + 0.2!r} * x0",
+        f"{-(0.1 * 0.2)!r} + x0",
+        "0.1 * 0.2 * x0",  # factors of one product are not regrouped
+        repr((0.1 + -2.0) * (0.2 + 1 / 3)),
+        f"x0 / {0.1 + 0.2!r}",
+        "0.1 / 0.2",
+        f"{0.1 + 0.2!r} ** 2",
+        "0.1 * x0 + 0.2 * x0",
+    ]
 
 
 def test_value_folded_to_a_bare_read_is_not_bound():
