@@ -14,15 +14,17 @@ window; a point where an entry leaves the float domain halves that window
 and is drawn again.
 
 Each derivative is taken once per verdict.  An embedding keeps one
-:func:`odeobs.expr.diff` memo per state and the gradient of every component
-it has differentiated: the gradient that forms the next component is also
-that component's Jacobian row, so :func:`jacobian` differentiates only each
-output's last component.  When the rank falls short of n, whether it was
-still growing is a fact from order n-1 on: the rank of an output stacked
-with its derivatives stops growing at the first order that adds nothing,
-and that is order n-1 at the latest, so nothing of order n is built.  Below
-order n-1 the order k+1 check extends the order k embedding and its
-Jacobian by one order instead of rebuilding them.
+:func:`odeobs.expr.diff` memo per state and the gradient of each of its
+components.  Row k of an output's block of the Jacobian is grad L^k y, and
+the next component is L^(k+1) y = grad L^k y . f: each gradient is both a
+Jacobian row and the seed of the next order, so one order is added by one
+:func:`odeobs.model.along_field` and one gradient per output, and
+:func:`jacobian` returns the stored rows.  When the rank falls short of n,
+whether it was still growing is a fact from order n-1 on: the rank of an
+output stacked with its derivatives stops growing at the first order that
+adds nothing, and that is order n-1 at the latest, so nothing of order n is
+built.  Below order n-1 the order k+1 check extends the order k embedding,
+and so its Jacobian, by one order instead of rebuilding them.
 
 Differentiation is pruned: every expression node knows the symbols of its
 subtree, so a gradient entry walks only the subtrees that mention its
@@ -34,7 +36,7 @@ for the rank sampler's symbol draws either.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import List, Mapping, Optional, Sequence, Tuple, Union
 
@@ -68,9 +70,9 @@ class AllPointsDegenerateError(Exception):
 class EmbeddingMap:
     """Outputs and their iterated Lie derivatives, grouped per output.
 
-    ``gradients`` holds the gradient over ``states`` of every component but
-    each output's last, grouped the same way; ``memos`` holds one diff memo
-    per state, shared with every embedding extended from this one.
+    ``gradients`` holds the gradient over ``states`` of each component, in
+    the same order: these are the Jacobian's rows.  ``memos`` holds one diff
+    memo per state, shared with every embedding extended from this one.
     """
 
     components: Tuple[Expr, ...]
@@ -109,58 +111,39 @@ def build_embedding(
         k = sys.n - 1
     if not isinstance(k, int) or k < 0:
         raise ValueError(f"embedding order must be a non-negative integer, got {k!r}")
-    embedding = EmbeddingMap(
-        tuple(obs.outputs),
-        order=0,
-        n_outputs=len(obs.outputs),
-        states=sys.states,
-        gradients=(),
-        memos=tuple({} for _ in sys.states),
-    )
+    memos = tuple({} for _ in sys.states)
+    gradients = tuple(_gradient(y, sys.states, memos) for y in obs.outputs)
+    embedding = EmbeddingMap(tuple(obs.outputs), 0, len(obs.outputs), sys.states, gradients, memos)
     for _ in range(k):
-        embedding = _extend(sys, embedding, _gradients(embedding))
+        embedding = _extend(sys, embedding)
     return embedding
 
 
-def _gradients(embedding: EmbeddingMap) -> Tuple[Tuple[Expr, ...], ...]:
-    """The gradient of every component: those kept, and each output's last."""
-    k = embedding.order
-    rows: List[Tuple[Expr, ...]] = []
-    for o in range(embedding.n_outputs):
-        rows.extend(embedding.gradients[o * k : (o + 1) * k])
-        last = embedding.component(o, k)
-        rows.append(
-            tuple(
-                diff(last, s, memo)
-                for s, memo in zip(embedding.states, embedding.memos)
-            )
-        )
-    return tuple(rows)
+def _gradient(e: Expr, states: Sequence[Symbol], memos: Sequence[dict]) -> Tuple[Expr, ...]:
+    return tuple(diff(e, s, memo) for s, memo in zip(states, memos))
 
 
-def _extend(
-    sys: OdeSystem, embedding: EmbeddingMap, rows: Sequence[Tuple[Expr, ...]]
-) -> EmbeddingMap:
-    """The embedding one order higher, given the gradients of its components."""
+def _extend(sys: OdeSystem, embedding: EmbeddingMap) -> EmbeddingMap:
+    """The embedding one order higher: each output's L^(k+1) y = grad L^k y . f,
+    and its gradient."""
     k = embedding.order
     components: List[Expr] = []
+    gradients: List[Tuple[Expr, ...]] = []
     for o in range(embedding.n_outputs):
-        components.extend(embedding.components[o * (k + 1) : (o + 1) * (k + 1)])
-        components.append(along_field(sys, rows[o * (k + 1) + k]))
-    return EmbeddingMap(
-        tuple(components),
-        order=k + 1,
-        n_outputs=embedding.n_outputs,
-        states=embedding.states,
-        gradients=tuple(rows),
-        memos=embedding.memos,
+        group = slice(o * (k + 1), (o + 1) * (k + 1))
+        components.extend(embedding.components[group])
+        gradients.extend(embedding.gradients[group])
+        components.append(along_field(sys, gradients[-1]))
+        gradients.append(_gradient(components[-1], embedding.states, embedding.memos))
+    return replace(
+        embedding, components=tuple(components), order=k + 1, gradients=tuple(gradients)
     )
 
 
 def jacobian(embedding: EmbeddingMap, sys: OdeSystem) -> EmbeddingJacobian:
     if sys.states != embedding.states:
         raise ValueError("the embedding was built over other states")
-    return EmbeddingJacobian(_gradients(embedding), sys.states)
+    return EmbeddingJacobian(embedding.gradients, sys.states)
 
 
 def generic_rank_of(
@@ -288,8 +271,7 @@ def observability_verdict(
     embedding extended one order higher.
     """
     embedding = build_embedding(sys, obs, k)
-    jac = jacobian(embedding, sys)
-    verdict = generic_rank(jac, seed=seed, trials=trials)
+    verdict = generic_rank(jacobian(embedding, sys), seed=seed, trials=trials)
     rank_growing: Optional[bool] = None
     if verdict.generic_rank < sys.n:
         if embedding.order >= sys.n - 1:
@@ -300,7 +282,7 @@ def observability_verdict(
             # it has stopped by order n-1 (state-free outputs: r_0 = 0 stays).
             rank_growing = False
         else:
-            higher = _extend(sys, embedding, jac.entries)
+            higher = _extend(sys, embedding)
             higher_verdict = generic_rank(jacobian(higher, sys), seed=seed, trials=trials)
             rank_growing = higher_verdict.generic_rank > verdict.generic_rank
     return ObservabilityAssessment(

@@ -321,6 +321,11 @@ def _output_distance(series_a: np.ndarray, series_b: np.ndarray) -> float:
     return distance
 
 
+def _horizon(T: float, *trajs: Trajectory) -> float:
+    """T, or the time of the last grid row every trajectory reached when one was cut short."""
+    return float(min(t.times[-1] for t in trajs)) if any(t.diverged for t in trajs) else T
+
+
 def distinguishability(
     sys: OdeSystem,
     obs: ObservationSet,
@@ -335,7 +340,9 @@ def distinguishability(
     Outputs are evaluated over Python floats, so an output that cannot be
     evaluated at some grid point raises: ``ZeroDivisionError`` at a pole,
     ``ValueError`` for ln of a non-positive value, ``OverflowError`` when a
-    power or exp leaves the float range.
+    power or exp leaves the float range.  Outputs are compared on the grid
+    rows both trajectories reached: ``horizon`` is T, or the time of the
+    last shared row when a trajectory was cut short by divergence.
     """
     run = _rk4_loop(sys, params, dt, T)
     traj_a = _integrate(run, sys, x0_a, params, dt, T)
@@ -345,7 +352,7 @@ def distinguishability(
         x0_a=tuple(_normalize_x0(sys, x0_a)),
         x0_b=tuple(_normalize_x0(sys, x0_b)),
         output_distance=_output_distance(outputs(traj_a), outputs(traj_b)),
-        horizon=T,
+        horizon=_horizon(T, traj_a, traj_b),
     )
 
 
@@ -368,6 +375,8 @@ def unobservability_witness(
     returned.  ``None`` means every tried perturbation was detected, or there
     was nothing to try; it is evidence, not a proof of observability.  The
     base point is integrated, and its outputs evaluated, once per search.
+    As in :func:`distinguishability`, ``horizon`` is T, or the time of the
+    last grid row both trajectories reached when one diverged.
     """
     if delta <= 0:
         raise ValueError("delta must be positive")
@@ -386,15 +395,14 @@ def unobservability_witness(
         for sign in (+1.0, -1.0):
             shifted = base.copy()
             shifted[i] += sign * delta
-            distance = _output_distance(
-                base_series, outputs(_integrate(run, sys, shifted, params, dt, T))
-            )
+            other = _integrate(run, sys, shifted, params, dt, T)
+            distance = _output_distance(base_series, outputs(other))
             if distance < threshold:
                 return WitnessPair(
                     x0_a=tuple(base),
                     x0_b=tuple(shifted),
                     output_distance=distance,
-                    horizon=T,
+                    horizon=_horizon(T, traj, other),
                     direction=s.name,
                 )
     return None

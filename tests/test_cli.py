@@ -638,6 +638,12 @@ class TestSimulate:
         )
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
+    def test_missing_params_option_names_the_parameter(self, capsys):
+        code, out, err = run(
+            capsys, "simulate", str(model_path("toy")), "--x0", "1,1", "--dt", "0.1", "--T", "1"
+        )
+        assert (code, out, err) == (1, "", "error: missing parameter values for ['a']\n")
+
     @pytest.mark.parametrize(
         "x0, params, message",
         [

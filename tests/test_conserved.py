@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import odeobs.conserved
 from odeobs import linalg
 from odeobs.conserved import (
     NotSquareError,
@@ -236,6 +237,15 @@ class TestAlternativeObservables:
             assert result.assessment.rank.generic_rank == 3
             assert result.graphical.sufficient
             assert result.conditions.holds
+
+    def test_partition_cap_truncates_the_search(self, monkeypatch, sir):
+        # known {S, I, R} gives three partitions; the cap stops after the
+        # first, whose two candidates I and R are still verified
+        monkeypatch.setattr(odeobs.conserved, "PARTITION_CAP", 1)
+        updated, g = verified_set(sir)
+        search = alternative_observables(updated, g, updated.states, seed=0)
+        assert search.truncated
+        assert len(search.results) == 2
 
     def test_mm_substrate_conservation_gives_s_and_c(self, mm):
         updated, g = verified_set(mm, "S0")

@@ -222,3 +222,24 @@ def test_sampled_zero_test_compiles_once(monkeypatch):
     result = poly.is_zero(add(e, neg(e)), trials=40)
     assert (result.kind, result.trials) == (poly.PROBABLY_ZERO, 40)
     assert len(calls) == 1
+
+
+def test_an_entry_that_overflows_to_inf_halves_the_window(monkeypatch):
+    # a float product overflows to inf without raising: exp(16)^60 is past
+    # 1e308 while exp(16) is not, so only the finiteness check refuses it
+    e = mul(*[exp(sym(X)) for _ in range(60)])
+    program = compile_exact([[e]])
+    assert program.run_float({X: 16}) == [[math.inf]]
+    assert embedding._float_rank(program, {X: 16}) is None
+    ranked = []
+    original = embedding._float_rank
+
+    def recording(program, point):
+        ranked.append(original(program, point))
+        return ranked[-1]
+
+    monkeypatch.setattr(embedding, "_float_rank", recording)
+    verdict = embedding.generic_rank_of([[e]], seed=0)
+    assert None in ranked
+    assert all(60 * point[X] <= 709 for point in verdict.sample_points)
+    assert (verdict.generic_rank, verdict.trials) == (1, embedding.DEFAULT_TRIALS)

@@ -8,6 +8,11 @@ order-n build, and the conserved-quantity search with single and joint
 eliminations.  The order k+1 growth check runs only for ``--k`` below n-1;
 ``tests/test_embedding.py`` covers it.  The digests were recorded with the
 embedding rebuilt from scratch for every order and evaluated over Fraction.
+
+The dimerization 2A <-> B carries numeric constants through the whole report
+path: 2 in its rates and in its conserved quantity, 1/2 in a level-equation
+solution.  It is observable from either state, so it is pinned apart from
+the families, whose every report has a verdict short of full rank.
 """
 
 import hashlib
@@ -76,7 +81,16 @@ def mm_tail(t):
     )
 
 
-GENERATED = {"chain6": chain(6), "twin3": twin(3), "mm_tail2": mm_tail(2)}
+DIMER = _model(
+    "dimer",
+    ["k1", "k2"],
+    ["A", "B"],
+    {"A": "2*k2*B - 2*k1*A^2", "B": "k1*A^2 - k2*B"},
+    [("T", "A + 2*B")],
+    [("A", "A"), ("B", "B")],
+)
+
+GENERATED = {"chain6": chain(6), "twin3": twin(3), "mm_tail2": mm_tail(2), "dimer": DIMER}
 
 DIGESTS = {
     ("chain6", 0): "8cdda12a8ad554af6cbb15fb2ccf4302e9e1218df90bfbaa41f5ff6f9cc987da",
@@ -92,3 +106,16 @@ DIGESTS = {
 def test_report_bytes_unchanged(name, seed):
     report = report_to_json(build_report(parse_model(GENERATED[name]), seed=seed))
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == DIGESTS[name, seed]
+
+
+# recorded before each component's gradient was stored with the embedding
+DIMER_DIGESTS = {
+    0: "b78e0e22176a322db3b8744ac5ee1438de9bf87dc8529cebefe5f8b43ccca5a5",
+    1: "b9fa9081548b835836764288bae3c74781b241fe7aa35e843dcb8a146000c25b",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(DIMER_DIGESTS))
+def test_dimer_report_bytes_unchanged(seed):
+    report = report_to_json(build_report(parse_model(DIMER), seed=seed))
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == DIMER_DIGESTS[seed]

@@ -295,6 +295,11 @@ class TestSensorMenus:
         assert menu.truncated and len(menu.sets) == graph_module.DEFAULT_SENSOR_SET_CAP == 10_000
 
 
+    def test_empty_graph_has_an_empty_menu(self):
+        menu = minimal_sensor_sets(scc_condensation(InferenceGraph(nodes=(), edges=())))
+        assert (menu.sets, menu.truncated) == ((), False)
+
+
 class TestGraphicalObservable:
     def test_sir_infected_only_insufficient(self, sir):
         c = scc_condensation(build_graph(sir))

@@ -6,7 +6,8 @@ constructors and derivative they replaced: on seeded random expressions,
 hand-built nodes out of normal form included, both must return the very
 same node.  So must :func:`~odeobs.expr.diff` on the trees a report
 differentiates: every Lie derivative and gradient entry of the bundled and
-generated models and of their candidate systems.  The number types that
+generated models and of their candidate systems, and the gradient that an
+embedding keeps for each of its components, which the Jacobian reads.  The number types that
 leave the exact layers are checked too: sample points, zero-test witnesses
 and polynomial coefficients.
 """
@@ -19,8 +20,9 @@ from fractions import Fraction
 
 import pytest
 
+from odeobs import embedding
 from odeobs.conserved import eliminate_states
-from odeobs.embedding import generic_rank_of, observability_verdict
+from odeobs.embedding import build_embedding, generic_rank_of, jacobian, observability_verdict
 from odeobs.expr import (
     ONE,
     ZERO,
@@ -379,6 +381,25 @@ class TestIdentityOracle:
                             assert diff(entry, s, memo) is ref_diff(entry, s, ref_memo)
                     if k < sys.n - 1:
                         component = along_field(sys, gradient)
+
+    @pytest.mark.parametrize("name", sorted(MODEL_TEXTS))
+    def test_embedding_keeps_each_components_gradient(self, monkeypatch, name):
+        # one stored row per component, the very nodes a fresh diff returns,
+        # and the Jacobian reads them without differentiating
+        embeddings = [
+            (sys, build_embedding(sys, obs))
+            for sys in report_systems(MODEL_TEXTS[name])
+            for obs in sys.observations
+        ]
+        for sys, emb in embeddings:
+            assert len(emb.gradients) == len(emb.components)
+            for component, gradient in zip(emb.components, emb.gradients):
+                assert all(d is diff(component, s) for d, s in zip(gradient, sys.states))
+        calls = []
+        monkeypatch.setattr(embedding, "diff", lambda *args: calls.append(args))
+        for sys, emb in embeddings:
+            assert jacobian(emb, sys).entries is emb.gradients
+        assert calls == []
 
     def test_zero_and_one_are_the_interned_nodes(self):
         assert Const(0) is ZERO

@@ -528,6 +528,22 @@ class TestUnobservabilityWitness:
         )
         assert witness is None
 
+    def test_horizon_is_the_last_grid_row_both_trajectories_reached(self):
+        # y = 1/(1/y0 - t) leaves the float range near t = 1 from y0 = 1 and
+        # near t = 0.91 from y0 = 1.1: the outputs were compared up to the
+        # last row both reached, not up to T
+        sys = parse_model(
+            "model: blowup\nparams: a\nstates: x, y\ndx/dt = -a*x\ndy/dt = y^2\nobserve x: x\n"
+        )
+        obs, params = sys.observations[0], {"a": 1.0}
+        witness = unobservability_witness(sys, obs, (1.0, 1.0), params, 0.01, 5.0, 0.1)
+        assert (witness.direction, witness.horizon) == ("y", 0.93)
+        pair = distinguishability(sys, obs, (1.0, 1.0), (1.0, 1.1), params, 0.01, 5.0)
+        assert (pair.output_distance, pair.horizon) == (0.0, 0.93)
+        # from y0 = -1 and -0.9 nothing diverges, so the horizon is T
+        witness = unobservability_witness(sys, obs, (1.0, -1.0), params, 0.01, 5.0, 0.1)
+        assert (witness.direction, witness.horizon) == ("y", 5.0)
+
     def test_sir_infected_observer_misses_recovered_direction(self, sir):
         witness = unobservability_witness(
             sir, obs_named(sir, "I"), SIR_X0, SIR_PARAMS, 0.01, 10.0, 5.0

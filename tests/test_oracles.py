@@ -16,7 +16,10 @@ on Lie derivatives that sympy builds from the model text alone, together
 with the rank odeobs reports.  So is ``conserved.eliminate_states``: sympy
 solves the level equations of each candidate and builds the transformed
 right-hand sides, and the Lie derivatives of every state along them must be
-those of the original system composed with the solution.
+those of the original system composed with the solution.  The verdicts of
+the dimerization, whose rates, quantity and solutions carry the constants 2
+and 1/2, are rebuilt from its model text: the quantity is conserved, each
+state alone has full rank, and each state replaces the other as a sensor.
 """
 
 import itertools
@@ -49,8 +52,9 @@ from odeobs.expr import (  # noqa: E402
     mul,
     neg,
     pow_int,
+    to_str,
 )
-from odeobs.conserved import eliminate_states  # noqa: E402
+from odeobs.conserved import alternative_observables, eliminate_states  # noqa: E402
 from odeobs.linalg import SingularMatrixError  # noqa: E402
 from odeobs.model import (  # noqa: E402
     ConservedSet,
@@ -62,7 +66,7 @@ from odeobs.model import (  # noqa: E402
 from odeobs.poly import NONZERO_EXACT, ZERO_EXACT, is_zero, normalize_rational  # noqa: E402
 
 from conftest import GEN_SYMBOLS, model_path, poly_to_sympy, random_expr  # noqa: E402
-from test_generated_reports import chain, mm_tail, twin  # noqa: E402
+from test_generated_reports import DIMER, chain, mm_tail, twin  # noqa: E402
 
 SETTINGS = settings(max_examples=150, deadline=None, derandomize=True)
 
@@ -431,3 +435,32 @@ def test_eliminate_states_matches_sympy(name, levels):
                 original, transformed = lie(original, states, f), lie(transformed, states, ours)
                 assert sympy.cancel(transformed - original.xreplace(sigma)) == 0, (w, x, k)
     assert solvable
+
+
+def test_dimer_verdicts_match_sympy():
+    model = states, params, rhs, observations, conserved = sympy_model(DIMER)
+    f = [rhs[x] for x in states]
+    level = sympy.Symbol("T")
+    assert sympy.expand(lie(conserved["T"], states, f)) == 0
+    sys, verdicts = verify_all_conserved(parse_model(DIMER))
+    assert [v.status for v in verdicts] == ["exact"]
+    for obs in sys.observations:
+        assert sympy_ranks(model, obs.label, (1,), random.Random(3)) == {1: 2}
+        verdict = observability_verdict(sys, obs, seed=3)
+        assert (verdict.rank.generic_rank, verdict.rank.confidence) == (2, "exact")
+    g = ConservedSet(sys.conserved)
+    for known, candidate, printed in (("A", "B", "T - 2*B"), ("B", "A", "1/2*(T - A)")):
+        search = alternative_observables(sys, g, [sys.state_named(known)], seed=3)
+        assert search.positive_sets() == ((candidate,),)
+        (result,) = search.positives()
+        ((solved, solution),) = result.solution.items()
+        assert (solved.name, to_str(solution)) == (known, printed)
+        (expected,) = sympy.solve(conserved["T"] - level, sympy.Symbol(known))
+        assert sympy.expand(sympy.parse_expr(printed) - expected) == 0
+        # the candidate eliminated through the level equation and observed alone
+        w = sympy.Symbol(candidate)
+        sigma = {w: sympy.solve(conserved["T"] - level, w)[0]}
+        composed = {x: fx.xreplace(sigma) for x, fx in zip(states, f) if x != w}
+        composed[w] = lie(sigma[w], list(composed), list(composed.values()))
+        transformed = (states, params + [level], composed, {"w": [w]}, {})
+        assert sympy_ranks(transformed, "w", (1,), random.Random(3)) == {1: 2}
