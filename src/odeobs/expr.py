@@ -1122,137 +1122,152 @@ def to_str(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
+# One match per token, the whitespace before it included.  The token is
+# optional, so the pattern always matches: an empty match at the end of the
+# text is the end, and one before it an unexpected character.
 _TOKEN_RE = re.compile(
-    r"(?P<ws>\s+)"
-    r"|(?P<float>\d+\.\d*|\.\d+)"
+    r"\s*(?:"
+    r"(?P<float>\d+\.\d*|\.\d+)"
     r"|(?P<int>\d+)"
     r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
     r"|(?P<op>[-+*/^()])"
+    r")?"
 )
 
 
-class _Token:
-    __slots__ = ("kind", "text", "pos")
-
-    def __init__(self, kind: str, text: str, pos: int):
-        self.kind = kind
-        self.text = text
-        self.pos = pos
-
-
 def _tokenize(text: str) -> list:
+    """The tokens of ``text`` as ``(kind, text, position)`` tuples, ending
+    with an ``eof`` one.  The kind of an operator token is the operator."""
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN_RE.match(text, pos)
-        if m is None:
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+    append = tokens.append
+    match = _TOKEN_RE.match
+    pos, end = 0, len(text)
+    while True:
+        m = match(text, pos)
         kind = m.lastgroup
-        if kind != "ws":
-            tokens.append(_Token(kind, m.group(), pos))
         pos = m.end()
-    tokens.append(_Token("eof", "", len(text)))
+        if kind is None:
+            if pos == end:
+                break
+            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        token = m.group(kind)
+        append((token if kind == "op" else kind, token, pos - len(token)))
+    append(("eof", "", end))
     return tokens
 
 
 class _Parser:
+    """Recursive descent over the tokens, one method per grammar rule.  A
+    sum and each run of ``*`` factors are built by one :func:`add` or
+    :func:`mul` call, which flatten, so the node is the one the binary
+    operations would build."""
+
     def __init__(self, tokens: list, table: Mapping[str, Symbol]):
         self.tokens = tokens
         self.i = 0
         self.table = table
         self.depth = 0  # parentheses and unary minus signs open at the cursor
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.i][0]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         tok = self.tokens[self.i]
         self.i += 1
         return tok
 
     def expect_op(self, op: str) -> None:
-        tok = self.advance()
-        if tok.kind != "op" or tok.text != op:
-            raise ExprSyntaxError(f"expected {op!r}", tok.pos)
+        kind, _, pos = self.advance()
+        if kind != op:
+            raise ExprSyntaxError(f"expected {op!r}", pos)
 
-    def enter(self, tok: _Token) -> None:
+    def enter(self, pos: int) -> None:
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", tok.pos)
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", pos)
 
     def expr(self) -> Expr:
-        e = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            rhs = self.term()
-            e = add(e, rhs) if op == "+" else add(e, neg(rhs))
-        return e
+        terms = [self.term()]
+        while True:
+            kind = self.peek()
+            if kind == "+":
+                self.i += 1
+                terms.append(self.term())
+            elif kind == "-":
+                self.i += 1
+                terms.append(neg(self.term()))
+            else:
+                return terms[0] if len(terms) == 1 else add(*terms)
 
     def term(self) -> Expr:
         # each '/' nests the quotient so far one level deeper in the tree
-        e = self.factor()
+        factors = [self.factor()]
         divisions = 0
-        while self.peek().kind == "op" and self.peek().text in "*/":
-            tok = self.advance()
-            if tok.text == "/":
-                self.enter(tok)
+        while True:
+            kind = self.peek()
+            if kind == "*":
+                self.i += 1
+                factors.append(self.factor())
+            elif kind == "/":
+                self.enter(self.advance()[2])
                 divisions += 1
-            rhs = self.factor()
-            e = mul(e, rhs) if tok.text == "*" else div(e, rhs)
+                num = factors[0] if len(factors) == 1 else mul(*factors)
+                factors = [div(num, self.factor())]
+            else:
+                break
         self.depth -= divisions
-        return e
+        return factors[0] if len(factors) == 1 else mul(*factors)
 
     def factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.enter(self.advance())
+        if self.peek() == "-":
+            self.enter(self.advance()[2])
             e = neg(self.factor())
             self.depth -= 1
             return e
         a = self.atom()
-        if self.peek().kind == "op" and self.peek().text == "^":
-            self.advance()
+        if self.peek() == "^":
+            self.i += 1
             return pow_int(a, self.exponent())
         return a
 
     def exponent(self) -> int:
         sign = 1
-        tok = self.advance()
-        if tok.kind == "op" and tok.text == "-":
+        kind, text, pos = self.advance()
+        if kind == "-":
             sign = -1
-            tok = self.advance()
-        if tok.kind == "float":
-            raise NonIntegerExponentError(tok.pos)
-        if tok.kind != "int":
-            raise ExprSyntaxError("expected integer exponent", tok.pos)
-        return sign * int(tok.text)
+            kind, text, pos = self.advance()
+        if kind == "float":
+            raise NonIntegerExponentError(pos)
+        if kind != "int":
+            raise ExprSyntaxError("expected integer exponent", pos)
+        return sign * int(text)
 
     def atom(self) -> Expr:
-        tok = self.advance()
-        if tok.kind == "op" and tok.text == "(":
-            self.enter(tok)
+        kind, text, pos = self.advance()
+        if kind == "(":
+            self.enter(pos)
             e = self.expr()
             self.expect_op(")")
             self.depth -= 1
             return e
-        if tok.kind == "int":
-            return Const(Fraction(int(tok.text)))
-        if tok.kind == "float":
+        if kind == "int":
+            return Const(Fraction(int(text)))
+        if kind == "float":
             raise ExprSyntaxError(
-                "decimal literals are not supported; write a fraction p/q", tok.pos
+                "decimal literals are not supported; write a fraction p/q", pos
             )
-        if tok.kind == "name":
-            nxt = self.peek()
-            if tok.text in ("ln", "exp") and nxt.kind == "op" and nxt.text == "(":
-                self.enter(self.advance())
+        if kind == "name":
+            if text in ("ln", "exp") and self.peek() == "(":
+                self.enter(self.advance()[2])
                 arg = self.expr()
                 self.expect_op(")")
                 self.depth -= 1
-                return ln(arg) if tok.text == "ln" else exp(arg)
-            if tok.text not in self.table:
-                raise UnknownSymbolError(tok.text)
-            return Sym(self.table[tok.text])
-        raise ExprSyntaxError(f"unexpected token {tok.text!r}", tok.pos)
+                return ln(arg) if text == "ln" else exp(arg)
+            if text not in self.table:
+                raise UnknownSymbolError(text)
+            return Sym(self.table[text])
+        raise ExprSyntaxError(f"unexpected token {text!r}", pos)
 
 
 def parse_expr(text: str, symbols) -> Expr:
@@ -1265,7 +1280,7 @@ def parse_expr(text: str, symbols) -> Expr:
         symbols = {s.name: s for s in symbols}
     parser = _Parser(_tokenize(text), symbols)
     e = parser.expr()
-    tail = parser.peek()
-    if tail.kind != "eof":
-        raise ExprSyntaxError(f"unexpected trailing input {tail.text!r}", tail.pos)
+    kind, text, pos = parser.advance()
+    if kind != "eof":
+        raise ExprSyntaxError(f"unexpected trailing input {text!r}", pos)
     return e

@@ -13,11 +13,11 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from .expr import Expr, Symbol, diff, free_symbols, has_ln_exp
+from .expr import Expr, Symbol, diff, free_symbols
 from .model import OdeSystem
-from .poly import ZeroTestUndecidedError, is_zero, normalize_rational
+from .poly import ZeroTestUndecidedError, is_zero, rational_symbols
 
 DEFAULT_SENSOR_SET_CAP = 10_000
 
@@ -76,31 +76,10 @@ def _dependencies(rhs: Expr, states: Tuple[Symbol, ...], seed: int) -> Set[Symbo
     try:
         depends_on = _rational_dependencies[rhs]
     except KeyError:
-        depends_on = _rational_dependencies[rhs] = _rational_form_symbols(rhs)
+        depends_on = _rational_dependencies[rhs] = rational_symbols(rhs)
     if depends_on is None:
         return {var for var in candidates if _nonzero(diff(rhs, var), seed)}
     return candidates & depends_on
-
-
-def _rational_form_symbols(rhs: Expr) -> Optional[frozenset]:
-    """The symbols that ``rhs`` depends on as a rational function, or None
-    when ``rhs`` has ln/exp: read before expanding, as :func:`is_zero` does.
-
-    With ``rhs`` = N/D unreduced, x is one of them iff d(N/D)/dx is not
-    zero, that is iff N*dD/dx - D*dN/dx is not the zero polynomial.  When D
-    does not mention x, that is iff N does.
-    """
-    if has_ln_exp(rhs):
-        return None
-    form = normalize_rational(rhs)
-    num, den = form.num, form.den
-
-    def enters(i: int) -> bool:
-        if not any(mono[i] for mono in den.coeffs):
-            return any(mono[i] for mono in num.coeffs)
-        return not (num * den.derivative(i) - den * num.derivative(i)).is_zero
-
-    return frozenset(var for i, var in enumerate(num.vars) if enters(i))
 
 
 def _nonzero(e: Expr, seed: int) -> bool:

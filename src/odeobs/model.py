@@ -214,7 +214,8 @@ def parse_model(text: str) -> OdeSystem:
     params = tuple(Symbol(n, "parameter") for n in _split_names(params_body, ln_no))
     ln_no, states_body = take("states:")
     states = tuple(Symbol(n, "state") for n in _split_names(states_body, ln_no))
-    if {s.name for s in states} & {p.name for p in params}:
+    state_names = {s.name for s in states}
+    if state_names & {p.name for p in params}:
         raise ModelSyntaxError("state and parameter names overlap", ln_no)
     table = {s.name: s for s in states + params}
 
@@ -226,7 +227,7 @@ def parse_model(text: str) -> OdeSystem:
             break
         pos += 1
         state_name, expr_text = m.group(1), m.group(2)
-        if state_name not in {s.name for s in states}:
+        if state_name not in state_names:
             raise UnknownSymbolError(state_name)
         if state_name in rhs_by_state:
             raise DuplicateEquationError(state_name)

@@ -4,13 +4,23 @@ This is the semantic backbone of the package: an identity holds iff
 :func:`is_zero` says so.  A rational expression is written as one quotient
 N/D of polynomials (:class:`RationalForm`), never reduced: ``e`` is
 identically zero iff N is the zero polynomial, and ``e`` depends on a
-variable x iff N*dD/dx - D*dN/dx is not.  The polynomial representation is
-a sparse exponent-vector map.  Its coefficients follow the number
-convention of every exact layer: an int when integral, a Fraction only
-otherwise.
+variable x iff N*dD/dx - D*dN/dx is not (:func:`rational_symbols`, which
+the inference graph reads).  Coefficients follow the number convention of
+every exact layer: an int when integral, a Fraction only otherwise.
 
 Each test compiles its expression once (:func:`odeobs.expr.compile_exact`).
-N/D is a pass over that program, which then runs at the witness samples.
+N/D is one pass over that program, which then runs at the witness samples.
+Inside the pass a polynomial is a dict from a packed monomial to its
+nonzero coefficient, as in Monagan & Pearce (CASC 2007): the exponent of
+the i-th variable sits in bits [i*w, (i+1)*w) of one int, so a product of
+monomials is one int addition.  The field width w comes from a bound on the
+total degree, taken over the same instructions before the pass, so no field
+can carry into its neighbour.  Only this module knows that format: the
+zero and dependency tests read the packed N and D directly, and
+:func:`normalize_rational` returns each as a :class:`Poly`, the sparse
+exponent-tuple map that is the output type.  :class:`Poly`'s own arithmetic
+is the straightforward reference that the pass is tested against.
+
 An expression with ln/exp has no rational form and is sampled over floats;
 its top-level terms are compiled with it, and one float run per draw gives
 both the value and the scale it is compared against.
@@ -48,10 +58,13 @@ Monomial = tuple  # one exponent per variable
 
 
 class Poly:
-    """Sparse multivariate polynomial over a fixed variable tuple.
+    """Sparse multivariate polynomial over a fixed variable tuple, a map
+    from exponent tuples to coefficients.
 
     Zero coefficients are dropped, and each other one is an int when it is
-    integral and a Fraction otherwise.
+    integral and a Fraction otherwise.  :func:`normalize_rational` returns
+    N and D as Poly objects; the arithmetic here is not on that path, and
+    is the reference the packed pass is tested against.
     """
 
     __slots__ = ("vars", "coeffs")
@@ -85,10 +98,6 @@ class Poly:
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    @property
-    def is_constant(self) -> bool:
-        return all(sum(m) == 0 for m in self.coeffs)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -181,44 +190,139 @@ def _default_order(e: Expr) -> tuple:
     return tuple(sorted(free_symbols(e), key=lambda s: s.sort_key))
 
 
-def _times(a: Poly, b: Poly, one: Poly) -> Poly:
+# -- packed polynomials -----------------------------------------------------
+#
+# Each operation below keeps the monomial order that the same operation on
+# Poly objects gives, so a Poly built from its result lists its terms in
+# the reference's order.
+
+
+def _field_width(instrs: tuple) -> int:
+    """Bits per exponent for the pass over ``instrs``: enough for the total
+    degree of any N or D the pass builds, and of N times D (which the
+    dependency test of :func:`rational_symbols` forms)."""
+    ns: list = []  # an upper bound on deg N, per instruction
+    ds: list = []  # and on deg D
+    top = 0
+    for op, args, payload in instrs:
+        if op is Sym:
+            n, d = 1, 0
+        elif op is Mul:
+            n = d = 0
+            for a in args:
+                n += ns[a]
+                d += ds[a]
+        elif op is Add:
+            n = d = 0
+            for a in args:
+                if ns[a] > n:
+                    n = ns[a]
+                d += ds[a]
+            n += d
+        elif op is Neg:
+            n, d = ns[args[0]], ds[args[0]]
+        elif op is Div:
+            num, den = args
+            n, d = ns[num] + ds[den], ds[num] + ns[den]
+        elif op is PowInt:
+            k = payload.exponent
+            n, d = ns[args[0]], ds[args[0]]
+            n, d = (n * k, d * k) if k >= 0 else (d * -k, n * -k)
+        else:  # Const, or Ln/Exp, where the pass stops
+            n = d = 0
+        ns.append(n)
+        ds.append(d)
+        if n + d > top:
+            top = n + d
+    return max(1, top.bit_length())
+
+
+def _product(a: dict, b: dict) -> dict:
+    """``a * b``: coefficients are summed over all term pairs before the
+    zero ones are dropped, so a monomial keeps the place where it first
+    appeared."""
+    if len(a) == 1:  # distinct monomials, nothing cancels
+        ((m1, c1),) = a.items()
+        return {m1 + m2: c1 * c2 for m2, c2 in b.items()}
+    if len(b) == 1:
+        ((m2, c2),) = b.items()
+        return {m1 + m2: c1 * c2 for m1, c1 in a.items()}
+    out: dict = {}
+    get = out.get
+    for m1, c1 in a.items():
+        for m2, c2 in b.items():
+            m = m1 + m2
+            out[m] = get(m, 0) + c1 * c2
+    return {m: c for m, c in out.items() if c}
+
+
+def _times(a: dict, b: dict, one: dict) -> dict:
     """``a * b``, skipping the product when either side is ``one`` itself."""
     if b is one:
         return a
     if a is one:
         return b
-    return a * b
+    return _product(a, b)
 
 
-def _sum(vars: tuple, terms: list) -> Poly:
-    """The sum of the polynomials ``terms``, added into one dict.
+def _sum(terms) -> dict:
+    """The sum of ``terms``, added into one dict.
 
     A monomial whose coefficient cancels is dropped at once, so a later
     term that brings it back puts it last, as adding the terms one by one
     would.
     """
     out: dict = {}
+    get = out.get
     for term in terms:
-        for m, c in term.coeffs.items():
-            c = out.get(m, 0) + c
+        for m, c in term.items():
+            c += get(m, 0)
             if c:
                 out[m] = c
             else:
                 del out[m]
-    return Poly(vars, out)
+    return out
 
 
-def _rational_form(program: ExactProgram, vars: tuple) -> RationalForm:
-    """N/D over ``vars`` of the one entry of ``program``, from an (N, D) pair
-    per instruction.  Every constant-1 denominator is the object ``one``, so
-    a polynomial entry (the usual case) is expanded without multiplying by
-    it, and a sum of such terms is added into one dict.
+def _power(p: dict, k: int) -> dict:
+    """``p**k`` for ``k >= 0``, by :meth:`Poly.power`'s square-and-multiply
+    without its last square, which the result never uses."""
+    result = None  # the constant 1, until a factor comes
+    while k:
+        if k & 1:
+            result = p if result is None else _product(result, p)
+        k >>= 1
+        if k:
+            p = _product(p, p)
+    return {0: 1} if result is None else result
+
+
+def _derivative(p: dict, shift: int, mask: int) -> dict:
+    """The partial derivative of ``p`` in the variable at bit ``shift``."""
+    unit = 1 << shift
+    out = {}
+    for m, c in p.items():
+        e = (m >> shift) & mask
+        if e:
+            out[m - unit] = c * e
+    return out
+
+
+def _rational_form(program: ExactProgram, vars: tuple) -> tuple:
+    """N/D of the one entry of ``program``, as ``(N, D, width)``: packed
+    polynomials over ``vars`` with ``width`` bits per exponent.
+
+    One (N, D) pair per instruction.  Every constant-1 denominator is the
+    object ``one``, so a polynomial entry (the usual case) is expanded
+    without multiplying by it, and a sum of such terms is added into one
+    dict.
     """
-    one = Poly.constant(vars, 1)
-    position = {v: i for i, v in enumerate(vars)}
-    zeros = (0,) * len(vars)
+    instrs = program.instrs
+    width = _field_width(instrs)
+    unit = {v: 1 << i * width for i, v in enumerate(vars)}  # each variable's monomial
+    one = {0: 1}
     pairs: list = []  # one (N, D) per instruction
-    for op, args, payload in program.instrs:
+    for op, args, payload in instrs:
         if op is Mul:
             n, d = one, one
             for a in args:
@@ -229,40 +333,40 @@ def _rational_form(program: ExactProgram, vars: tuple) -> RationalForm:
         elif op is Add:
             terms = [pairs[a] for a in args]
             if all(td is one for _, td in terms):
-                pair = _sum(vars, [tn for tn, _ in terms]), one
+                pair = _sum([tn for tn, _ in terms]), one
             else:
-                n, d = Poly.zero(vars), one
+                n, d = {}, one
                 for tn, td in terms:
-                    n = _times(n, td, one) + _times(tn, d, one)
+                    n = _sum((_times(n, td, one), _times(tn, d, one)))
                     d = _times(d, td, one)
                 pair = n, d
         elif op is Sym:
-            i = position[payload]
-            pair = Poly(vars, {zeros[:i] + (1,) + zeros[i + 1 :]: 1}), one
+            pair = {unit[payload]: 1}, one
         elif op is Const:
-            pair = Poly.constant(vars, payload), one
+            pair = ({0: payload} if payload else {}), one
         elif op is Neg:
             n, d = pairs[args[0]]
-            pair = -n, d
+            pair = {m: -c for m, c in n.items()}, d
         elif op is Div:
             (nn, nd), (dn, dd) = pairs[args[0]], pairs[args[1]]
-            if dn.is_zero:
+            if not dn:
                 raise DivisionByZeroError(payload)
             pair = _times(nn, dd, one), _times(nd, dn, one)
         elif op is PowInt:
             bn, bd = pairs[args[0]]
             k = payload.exponent
             if k >= 0:
-                pair = bn.power(k), bd if bd is one else bd.power(k)
-            elif bn.is_zero:
+                pair = _power(bn, k), bd if bd is one else _power(bd, k)
+            elif not bn:
                 raise DivisionByZeroError(payload)
             else:
-                pair = bd.power(-k), bn.power(-k)
+                pair = _power(bd, -k), _power(bn, -k)
         else:  # Ln or Exp
             raise TranscendentalNodeError(payload)
         pairs.append(pair)
     ((out,),) = program.outputs
-    return RationalForm(*pairs[out])
+    n, d = pairs[out]
+    return n, d, width
 
 
 def normalize_rational(e: Expr) -> RationalForm:
@@ -275,7 +379,47 @@ def normalize_rational(e: Expr) -> RationalForm:
     :class:`TranscendentalNodeError` at an ln/exp node, after its argument.
     The variables are ordered states, then parameters, each by name.
     """
-    return _rational_form(compile_exact(((e,),)), _default_order(e))
+    vars = _default_order(e)
+    num, den, width = _rational_form(compile_exact(((e,),)), vars)
+    return RationalForm(_unpacked(vars, num, width), _unpacked(vars, den, width))
+
+
+def _unpacked(vars: tuple, p: dict, width: int) -> Poly:
+    """The packed polynomial ``p`` over ``vars`` as a :class:`Poly`."""
+    mask = (1 << width) - 1
+    shifts = range(0, len(vars) * width, width)
+    return Poly(vars, {tuple([m >> s & mask for s in shifts]): c for m, c in p.items()})
+
+
+def rational_symbols(e: Expr) -> Optional[frozenset]:
+    """The symbols that ``e`` depends on as a rational function, or None
+    when ``e`` has ln/exp: read before expanding, as :func:`is_zero` does.
+
+    With ``e`` = N/D unreduced, x is one of them iff d(N/D)/dx is not zero,
+    that is iff N*dD/dx and D*dN/dx are different polynomials.  When D does
+    not mention x, that is iff N does.  Which variables N and D mention is
+    read off the bitwise or of their monomials.
+    """
+    if has_ln_exp(e):
+        return None
+    vars = _default_order(e)
+    num, den, width = _rational_form(compile_exact(((e,),)), vars)
+    mask = (1 << width) - 1
+    in_num = in_den = 0
+    for m in num:
+        in_num |= m
+    for m in den:
+        in_den |= m
+    found = []
+    for i, var in enumerate(vars):
+        shift = i * width
+        if in_den >> shift & mask:
+            dn, dd = _derivative(num, shift, mask), _derivative(den, shift, mask)
+            if _product(num, dd) != _product(den, dn):
+                found.append(var)
+        elif in_num >> shift & mask:
+            found.append(var)
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------
@@ -349,10 +493,10 @@ def is_zero(e: Expr, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ZeroTestRes
         return _sampled_zero_test(e, symbols, rng, trials)
     # one program gives N/D and runs at the witness samples
     program = compile_exact(((e,),))
-    num = _rational_form(program, symbols).num
-    if num.is_zero:
+    num = _rational_form(program, symbols)[0]
+    if not num:
         return ZeroTestResult(ZERO_EXACT)
-    if num.is_constant:
+    if len(num) == 1 and 0 in num:
         return ZeroTestResult(NONZERO_EXACT, witness={})
     for _ in range(4 * trials):
         point = _sample_point(rng, symbols)

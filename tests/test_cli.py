@@ -436,7 +436,8 @@ class TestMutatedModels:
         assert {0, 1} <= codes
 
     # --k stops at n+1 below: a huge --k extends the embedding once per order
-    # with no bound, the known runaway (ROADMAP item 5), not what this checks
+    # with no bound, a known runaway (ROADMAP items 3 and 10: a work budget,
+    # or refusing --k above n-1), not what this checks
     K_FLAGS = ("auto", "0", "1", "2", "3", "4", "5", "-1", "1.5", "x", "")
     TRIALS_FLAGS = ("1", "2", "3", "0", "-1", "x")
     SEED_FLAGS = ("0", "7", "-3", str(2**40), "x")

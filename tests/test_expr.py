@@ -435,6 +435,30 @@ class TestInterning:
         )
         assert e is built
         assert Const(2) is Const(Fraction(2)) is Const(Fraction(4, 2))
+        # long chains: one add/mul call per sum or run of factors gives the
+        # node that the binary operations, applied left to right, give
+        xs = [Symbol(f"x{i}", "state") for i in range(200)]
+        table = {s.name: s for s in xs}
+        terms = [sym(s) for s in xs]
+        pairwise = terms[0]
+        for t in terms[1:]:
+            pairwise = add(pairwise, t)
+        assert parse_expr(" + ".join(s.name for s in xs), table) is pairwise
+        pairwise = terms[0]
+        for t in terms[1:50]:
+            pairwise = mul(pairwise, t)
+        assert parse_expr("*".join(s.name for s in xs[:50]), table) is pairwise
+        a, b, c, d, e = terms[:5]
+        assert parse_expr("x0*x1/x2*x3/x4", table) is div(mul(div(mul(a, b), c), d), e)
+        assert parse_expr("x0 - x1 - x2 - x3", table) is add(
+            add(add(a, neg(b)), neg(c)), neg(d)
+        )
+        # signs and constants folded along a chain
+        left = mul(mul(neg(Const(2)), a), Const(3))
+        left = add(left, neg(ONE))
+        left = add(left, mul(div(mul(b, neg(c)), Const(4)), d))
+        left = add(add(add(left, ONE), neg(e)), Const(2))
+        assert parse_expr("-2*x0*3 - 1 + x1*-x2/4*x3 + 1 - x4 + 2", table) is left
 
     def test_structure_equal_exactly_when_identical(self):
         for seed in range(1000):

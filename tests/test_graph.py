@@ -132,7 +132,7 @@ class TestBuildGraph:
 class TestDependencyMemo:
     def _record(self, monkeypatch):
         normalized, graphs = [], []
-        normalize, build = graph_module.normalize_rational, graph_module.build_graph
+        normalize, build = graph_module.rational_symbols, graph_module.build_graph
 
         def recording_normalize(e, *args):
             normalized.append(e)  # held, so no memo entry dies during the reports
@@ -143,7 +143,7 @@ class TestDependencyMemo:
             graphs.append((sys, seed, g))
             return g
 
-        monkeypatch.setattr(graph_module, "normalize_rational", recording_normalize)
+        monkeypatch.setattr(graph_module, "rational_symbols", recording_normalize)
         for module in (odeobs.report, odeobs.conserved):
             monkeypatch.setattr(module, "build_graph", recording_build)
         return normalized, graphs

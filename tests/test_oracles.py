@@ -33,7 +33,7 @@ sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
 from hypothesis import assume, given, settings, strategies as st  # noqa: E402
 
-from odeobs import graph, linalg  # noqa: E402
+from odeobs import linalg  # noqa: E402
 from odeobs.embedding import observability_verdict  # noqa: E402
 from odeobs.expr import (  # noqa: E402
     Add,
@@ -63,7 +63,13 @@ from odeobs.model import (  # noqa: E402
     parse_model,
     verify_all_conserved,
 )
-from odeobs.poly import NONZERO_EXACT, ZERO_EXACT, is_zero, normalize_rational  # noqa: E402
+from odeobs.poly import (  # noqa: E402
+    NONZERO_EXACT,
+    ZERO_EXACT,
+    is_zero,
+    normalize_rational,
+    rational_symbols,
+)
 
 from conftest import GEN_SYMBOLS, model_path, poly_to_sympy, random_expr  # noqa: E402
 from test_generated_reports import DIMER, chain, mm_tail, twin  # noqa: E402
@@ -237,7 +243,7 @@ def test_graph_dependence_matches_sympy_cancel(seed):
     assume(defined(e))
     by_name = {SYMPY_SYMBOLS[s]: s for s in GEN_SYMBOLS}
     expected = {by_name[v] for v in sympy.cancel(to_sympy(e)).free_symbols}
-    assert graph._rational_form_symbols(e) == expected
+    assert rational_symbols(e) == expected
 
 
 def constructed_zero(rng):

@@ -5,7 +5,6 @@ from fractions import Fraction
 
 import pytest
 
-from odeobs import graph
 from odeobs.expr import (
     ONE,
     Add,
@@ -19,6 +18,7 @@ from odeobs.expr import (
     Symbol,
     add,
     diff,
+    div,
     eval_exact,
     eval_float,
     mul,
@@ -36,6 +36,7 @@ from odeobs.poly import (
     _default_order,
     is_zero,
     normalize_rational,
+    rational_symbols,
 )
 
 from conftest import random_expr, random_point
@@ -43,6 +44,8 @@ from conftest import random_expr, random_point
 S = Symbol("S", "state")
 I = Symbol("I", "state")
 X = Symbol("x", "state")
+Y = Symbol("y", "state")
+Z = Symbol("z", "state")
 
 
 class TestNormalize:
@@ -62,8 +65,8 @@ class TestNormalize:
         assert rf.num == Poly((X,), {(2,): Fraction(1), (0,): Fraction(-1)})
         assert rf.den == Poly((X,), {(1,): Fraction(1), (0,): Fraction(-1)})
         assert is_zero(add(e, neg(parse_expr("x + 1", table)))).kind == ZERO_EXACT
-        assert graph._rational_form_symbols(e) == {X}
-        assert graph._rational_form_symbols(parse_expr("x*y/x", table)) == {y}
+        assert rational_symbols(e) == {X}
+        assert rational_symbols(parse_expr("x*y/x", table)) == {y}
 
     def test_lv_gradient_residual_is_zero_form(self):
         # grad(H) . f for the logarithmic first integral has a zero numerator
@@ -264,6 +267,17 @@ def _reference_pair(e, vars):
     return (bn.power(k), bd.power(k)) if k >= 0 else (bd.power(-k), bn.power(-k))
 
 
+def _reference_symbols(e):
+    """The symbols x with N*dD/dx - D*dN/dx nonzero, N/D the reference pair."""
+    vars = _default_order(e)
+    num, den = _reference_pair(e, vars)
+    return frozenset(
+        v
+        for i, v in enumerate(vars)
+        if not (num * den.derivative(i) - den * num.derivative(i)).is_zero
+    )
+
+
 class TestFractionPair:
     def test_pairs_equal_a_reference_that_forms_every_product(self):
         rng = random.Random(83)
@@ -280,6 +294,56 @@ class TestFractionPair:
             assert [list(p.coeffs.items()) for p in got] == [
                 list(p.coeffs.items()) for p in expected
             ]
+
+    def test_pairs_equal_the_reference_on_wide_and_cancelling_inputs(self):
+        # inside the pass a monomial is one int of fixed-width exponent
+        # fields; these inputs need wide fields, carry Fraction coefficients
+        # through products, and cancel a monomial that a later term brings back
+        y, z = sym(Y), sym(Z)
+        x = sym(X)
+        half_x = Mul((Const(Fraction(1, 2)), x))  # raw: mul() would fold 1/2 * 2
+        cases = [
+            pow_int(x, 70000),  # wider than any fixed field
+            mul(pow_int(add(x, y), 9), pow_int(z, 300)),
+            mul(pow_int(add(x, y), 7), add(x, y)),  # total degree 8 = 2^3
+            div(pow_int(x, 3), pow_int(y, 4)),
+            Mul((half_x, Mul((Const(2), y)))),
+            add(mul(Fraction(1, 3), x), mul(Fraction(2, 3), x)),
+            mul(add(mul(Fraction(3, 2), x), y), add(mul(Fraction(2, 3), x), neg(y))),
+            # a quotient chain with negative powers
+            div(
+                div(pow_int(x, -2), pow_int(add(x, y), -3)),
+                mul(pow_int(add(y, 1), -1), pow_int(div(z, add(x, 2)), -2)),
+            ),
+            PowInt(div(add(x, 1), y), -3),
+            # x cancels in the third term and comes back last
+            add(x, y, neg(x), x),
+            add(div(x, y), z, neg(div(x, y)), div(x, y)),
+            add(mul(add(x, y), add(x, neg(y))), mul(x, y), neg(pow_int(x, 2))),
+            mul(add(x, y, z), add(x, neg(y)), add(y, neg(z), x)),
+            # x^2 cancels in the middle of a product and comes back in it
+            mul(add(1, x, pow_int(x, 2)), add(pow_int(x, 2), neg(x), 1)),
+            # each quotient's degree sits in the other's denominator: x^18
+            add(div(y, add(div(1, pow_int(x, 8)), x)), div(z, add(div(1, pow_int(x, 8)), x))),
+        ]
+        for e in cases:
+            vars = _default_order(e)
+            expected = _reference_pair(e, vars)
+            form = normalize_rational(e)
+            got = form.num, form.den
+            assert got == expected
+            assert [list(p.coeffs.items()) for p in got] == [
+                list(p.coeffs.items()) for p in expected
+            ]
+            for p in got:
+                for c in p.coeffs.values():
+                    assert type(c) is int or c.denominator != 1
+            assert rational_symbols(e) == _reference_symbols(e)
+        assert normalize_rational(cases[0]).num.coeffs == {(70000,): 1}
+        for e in cases[4:6]:  # (x/2)*(2*y) and x/3 + 2x/3: Fraction products and sums
+            (coeff,) = normalize_rational(e).num.coeffs.values()
+            assert type(coeff) is int and coeff == 1
+        assert list(normalize_rational(cases[9]).num.coeffs) == [(0, 1), (1, 0)]
 
     def test_shared_dag_expands_once_per_node(self):
         # e -> e*x + e, 18 times: 4x more paths per level, 3 more nodes
