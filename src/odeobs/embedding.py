@@ -11,7 +11,10 @@ printed from too) that evaluates every distinct subexpression once per point.
 A matrix with ln/exp is ranked over floats instead, by the float run of the
 same program, with a probabilistic verdict, at points from a narrower
 window; a point where an entry leaves the float domain halves that window
-and is drawn again.
+and is drawn again.  A matrix whose entries mention no symbol (the
+gradient of a linear conservation law, and its blocks) has one value
+whatever is drawn, so it is run and ranked once, and that rank stands for
+every draw.
 
 Each derivative is taken once per verdict.  An embedding keeps one
 :func:`odeobs.expr.diff` memo per state and the gradient of each of its
@@ -162,7 +165,10 @@ def generic_rank_of(
     a finite float halves that window, down to [-4, 4], and is retried.  The
     verdict is exact when all entries are rational and the sampled maximum
     reaches min(rows, cols): a nonzero minor at a rational point certifies
-    it.
+    it.  A matrix that mentions no symbol is run and ranked once: every draw
+    would be the empty point, so the verdict holds ``trials`` empty points
+    (distinct dicts) of that one rank, and a pole or non-finite entry raises
+    at once with the message of ``200 * trials`` failed draws.
     """
     if trials < 1:
         raise ValueError("trials must be >= 1")
@@ -173,32 +179,43 @@ def generic_rank_of(
     program = compile_exact(rows)
     symbols = tuple(sorted(program.symbols, key=lambda s: s.sort_key))
     rational = program.rational
-    bound = POINT_BOUND if rational else FLOAT_POINT_BOUND
-    rng = random.Random(seed)
     points: List[dict] = []
     ranks: List[int] = []
-    attempts = 0
     max_attempts = 200 * trials
-    while len(ranks) < trials and attempts < max_attempts:
-        attempts += 1
-        point = {s: rng.randint(-bound, bound) for s in symbols}
+    if not symbols:
+        # every draw is the empty point, so one run ranks them all, and a
+        # pole or a non-finite entry there is one at every draw
         try:
-            r = linalg.rank(program.run(point)) if rational else _float_rank(program, point)
+            r = _point_rank(program, {})
         except DivisionByZeroError:
-            continue  # a pole
-        if r is None:  # an entry is not a finite float: as in poly's zero test
-            bound = max(4, bound // 2)
-            continue
-        points.append(point)
-        ranks.append(r)
+            r = None
+        if r is not None:
+            points = [{} for _ in range(trials)]
+            ranks = [r] * trials
+    else:
+        bound = POINT_BOUND if rational else FLOAT_POINT_BOUND
+        rng = random.Random(seed)
+        attempts = 0
+        while len(ranks) < trials and attempts < max_attempts:
+            attempts += 1
+            point = {s: rng.randint(-bound, bound) for s in symbols}
+            try:
+                r = _point_rank(program, point)
+            except DivisionByZeroError:
+                continue  # a pole
+            if r is None:  # an entry is not a finite float: as in poly's zero test
+                bound = max(4, bound // 2)
+                continue
+            points.append(point)
+            ranks.append(r)
+        by_name = sorted(symbols, key=lambda s: s.name)
+        order = sorted(range(len(points)), key=lambda i: [points[i][s] for s in by_name])
+        points = [points[i] for i in order]
+        ranks = [ranks[i] for i in order]
     if not ranks:
         raise AllPointsDegenerateError(
             f"no valid sample in {max_attempts} draws; all points degenerate"
         )
-    by_name = sorted(symbols, key=lambda s: s.name)
-    order = sorted(range(len(points)), key=lambda i: [points[i][s] for s in by_name])
-    points = [points[i] for i in order]
-    ranks = [ranks[i] for i in order]
     generic = max(ranks)
     confidence = (
         EXACT_CONFIDENCE
@@ -214,6 +231,13 @@ def generic_rank_of(
         rows=n_rows,
         cols=n_cols,
     )
+
+
+def _point_rank(program: ExactProgram, point: Mapping[Symbol, int]) -> Optional[int]:
+    """Rank of the matrix ``program`` computes at ``point``: exact for a
+    rational program, else :func:`_float_rank`.  A pole raises
+    ``DivisionByZeroError``."""
+    return linalg.rank(program.run(point)) if program.rational else _float_rank(program, point)
 
 
 def _float_rank(program: ExactProgram, point: Mapping[Symbol, int]) -> Optional[int]:

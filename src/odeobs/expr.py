@@ -69,6 +69,7 @@ ln/exp.
 from __future__ import annotations
 
 import math
+import operator
 import re
 import weakref
 from collections import Counter
@@ -513,20 +514,22 @@ def exp(arg: ExprLike) -> Expr:
     return Exp(as_expr(arg))
 
 
+# node class -> its children, in the order every lowering and walk takes them
+_CHILDREN = {
+    Const: lambda e: (),
+    Sym: lambda e: (),
+    Add: operator.attrgetter("terms"),
+    Mul: operator.attrgetter("factors"),
+    Neg: lambda e: (e.arg,),
+    Div: operator.attrgetter("num", "den"),
+    PowInt: lambda e: (e.base,),
+    Ln: lambda e: (e.arg,),
+    Exp: lambda e: (e.arg,),
+}
+
+
 def children(e: Expr) -> tuple:
-    if isinstance(e, Add):
-        return e.terms
-    if isinstance(e, Mul):
-        return e.factors
-    if isinstance(e, Neg):
-        return (e.arg,)
-    if isinstance(e, Div):
-        return (e.num, e.den)
-    if isinstance(e, PowInt):
-        return (e.base,)
-    if isinstance(e, (Ln, Exp)):
-        return (e.arg,)
-    return ()
+    return _CHILDREN[type(e)](e)
 
 
 def free_symbols(e: Expr) -> frozenset:
@@ -720,26 +723,37 @@ class _Lowering:
     :class:`FloatPrinter` and :func:`odeobs.poly.normalize_rational` read.
     Nodes are interned, so equal subtrees share one instruction.
 
-    A class rather than nested functions: a recursive closure is a reference
-    cycle, which would keep the tables alive until the cyclic garbage
-    collector ran.
+    :meth:`value` looks a root up in ``by_node``; :meth:`emit` recurses only
+    into children that the table does not hold yet, reading them from the
+    class-keyed table :func:`children` reads too, so the walk makes one
+    call per instruction.  A class rather than nested functions: a
+    recursive closure is a reference cycle, which would keep the tables
+    alive until the cyclic garbage collector ran.
     """
 
     def __init__(self):
         self.instrs: list = []
         self.by_node: dict = {}  # node -> value id
 
-    def emit(self, e: Expr) -> int:
+    def value(self, e: Expr) -> int:
+        """The value id of ``e``, lowering it first if it is new."""
         value = self.by_node.get(e)
-        if value is not None:
-            return value
+        return self.emit(e) if value is None else value
+
+    def emit(self, e: Expr) -> int:
+        """Lower ``e``, which has no instruction yet, after its new children."""
         kind = type(e)
         if kind is Sym:
             instr = (Sym, (), e.symbol)
         elif kind is Const:
             instr = (Const, (), _exact(e.value))
         else:
-            instr = (kind, tuple([self.emit(c) for c in children(e)]), e)
+            by_node = self.by_node
+            args = []
+            for child in _CHILDREN[kind](e):
+                value = by_node.get(child)
+                args.append(self.emit(child) if value is None else value)
+            instr = (kind, tuple(args), e)
         value = self.by_node[e] = len(self.instrs)
         self.instrs.append(instr)
         return value
@@ -877,7 +891,7 @@ def compile_exact(rows: Sequence[Sequence[Expr]]) -> ExactProgram:
     its symbols and whether it is rational are the entries' facts together.
     """
     lowering = _Lowering()
-    outputs = tuple(tuple(lowering.emit(entry) for entry in row) for row in rows)
+    outputs = tuple(tuple(lowering.value(entry) for entry in row) for row in rows)
     symbols, flags = _union([entry for row in rows for entry in row])
     return ExactProgram(symbols, not flags & _LN_EXP, tuple(lowering.instrs), outputs)
 
@@ -927,7 +941,7 @@ class FloatPrinter:
 
     def __init__(self, exprs: Sequence[Expr], params: Mapping[Symbol, float]):
         lowering = _Lowering()
-        self.outputs = [lowering.emit(e) for e in exprs]
+        self.outputs = [lowering.value(e) for e in exprs]
         self.instrs = lowering.instrs
         uses = Counter(self.outputs)
         for _, args, _ in self.instrs:

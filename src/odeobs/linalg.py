@@ -4,7 +4,9 @@ Rank uses fraction-free (Bareiss) elimination on an integer-scaled copy of
 the matrix, so intermediate values stay integral and the result is exact.
 Entries follow the number convention of every exact layer, an int when
 integral and a Fraction otherwise: a row that holds only ints is used as it
-is, and only a row with a Fraction is scaled.
+is, and only a row with a Fraction is scaled.  A one-row matrix needs no
+elimination: its rank is 1 when an entry is nonzero and 0 otherwise, read
+off the entries as they are, Fractions unscaled.
 """
 
 from __future__ import annotations
@@ -38,8 +40,12 @@ def rank(rows: Sequence[Sequence[Fraction]]) -> int:
     by its tail past that column: each entry ``a`` becomes
     ``(p*a - x*b) // prev``, for the pivot ``p``, the row's leading entry
     ``x`` and the pivot row's entry ``b`` in ``a``'s column, or only
-    ``p*a // prev`` where ``x`` is zero.  The divisions are exact.
+    ``p*a // prev`` where ``x`` is zero.  The divisions are exact.  A
+    single row (one conserved quantity's gradient, or a block of it) is
+    ranked by whether any entry is nonzero, with no scaling.
     """
+    if len(rows) == 1:
+        return int(any(rows[0]))
     m = _integer_rows(rows)
     r = 0
     prev = 1

@@ -141,8 +141,9 @@ class Poly:
         while n:
             if n & 1:
                 result = result * base
-            base = base * base
             n >>= 1
+            if n:  # the base is squared only for a bit still to come
+                base = base * base
         return result
 
     def eval(self, point: Mapping[Symbol, Fraction]) -> Fraction:

@@ -15,13 +15,19 @@ from odeobs.embedding import (
     rank_at_point,
 )
 from odeobs.expr import (
+    ONE,
+    ZERO,
     Const,
     Div,
     DivisionByZeroError,
+    ExactProgram,
     Sym,
     Symbol,
     add,
+    compile_exact,
     diff,
+    exp,
+    ln,
     mul,
     neg,
     parse_expr,
@@ -143,6 +149,47 @@ class TestGenericRank:
         with pytest.raises(AllPointsDegenerateError):
             generic_rank_of(((bad,),), trials=2)
 
+    def test_symbol_free_matrices_are_ranked_once(self, monkeypatch):
+        # a constant matrix ranks the same at every draw; one run stands for all
+        two, three = Const(Fraction(2)), Const(Fraction(3))
+        half = Const(Fraction(1, 2))
+        cases = {
+            "full rank": ((half, two, three), (three, ONE, two)),
+            "deficient": ((half, two, three), (ONE, Const(Fraction(4)), Const(Fraction(6)))),
+            "ln/exp": ((ln(two), exp(ONE)), (ln(Const(Fraction(4))), mul(two, exp(ONE)))),
+        }
+        for rows in cases.values():
+            for trials in (1, 8):
+                program = compile_exact(rows)
+                runs = []
+                for name in ("run", "run_float"):
+                    monkeypatch.setattr(ExactProgram, name, recording(getattr(ExactProgram, name), runs))
+                verdict = generic_rank_of(rows, seed=3, trials=trials)
+                monkeypatch.undo()
+                assert runs == [{}]
+                assert verdict == _per_point_verdict(rows, seed=3, trials=trials)
+                assert verdict.sample_points == ({},) * trials
+                assert len({id(p) for p in verdict.sample_points}) == trials
+                assert verdict.confidence == (
+                    "exact" if program.rational and verdict.generic_rank == 2 else "probabilistic"
+                )
+        assert [generic_rank_of(rows).generic_rank for rows in cases.values()] == [2, 1, 1]
+
+    def test_symbol_free_poles_raise_as_every_draw_did(self, monkeypatch):
+        # a pole, ln of a negative and an exp overflow: each fails at one run
+        for bad in (Div(ONE, ZERO), ln(neg(ONE)), exp(Const(Fraction(1000)))):
+            rows = ((ONE, bad),)
+            with pytest.raises(AllPointsDegenerateError) as expected:
+                _per_point_verdict(rows, seed=0, trials=2)
+            runs = []
+            for name in ("run", "run_float"):
+                monkeypatch.setattr(ExactProgram, name, recording(getattr(ExactProgram, name), runs))
+            with pytest.raises(AllPointsDegenerateError) as got:
+                generic_rank_of(rows, trials=2)
+            monkeypatch.undo()
+            assert runs == [{}]
+            assert str(got.value) == str(expected.value)
+
     def test_seed_reproducibility(self, sir):
         emb = build_embedding(sir, obs_named(sir, "R"), 2)
         jac = jacobian(emb, sir)
@@ -173,6 +220,56 @@ class TestGenericRank:
                 assert verdict.generic_rank >= previous
                 previous = verdict.generic_rank
             assert ranks[sys.n - 1] == ranks[sys.n] == ranks[sys.n + 1]
+
+
+def recording(method, runs):
+    """``method`` of ExactProgram, appending each point it runs at to ``runs``."""
+
+    def run(self, point):
+        runs.append(point)
+        return method(self, point)
+
+    return run
+
+
+def _per_point_verdict(rows, seed, trials):
+    """generic_rank_of as it samples a matrix with symbols, kept as the
+    reference for symbol-free matrices: every draw runs and ranks."""
+    n_rows, n_cols = len(rows), len(rows[0])
+    program = compile_exact(rows)
+    symbols = tuple(sorted(program.symbols, key=lambda s: s.sort_key))
+    rational = program.rational
+    bound = embedding.POINT_BOUND if rational else embedding.FLOAT_POINT_BOUND
+    rng = random.Random(seed)
+    points, ranks = [], []
+    attempts = 0
+    max_attempts = 200 * trials
+    while len(ranks) < trials and attempts < max_attempts:
+        attempts += 1
+        point = {s: rng.randint(-bound, bound) for s in symbols}
+        try:
+            r = linalg.rank(program.run(point)) if rational else embedding._float_rank(program, point)
+        except DivisionByZeroError:
+            continue
+        if r is None:
+            bound = max(4, bound // 2)
+            continue
+        points.append(point)
+        ranks.append(r)
+    if not ranks:
+        raise AllPointsDegenerateError(
+            f"no valid sample in {max_attempts} draws; all points degenerate"
+        )
+    by_name = sorted(symbols, key=lambda s: s.name)
+    order = sorted(range(len(points)), key=lambda i: [points[i][s] for s in by_name])
+    points = [points[i] for i in order]
+    ranks = [ranks[i] for i in order]
+    generic = max(ranks)
+    exact = rational and generic == min(n_rows, n_cols)
+    return embedding.RankVerdict(
+        generic, len(ranks), tuple(points), tuple(ranks),
+        "exact" if exact else "probabilistic", n_rows, n_cols,
+    )
 
 
 class TestRankAtPoint:

@@ -593,7 +593,70 @@ def shared_matrix(rng):
     )
 
 
+def reference_lowering(rows):
+    """The lowering written plainly: a table lookup at every node, the
+    children read by isinstance.  Returns the instructions and outputs."""
+    instrs, by_node = [], {}
+
+    def kids(e):
+        if isinstance(e, Add):
+            return e.terms
+        if isinstance(e, Mul):
+            return e.factors
+        if isinstance(e, Div):
+            return (e.num, e.den)
+        if isinstance(e, PowInt):
+            return (e.base,)
+        if isinstance(e, (Neg, Ln, Exp)):
+            return (e.arg,)
+        return ()
+
+    def emit(e):
+        if e in by_node:
+            return by_node[e]
+        assert children(e) == kids(e)
+        if isinstance(e, Sym):
+            instr = (Sym, (), e.symbol)
+        elif isinstance(e, Const):
+            value = e.value
+            instr = (Const, (), value.numerator if value.denominator == 1 else value)
+        else:
+            instr = (type(e), tuple(emit(c) for c in kids(e)), e)
+        by_node[e] = len(instrs)
+        instrs.append(instr)
+        return by_node[e]
+
+    outputs = tuple(tuple(emit(e) for e in row) for row in rows)
+    return tuple(instrs), outputs
+
+
 class TestCompileExact:
+    def test_lowering_is_the_reference_with_one_call_per_instruction(self, monkeypatch):
+        calls = []
+        for name in ("value", "emit"):
+            method = getattr(odeobs.expr._Lowering, name)
+
+            def counted(self, e, method=method, name=name):
+                calls.append(name)
+                return method(self, e)
+
+            monkeypatch.setattr(odeobs.expr._Lowering, name, counted)
+        rng = random.Random(71)
+        for i in range(200):
+            if i % 2:
+                rows = shared_matrix(rng)
+            else:
+                e = random_expr(rng, depth=4, allow_ln=True)
+                rows = ((e, exp(e)), tuple(diff(e, v) for v in GEN_SYMBOLS[:2]), (e, e))
+            calls.clear()
+            program = compile_exact(rows)
+            instrs, outputs = reference_lowering(rows)
+            # a lookup per entry, and a recursive call per instruction
+            assert calls.count("value") == sum(map(len, rows))
+            assert calls.count("emit") == len(program.instrs)
+            assert program.instrs == instrs and program.outputs == outputs
+            assert [type(p) for _, _, p in program.instrs] == [type(p) for _, _, p in instrs]
+
     def test_matches_tree_walk_on_shared_dags(self):
         rng = random.Random(41)
         outcomes = []

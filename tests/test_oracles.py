@@ -31,7 +31,7 @@ import pytest
 
 sympy = pytest.importorskip("sympy")
 pytest.importorskip("hypothesis")
-from hypothesis import assume, given, settings, strategies as st  # noqa: E402
+from hypothesis import assume, example, given, settings, strategies as st  # noqa: E402
 
 from odeobs import linalg  # noqa: E402
 from odeobs.embedding import observability_verdict  # noqa: E402
@@ -111,6 +111,12 @@ def sympy_rank(m):
 
 @SETTINGS
 @given(matrices())
+# one-row matrices, which rank takes without elimination: ints, Fractions,
+# a zero row and an empty row
+@example([[0, 3, -2]])
+@example([[0, Fraction(-5, 3), Fraction(1, 2)]])
+@example([[0, Fraction(0), 0]])
+@example([[]])
 def test_rank_matches_sympy(m):
     assert linalg.rank([[Fraction(v) for v in row] for row in m]) == sympy_rank(m)
 

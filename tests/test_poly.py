@@ -355,3 +355,26 @@ class TestFractionPair:
         elapsed = time.perf_counter() - start
         assert form == normalize_rational(mul(sym(X), pow_int(add(sym(X), 1), 18)))
         assert elapsed < 0.1
+
+
+class TestPolyPower:
+    def test_power_is_the_repeated_product_with_no_unused_square(self, monkeypatch):
+        vars = (X, Y, Z)
+        base = Poly(vars, {(1, 0, 0): 1, (0, 1, 0): 2, (0, 0, 1): Fraction(-1, 3), (0, 0, 0): 5})
+        multiply = Poly.__mul__
+        products = []
+
+        def counted(self, other):
+            products.append(1)
+            return multiply(self, other)
+
+        expected = Poly.constant(vars, 1)
+        for n in range(10):
+            monkeypatch.setattr(Poly, "__mul__", counted)
+            products.clear()
+            got = base.power(n)
+            monkeypatch.setattr(Poly, "__mul__", multiply)
+            assert got == expected
+            # one square per bit below the top one, one product per set bit
+            assert len(products) == max(n.bit_length() - 1, 0) + bin(n).count("1")
+            expected = expected * base
