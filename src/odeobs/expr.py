@@ -20,13 +20,18 @@ and ``exp``.  Numbers are decimal integers; fractions are written ``p/q``
 and fold to a single rational constant.  At most :data:`MAX_NESTING`
 parentheses (those of ``ln(``/``exp(`` included), unary minus signs and
 ``/`` signs of a term's left-associative division chain may be open at
-once; deeper input is a syntax error, not a recursion failure.
+once; deeper input is a syntax error, not a recursion failure.  The text
+is split into token strings by one regular-expression scan, and a
+character that starts no token is an error before any parsing; the
+descent reads the strings, and a token's position in the text is found
+only when an error names it.
 
 Construction goes through the smart constructors (:func:`add`, :func:`mul`,
 ...), which fold constants and remove neutral elements but perform no other
 rewriting.  A constant 0 or 1 is always the interned :data:`ZERO` or
-:data:`ONE`, so they test for it by identity, not by value.  Semantic
-comparisons belong to :mod:`odeobs.poly`.
+:data:`ONE`, so they test for it by identity, not by value; :func:`mul`
+and :func:`neg` read the interned -1 as a sign, with no Fraction
+arithmetic.  Semantic comparisons belong to :mod:`odeobs.poly`.
 
 Nodes and symbols are hash-consed: each class interns its instances in one
 table, keyed by the class and the fields (children and symbols by identity,
@@ -42,7 +47,8 @@ and flags for an ln/exp node and for a quotient or ln of a constant zero.
 Its constructor writes them from its children's facts, which a child holds
 from its own construction on, so every node has them from birth and no walk
 exists to write them.  :func:`free_symbols`, :func:`has_ln_exp`, the
-pruning of :func:`diff` and :func:`compile_exact` read them.
+pruning of :func:`diff` and :func:`substitute`, and :func:`compile_exact`
+read them.
 
 :func:`diff` builds the derivatives of sums and products straight from
 their children, which a constructor left in normal form, without passing
@@ -381,6 +387,7 @@ class Exp(Expr):
 
 ZERO = Const(Fraction(0))
 ONE = Const(Fraction(1))
+_MINUS_ONE = Const(Fraction(-1))  # held here, so every Const(-1) is this node
 
 
 def as_expr(value: ExprLike) -> Expr:
@@ -428,7 +435,7 @@ def mul(*factors: ExprLike) -> Expr:
     so a Mul node never directly contains a Neg child or a negative constant.
     """
     flat = []
-    c = 1  # the int 1 or -1 until a constant other than 1 is met
+    c = 1  # the int 1 or -1 until a constant other than 1 or -1 is met
     stack = [f if isinstance(f, Expr) else as_expr(f) for f in reversed(factors)]
     while stack:
         f = stack.pop()
@@ -441,7 +448,9 @@ def mul(*factors: ExprLike) -> Expr:
         elif kind is Const:
             if f is ZERO:
                 return ZERO
-            if f is not ONE:
+            if f is _MINUS_ONE:
+                c = -c  # a sign, as a Neg: no Fraction arithmetic
+            elif f is not ONE:
                 c *= f.value
         else:
             flat.append(f)
@@ -459,7 +468,9 @@ def neg(e: ExprLike) -> Expr:
         e = as_expr(e)
     kind = type(e)
     if kind is Const:
-        return Const(-e.value)
+        if e is ONE:
+            return _MINUS_ONE
+        return ONE if e is _MINUS_ONE else Const(-e.value)
     if kind is Neg:
         return e.arg
     return Neg(e)
@@ -666,36 +677,44 @@ def _diff(e: Expr, v: Symbol, memo: dict) -> Expr:
 def substitute(e: Expr, bindings: Mapping[Symbol, Expr]) -> Expr:
     """Simultaneous substitution; replacement expressions are not re-visited.
 
+    Only subtrees that mention a bound symbol are rebuilt: every node knows
+    the symbols of its subtree, and any other subtree is returned as it is,
+    as :func:`diff` prunes.  A constructor-built subtree is what rebuilding
+    it through the constructors would give anyway; a node out of normal form
+    (built by hand) that mentions no bound symbol is returned unrebuilt.
     Each distinct subtree is substituted once, so a DAG that shares subtrees
     costs its distinct nodes, not its paths.
     """
     if not bindings:
         return e
-    return _substitute(e, bindings, {})
+    return _substitute(e, bindings, frozenset(bindings), {})
 
 
-def _substitute(e: Expr, bindings: Mapping[Symbol, Expr], memo: dict) -> Expr:
+def _substitute(e: Expr, bindings: Mapping[Symbol, Expr], bound: frozenset, memo: dict) -> Expr:
+    if e._symbols.isdisjoint(bound):
+        return e
     hit = memo.get(e)
     if hit is not None:
         return hit
-    if isinstance(e, Const):
-        result = e
-    elif isinstance(e, Sym):
-        result = bindings.get(e.symbol, e)
-    elif isinstance(e, Add):
-        result = add(*[_substitute(t, bindings, memo) for t in e.terms])
-    elif isinstance(e, Mul):
-        result = mul(*[_substitute(f, bindings, memo) for f in e.factors])
-    elif isinstance(e, Neg):
-        result = neg(_substitute(e.arg, bindings, memo))
-    elif isinstance(e, Div):
-        result = div(_substitute(e.num, bindings, memo), _substitute(e.den, bindings, memo))
-    elif isinstance(e, PowInt):
-        result = pow_int(_substitute(e.base, bindings, memo), e.exponent)
-    elif isinstance(e, Ln):
-        result = ln(_substitute(e.arg, bindings, memo))
-    elif isinstance(e, Exp):
-        result = exp(_substitute(e.arg, bindings, memo))
+    kind = type(e)
+    if kind is Sym:
+        result = bindings[e.symbol]  # it mentions a bound symbol, so it is one
+    elif kind is Add:
+        result = add(*[_substitute(t, bindings, bound, memo) for t in e.terms])
+    elif kind is Mul:
+        result = mul(*[_substitute(f, bindings, bound, memo) for f in e.factors])
+    elif kind is Neg:
+        result = neg(_substitute(e.arg, bindings, bound, memo))
+    elif kind is Div:
+        result = div(
+            _substitute(e.num, bindings, bound, memo), _substitute(e.den, bindings, bound, memo)
+        )
+    elif kind is PowInt:
+        result = pow_int(_substitute(e.base, bindings, bound, memo), e.exponent)
+    elif kind is Ln:
+        result = ln(_substitute(e.arg, bindings, bound, memo))
+    elif kind is Exp:
+        result = exp(_substitute(e.arg, bindings, bound, memo))
     else:
         raise TypeError(f"unhandled node {e!r}")
     memo[e] = result
@@ -1136,79 +1155,69 @@ def to_str(e: Expr) -> str:
 # ---------------------------------------------------------------------------
 # parsing
 
-# One match per token, the whitespace before it included.  The token is
-# optional, so the pattern always matches: an empty match at the end of the
-# text is the end, and one before it an unexpected character.
-_TOKEN_RE = re.compile(
-    r"\s*(?:"
-    r"(?P<float>\d+\.\d*|\.\d+)"
-    r"|(?P<int>\d+)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
-    r"|(?P<op>[-+*/^()])"
-    r")?"
-)
+# One match per token, and one per character that starts no token, whose
+# match leaves the group empty; whitespace matches nothing.  ``findall``
+# gives the token strings, a bad character as the empty string.
+_TOKEN_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+|[A-Za-z][A-Za-z0-9_]*|[-+*/^()])|\S")
+_END = ""  # the token after the last
 
 
-def _tokenize(text: str) -> list:
-    """The tokens of ``text`` as ``(kind, text, position)`` tuples, ending
-    with an ``eof`` one.  The kind of an operator token is the operator."""
-    tokens = []
-    append = tokens.append
-    match = _TOKEN_RE.match
-    pos, end = 0, len(text)
-    while True:
-        m = match(text, pos)
-        kind = m.lastgroup
-        pos = m.end()
-        if kind is None:
-            if pos == end:
-                break
-            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
-        token = m.group(kind)
-        append((token if kind == "op" else kind, token, pos - len(token)))
-    append(("eof", "", end))
-    return tokens
+def _position(text: str, i: int) -> int:
+    """Where token ``i`` of ``text`` starts, the end of the text for the end
+    token: computed only for an error message."""
+    for k, match in enumerate(_TOKEN_RE.finditer(text)):
+        if k == i:
+            return match.start()
+    return len(text)
 
 
 class _Parser:
-    """Recursive descent over the tokens, one method per grammar rule.  A
-    sum and each run of ``*`` factors are built by one :func:`add` or
+    """Recursive descent over the token strings, one method per grammar
+    rule, dispatching on the strings themselves: an integer is all digits,
+    a decimal literal holds a ``.``, a name starts with a letter.  A sum
+    and each run of ``*`` factors are built by one :func:`add` or
     :func:`mul` call, which flatten, so the node is the one the binary
-    operations would build."""
+    operations would build.  Errors name token indices, which become text
+    positions only when one is raised."""
 
-    def __init__(self, tokens: list, table: Mapping[str, Symbol]):
+    def __init__(self, text: str, table: Mapping[str, Symbol]):
+        tokens = _TOKEN_RE.findall(text)
+        if "" in tokens:
+            pos = _position(text, tokens.index(""))
+            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        tokens.append(_END)
+        self.text = text
         self.tokens = tokens
-        self.i = 0
+        self.i = 0  # the index of the next token
         self.table = table
-        self.depth = 0  # parentheses and unary minus signs open at the cursor
+        self.depth = 0  # parentheses, unary minus and "/" signs open at the cursor
 
-    def peek(self) -> str:
-        """The kind of the next token."""
-        return self.tokens[self.i][0]
+    def error(self, message: str, i: int) -> ExprSyntaxError:
+        return ExprSyntaxError(message, _position(self.text, i))
 
-    def advance(self) -> tuple:
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def expect_op(self, op: str) -> None:
-        kind, _, pos = self.advance()
-        if kind != op:
-            raise ExprSyntaxError(f"expected {op!r}", pos)
-
-    def enter(self, pos: int) -> None:
+    def enter(self, i: int) -> None:
+        """Open one more nesting level, at token ``i``."""
         self.depth += 1
         if self.depth > MAX_NESTING:
-            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", pos)
+            raise self.error(f"nesting deeper than {MAX_NESTING} levels", i)
+
+    def close(self) -> None:
+        """Take the ``)`` that ends an open parenthesis."""
+        i = self.i
+        self.i = i + 1
+        if self.tokens[i] != ")":
+            raise self.error("expected ')'", i)
+        self.depth -= 1
 
     def expr(self) -> Expr:
+        tokens = self.tokens
         terms = [self.term()]
         while True:
-            kind = self.peek()
-            if kind == "+":
+            t = tokens[self.i]
+            if t == "+":
                 self.i += 1
                 terms.append(self.term())
-            elif kind == "-":
+            elif t == "-":
                 self.i += 1
                 terms.append(neg(self.term()))
             else:
@@ -1216,15 +1225,17 @@ class _Parser:
 
     def term(self) -> Expr:
         # each '/' nests the quotient so far one level deeper in the tree
+        tokens = self.tokens
         factors = [self.factor()]
         divisions = 0
         while True:
-            kind = self.peek()
-            if kind == "*":
+            t = tokens[self.i]
+            if t == "*":
                 self.i += 1
                 factors.append(self.factor())
-            elif kind == "/":
-                self.enter(self.advance()[2])
+            elif t == "/":
+                self.enter(self.i)
+                self.i += 1
                 divisions += 1
                 num = factors[0] if len(factors) == 1 else mul(*factors)
                 factors = [div(num, self.factor())]
@@ -1234,54 +1245,58 @@ class _Parser:
         return factors[0] if len(factors) == 1 else mul(*factors)
 
     def factor(self) -> Expr:
-        if self.peek() == "-":
-            self.enter(self.advance()[2])
+        tokens = self.tokens
+        if tokens[self.i] == "-":
+            self.enter(self.i)
+            self.i += 1
             e = neg(self.factor())
             self.depth -= 1
             return e
         a = self.atom()
-        if self.peek() == "^":
+        if tokens[self.i] == "^":
             self.i += 1
             return pow_int(a, self.exponent())
         return a
 
     def exponent(self) -> int:
+        tokens = self.tokens
+        i = self.i
         sign = 1
-        kind, text, pos = self.advance()
-        if kind == "-":
-            sign = -1
-            kind, text, pos = self.advance()
-        if kind == "float":
-            raise NonIntegerExponentError(pos)
-        if kind != "int":
-            raise ExprSyntaxError("expected integer exponent", pos)
-        return sign * int(text)
+        if tokens[i] == "-":
+            sign, i = -1, i + 1
+        t = tokens[i]
+        self.i = i + 1
+        if "." in t:
+            raise NonIntegerExponentError(_position(self.text, i))
+        if not t.isdigit():
+            raise self.error("expected integer exponent", i)
+        return sign * int(t)
 
     def atom(self) -> Expr:
-        kind, text, pos = self.advance()
-        if kind == "(":
-            self.enter(pos)
-            e = self.expr()
-            self.expect_op(")")
-            self.depth -= 1
-            return e
-        if kind == "int":
-            return Const(Fraction(int(text)))
-        if kind == "float":
-            raise ExprSyntaxError(
-                "decimal literals are not supported; write a fraction p/q", pos
-            )
-        if kind == "name":
-            if text in ("ln", "exp") and self.peek() == "(":
-                self.enter(self.advance()[2])
+        i = self.i
+        t = self.tokens[i]
+        self.i = i + 1
+        if t[:1].isalpha():  # a name
+            if (t == "ln" or t == "exp") and self.tokens[i + 1] == "(":
+                self.enter(i + 1)
+                self.i = i + 2
                 arg = self.expr()
-                self.expect_op(")")
-                self.depth -= 1
-                return ln(arg) if text == "ln" else exp(arg)
-            if text not in self.table:
-                raise UnknownSymbolError(text)
-            return Sym(self.table[text])
-        raise ExprSyntaxError(f"unexpected token {text!r}", pos)
+                self.close()
+                return ln(arg) if t == "ln" else exp(arg)
+            table = self.table
+            if t not in table:
+                raise UnknownSymbolError(t)
+            return Sym(table[t])
+        if t == "(":
+            self.enter(i)
+            e = self.expr()
+            self.close()
+            return e
+        if t.isdigit():
+            return Const(int(t))
+        if "." in t:
+            raise self.error("decimal literals are not supported; write a fraction p/q", i)
+        raise self.error(f"unexpected token {t!r}", i)
 
 
 def parse_expr(text: str, symbols) -> Expr:
@@ -1289,12 +1304,14 @@ def parse_expr(text: str, symbols) -> Expr:
 
     ``symbols`` is either a mapping from name to :class:`Symbol` or an
     iterable of symbols.  Every identifier in the text must be declared.
+    A syntax error is an :class:`ExprSyntaxError` at the position of the
+    token (or character) it names, the end of the text for a missing one.
     """
     if not isinstance(symbols, Mapping):
         symbols = {s.name: s for s in symbols}
-    parser = _Parser(_tokenize(text), symbols)
+    parser = _Parser(text, symbols)
     e = parser.expr()
-    kind, text, pos = parser.advance()
-    if kind != "eof":
-        raise ExprSyntaxError(f"unexpected trailing input {text!r}", pos)
+    t = parser.tokens[parser.i]
+    if t != _END:
+        raise parser.error(f"unexpected trailing input {t!r}", parser.i)
     return e

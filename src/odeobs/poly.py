@@ -4,12 +4,15 @@ This is the semantic backbone of the package: an identity holds iff
 :func:`is_zero` says so.  A rational expression is written as one quotient
 N/D of polynomials (:class:`RationalForm`), never reduced: ``e`` is
 identically zero iff N is the zero polynomial, and ``e`` depends on a
-variable x iff N*dD/dx - D*dN/dx is not (:func:`rational_symbols`, which
-the inference graph reads).  Coefficients follow the number convention of
-every exact layer: an int when integral, a Fraction only otherwise.
+variable x iff N*dD/dx - D*dN/dx is not (:func:`rational_symbols`).
+Coefficients follow the number convention of every exact layer: an int when
+integral, a Fraction only otherwise.
 
 Each test compiles its expression once (:func:`odeobs.expr.compile_exact`).
 N/D is one pass over that program, which then runs at the witness samples.
+The dependency test of a whole system (:func:`rational_symbol_sets`, which
+the inference graph reads) compiles its expressions together, and one pass
+expands a subtree they share once.
 Inside the pass a polynomial is a dict from a packed monomial to its
 nonzero coefficient, as in Monagan & Pearce (CASC 2007): the exponent of
 the i-th variable sits in bits [i*w, (i+1)*w) of one int, so a product of
@@ -201,7 +204,7 @@ def _default_order(e: Expr) -> tuple:
 def _field_width(instrs: tuple) -> int:
     """Bits per exponent for the pass over ``instrs``: enough for the total
     degree of any N or D the pass builds, and of N times D (which the
-    dependency test of :func:`rational_symbols` forms)."""
+    dependency test of :func:`rational_symbol_sets` forms)."""
     ns: list = []  # an upper bound on deg N, per instruction
     ds: list = []  # and on deg D
     top = 0
@@ -309,20 +312,19 @@ def _derivative(p: dict, shift: int, mask: int) -> dict:
     return out
 
 
-def _rational_form(program: ExactProgram, vars: tuple) -> tuple:
-    """N/D of the one entry of ``program``, as ``(N, D, width)``: packed
+def _rational_pass(instrs: tuple, vars: tuple, width: int, pairs: list) -> None:
+    """Append N/D of each instruction of ``instrs`` to ``pairs``: packed
     polynomials over ``vars`` with ``width`` bits per exponent.
 
     One (N, D) pair per instruction.  Every constant-1 denominator is the
     object ``one``, so a polynomial entry (the usual case) is expanded
     without multiplying by it, and a sum of such terms is added into one
-    dict.
+    dict.  Raises the first error of the post-order, with ``pairs`` then
+    holding those of the instructions before it.
     """
-    instrs = program.instrs
-    width = _field_width(instrs)
     unit = {v: 1 << i * width for i, v in enumerate(vars)}  # each variable's monomial
     one = {0: 1}
-    pairs: list = []  # one (N, D) per instruction
+    append = pairs.append
     for op, args, payload in instrs:
         if op is Mul:
             n, d = one, one
@@ -364,7 +366,15 @@ def _rational_form(program: ExactProgram, vars: tuple) -> tuple:
                 pair = _power(bd, -k), _power(bn, -k)
         else:  # Ln or Exp
             raise TranscendentalNodeError(payload)
-        pairs.append(pair)
+        append(pair)
+
+
+def _rational_form(program: ExactProgram, vars: tuple) -> tuple:
+    """N/D of the one entry of ``program``, as ``(N, D, width)``: packed
+    polynomials over ``vars`` with ``width`` bits per exponent."""
+    width = _field_width(program.instrs)
+    pairs: list = []
+    _rational_pass(program.instrs, vars, width, pairs)
     ((out,),) = program.outputs
     n, d = pairs[out]
     return n, d, width
@@ -396,31 +406,71 @@ def rational_symbols(e: Expr) -> Optional[frozenset]:
     """The symbols that ``e`` depends on as a rational function, or None
     when ``e`` has ln/exp: read before expanding, as :func:`is_zero` does.
 
-    With ``e`` = N/D unreduced, x is one of them iff d(N/D)/dx is not zero,
-    that is iff N*dD/dx and D*dN/dx are different polynomials.  When D does
-    not mention x, that is iff N does.  Which variables N and D mention is
-    read off the bitwise or of their monomials.
+    The one-expression case of :func:`rational_symbol_sets`, raising the
+    error of its pass.
     """
     if has_ln_exp(e):
         return None
-    vars = _default_order(e)
-    num, den, width = _rational_form(compile_exact(((e,),)), vars)
+    sets, error = rational_symbol_sets((e,))
+    if error is not None:
+        raise error
+    return sets[0]
+
+
+def rational_symbol_sets(exprs: Sequence[Expr]) -> tuple:
+    """The symbols that each of the rational expressions ``exprs`` depends
+    on, from one pass over them all, as ``(sets, error)``.
+
+    The expressions are lowered together, so a subtree they share is
+    expanded once, and one variable order (that of all their symbols) and
+    one field width (the largest any of them needs) serve every one: the
+    answers are sets.  ``sets`` holds one frozenset per expression, in
+    order, up to the first whose expansion fails, and ``error`` is that
+    failure (None when there is none).  It is the error that expression
+    raises on its own: the pass raises the first error of the shared
+    post-order, whose first failing instruction belongs to the first
+    failing expression, and that expression's own post-order runs the same
+    instructions in the same order, less those that earlier expressions,
+    which did not fail, lowered first.
+
+    With an expression ``e`` = N/D unreduced, x is one of its symbols iff
+    d(N/D)/dx is not zero, that is iff N*dD/dx and D*dN/dx are different
+    polynomials.  When D does not mention x, that is iff N does.  Which
+    variables N and D mention is read off the bitwise or of their
+    monomials.
+    """
+    program = compile_exact((exprs,))
+    vars = tuple(sorted(program.symbols, key=lambda s: s.sort_key))
+    index = {v: i for i, v in enumerate(vars)}
+    width = _field_width(program.instrs)
+    pairs: list = []
+    error = None
+    try:
+        _rational_pass(program.instrs, vars, width, pairs)
+    except ExprError as failure:
+        error = failure
     mask = (1 << width) - 1
-    in_num = in_den = 0
-    for m in num:
-        in_num |= m
-    for m in den:
-        in_den |= m
-    found = []
-    for i, var in enumerate(vars):
-        shift = i * width
-        if in_den >> shift & mask:
-            dn, dd = _derivative(num, shift, mask), _derivative(den, shift, mask)
-            if _product(num, dd) != _product(den, dn):
+    sets = []
+    for e, out in zip(exprs, program.outputs[0]):
+        if out >= len(pairs):  # the first failing expression
+            break
+        num, den = pairs[out]
+        in_num = in_den = 0
+        for m in num:
+            in_num |= m
+        for m in den:
+            in_den |= m
+        found = []
+        for var in free_symbols(e):
+            shift = index[var] * width
+            if in_den >> shift & mask:
+                dn, dd = _derivative(num, shift, mask), _derivative(den, shift, mask)
+                if _product(num, dd) != _product(den, dn):
+                    found.append(var)
+            elif in_num >> shift & mask:
                 found.append(var)
-        elif in_num >> shift & mask:
-            found.append(var)
-    return frozenset(found)
+        sets.append(frozenset(found))
+    return sets, error
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,11 @@ import hashlib
 import math
 import pickle
 import random
+import re
 import time
 import weakref
 from fractions import Fraction
+from typing import Mapping
 
 import pytest
 
@@ -18,6 +20,7 @@ from odeobs.expr import (
     DivisionByZeroError,
     DomainError,
     Exp,
+    ExprError,
     ExprSyntaxError,
     Ln,
     MAX_NESTING,
@@ -178,6 +181,281 @@ class TestParse:
         assert parse_expr(text, SIR_SYMS).terms == (Sym(S),) * (2 * MAX_NESTING)
 
 
+# The parser as it was before the one-scan tokenizer, kept verbatim as the
+# reference: a ``match`` loop that makes (kind, text, position) tuples, and a
+# descent over those tuples.
+
+
+_REFERENCE_TOKEN_RE = re.compile(
+    r"\s*(?:"
+    r"(?P<float>\d+\.\d*|\.\d+)"
+    r"|(?P<int>\d+)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9_]*)"
+    r"|(?P<op>[-+*/^()])"
+    r")?"
+)
+
+
+def _reference_tokenize(text: str) -> list:
+    """The tokens of ``text`` as ``(kind, text, position)`` tuples, ending
+    with an ``eof`` one.  The kind of an operator token is the operator."""
+    tokens = []
+    append = tokens.append
+    match = _REFERENCE_TOKEN_RE.match
+    pos, end = 0, len(text)
+    while True:
+        m = match(text, pos)
+        kind = m.lastgroup
+        pos = m.end()
+        if kind is None:
+            if pos == end:
+                break
+            raise ExprSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        token = m.group(kind)
+        append((token if kind == "op" else kind, token, pos - len(token)))
+    append(("eof", "", end))
+    return tokens
+
+
+class _ReferenceParser:
+    """Recursive descent over the tokens, one method per grammar rule.  A
+    sum and each run of ``*`` factors are built by one :func:`add` or
+    :func:`mul` call, which flatten, so the node is the one the binary
+    operations would build."""
+
+    def __init__(self, tokens: list, table: Mapping[str, Symbol]):
+        self.tokens = tokens
+        self.i = 0
+        self.table = table
+        self.depth = 0  # parentheses and unary minus signs open at the cursor
+
+    def peek(self) -> str:
+        """The kind of the next token."""
+        return self.tokens[self.i][0]
+
+    def advance(self) -> tuple:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect_op(self, op: str) -> None:
+        kind, _, pos = self.advance()
+        if kind != op:
+            raise ExprSyntaxError(f"expected {op!r}", pos)
+
+    def enter(self, pos: int) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ExprSyntaxError(f"nesting deeper than {MAX_NESTING} levels", pos)
+
+    def expr(self):
+        terms = [self.term()]
+        while True:
+            kind = self.peek()
+            if kind == "+":
+                self.i += 1
+                terms.append(self.term())
+            elif kind == "-":
+                self.i += 1
+                terms.append(neg(self.term()))
+            else:
+                return terms[0] if len(terms) == 1 else add(*terms)
+
+    def term(self):
+        # each '/' nests the quotient so far one level deeper in the tree
+        factors = [self.factor()]
+        divisions = 0
+        while True:
+            kind = self.peek()
+            if kind == "*":
+                self.i += 1
+                factors.append(self.factor())
+            elif kind == "/":
+                self.enter(self.advance()[2])
+                divisions += 1
+                num = factors[0] if len(factors) == 1 else mul(*factors)
+                factors = [div(num, self.factor())]
+            else:
+                break
+        self.depth -= divisions
+        return factors[0] if len(factors) == 1 else mul(*factors)
+
+    def factor(self):
+        if self.peek() == "-":
+            self.enter(self.advance()[2])
+            e = neg(self.factor())
+            self.depth -= 1
+            return e
+        a = self.atom()
+        if self.peek() == "^":
+            self.i += 1
+            return pow_int(a, self.exponent())
+        return a
+
+    def exponent(self) -> int:
+        sign = 1
+        kind, text, pos = self.advance()
+        if kind == "-":
+            sign = -1
+            kind, text, pos = self.advance()
+        if kind == "float":
+            raise NonIntegerExponentError(pos)
+        if kind != "int":
+            raise ExprSyntaxError("expected integer exponent", pos)
+        return sign * int(text)
+
+    def atom(self):
+        kind, text, pos = self.advance()
+        if kind == "(":
+            self.enter(pos)
+            e = self.expr()
+            self.expect_op(")")
+            self.depth -= 1
+            return e
+        if kind == "int":
+            return Const(Fraction(int(text)))
+        if kind == "float":
+            raise ExprSyntaxError(
+                "decimal literals are not supported; write a fraction p/q", pos
+            )
+        if kind == "name":
+            if text in ("ln", "exp") and self.peek() == "(":
+                self.enter(self.advance()[2])
+                arg = self.expr()
+                self.expect_op(")")
+                self.depth -= 1
+                return ln(arg) if text == "ln" else exp(arg)
+            if text not in self.table:
+                raise UnknownSymbolError(text)
+            return Sym(self.table[text])
+        raise ExprSyntaxError(f"unexpected token {text!r}", pos)
+
+
+def _reference_parse(text: str, symbols):
+    if not isinstance(symbols, Mapping):
+        symbols = {s.name: s for s in symbols}
+    parser = _ReferenceParser(_reference_tokenize(text), symbols)
+    e = parser.expr()
+    kind, text, pos = parser.advance()
+    if kind != "eof":
+        raise ExprSyntaxError(f"unexpected trailing input {text!r}", pos)
+    return e
+
+
+_PARSE_SYMBOLS = {
+    name: Symbol(name, kind)
+    for name, kind in (("x", "state"), ("y", "state"), ("k1", "parameter"), ("a_b", "parameter"))
+}
+# a table that declares the function names as symbols too
+_PARSE_SYMBOLS_LN = dict(_PARSE_SYMBOLS, ln=Symbol("ln", "parameter"), exp=Symbol("exp", "state"))
+_TOKEN_SOUP = (
+    "x", "y", "k1", "a_b", "q", "ln", "exp", "sin", "x2", "0", "1", "7", "12", "3.", "1.5", ".5",
+    "+", "-", "*", "/", "^", "^2", "^-1", "^1.5", "^ - .5", "(", ")", "ln(", "exp(", "/(", "$", "_", ".", "\u00e9", "\u0661\u0662",
+    "\u00b2", "#",
+)
+_SPACES = ("", "", "", " ", "  ", "\t", "\n", "\u00a0", "\u2003")
+_CHARS = "xyk1ab_ +-*/^().0123456789$\t\u00e9\u0661"
+
+
+def _parse_outcome(parse, text, table):
+    """The node parsed, or the error's type, message and position."""
+    try:
+        return parse(text, table)
+    except ExprError as error:
+        return type(error), str(error), getattr(error, "position", None)
+
+
+def _corrupted(rng, text):
+    chars = list(text)
+    for _ in range(rng.randint(1, 3)):
+        where = rng.randint(0, len(chars))
+        move = rng.randrange(4)
+        if move == 0 and chars:
+            del chars[min(where, len(chars) - 1)]
+        elif move == 1:
+            chars.insert(where, rng.choice(_CHARS))
+        elif move == 2 and chars:
+            chars[min(where, len(chars) - 1)] = rng.choice(_CHARS)
+        else:
+            chars[where:where] = chars[where : where + rng.randint(1, 4)]
+    return "".join(chars)
+
+
+def _soup(rng):
+    return "".join(
+        rng.choice(_SPACES) + rng.choice(_TOKEN_SOUP) for _ in range(rng.randint(0, 12))
+    ) + rng.choice(_SPACES)
+
+
+def _nesting_texts():
+    """Each kind of nesting level at MAX_NESTING - 1, MAX_NESTING and
+    MAX_NESTING + 1 levels, whole and cut short."""
+    texts = []
+    for n in (MAX_NESTING - 1, MAX_NESTING, MAX_NESTING + 1):
+        whole = [
+            "(" * n + "x" + ")" * n,
+            "-" * n + "x",
+            "x" + "/y" * n,
+            "ln(" * n + "x" + ")" * n,
+            "x" + "/(y" * n + ")" * n,
+            "(" * (n // 2) + "-" * (n - n // 2) + "x" + ")" * (n // 2),
+            "exp(" * (n // 2) + "x" + "/y" * (n - n // 2) + ")" * (n // 2),
+            "x" + "/-y" * (n // 2) + "/y" * (n - 2 * (n // 2)),
+        ]
+        for text in whole:
+            texts += [text, text[:-1], text + ")", text + " $", "q + " + text, text + "^2", text + "^1.5"]
+    return texts
+
+
+class TestParserAgainstReference:
+    @pytest.mark.parametrize("table", [_PARSE_SYMBOLS, _PARSE_SYMBOLS_LN], ids=["plain", "ln-declared"])
+    def test_random_and_corrupted_texts(self, table):
+        rng = random.Random(2028)
+        texts = []
+        for _ in range(600):
+            valid = to_str(random_expr(rng, depth=rng.randint(1, 4), symbols=(X, Y),
+                                       allow_ln=rng.random() < 0.3))
+            valid = valid.replace(" ", rng.choice(("", " ", "  ")))
+            texts += [valid, _corrupted(rng, valid), _corrupted(rng, valid), _soup(rng)]
+        texts = [t for t in texts if not re.search(r"\^[\s-]*\d{5}", t)]  # no huge powers of constants
+        assert len(texts) > 2000
+        outcomes = set()
+        for text in texts:
+            expected = _parse_outcome(_reference_parse, text, table)
+            got = _parse_outcome(parse_expr, text, table)
+            if isinstance(expected, tuple):
+                assert got == expected, text
+                outcomes.add(expected[1].split(" (at")[0].split("'")[0])
+            else:
+                assert got is expected, text
+                outcomes.add("node")
+        # every way to fail is reached
+        assert outcomes >= {
+            "node",
+            "unexpected character ",
+            "unexpected token ",
+            "unexpected trailing input ",
+            "expected ",  # ')'
+            "expected integer exponent",
+            "exponent must be an integer",
+            "decimal literals are not supported; write a fraction p/q",
+            "unknown symbol ",
+        }
+
+    def test_nesting_at_the_limit(self):
+        outcomes = set()
+        for text in _nesting_texts():
+            expected = _parse_outcome(_reference_parse, text, _PARSE_SYMBOLS)
+            got = _parse_outcome(parse_expr, text, _PARSE_SYMBOLS)
+            if isinstance(expected, tuple):
+                assert got == expected, text
+                outcomes.add(expected[1].split(" (at")[0])
+            else:
+                assert got is expected, text
+                outcomes.add("node")
+        assert {"node", f"nesting deeper than {MAX_NESTING} levels"} <= outcomes
+
+
 class TestDiff:
     def test_product_rule(self):
         e = mul(Sym(BETA), Sym(S), Sym(I))
@@ -307,6 +585,102 @@ class TestSubstitute:
         elapsed = time.perf_counter() - start
         assert res is expected
         assert elapsed < 0.1
+
+
+def _full_walk_substitute(e, bindings, memo):
+    """Reference substitution: every subtree rebuilt through the
+    constructors, memoized by identity."""
+    hit = memo.get(id(e))
+    if hit is not None:
+        return hit[1]
+    if isinstance(e, Const):
+        result = e
+    elif isinstance(e, Sym):
+        result = bindings.get(e.symbol, e)
+    elif isinstance(e, Add):
+        result = add(*[_full_walk_substitute(t, bindings, memo) for t in e.terms])
+    elif isinstance(e, Mul):
+        result = mul(*[_full_walk_substitute(f, bindings, memo) for f in e.factors])
+    elif isinstance(e, Neg):
+        result = neg(_full_walk_substitute(e.arg, bindings, memo))
+    elif isinstance(e, Div):
+        result = div(
+            _full_walk_substitute(e.num, bindings, memo), _full_walk_substitute(e.den, bindings, memo)
+        )
+    elif isinstance(e, PowInt):
+        result = pow_int(_full_walk_substitute(e.base, bindings, memo), e.exponent)
+    elif isinstance(e, Ln):
+        result = ln(_full_walk_substitute(e.arg, bindings, memo))
+    else:
+        result = exp(_full_walk_substitute(e.arg, bindings, memo))
+    memo[id(e)] = (e, result)
+    return result
+
+
+def _constructor_expr(rng, depth, pool):
+    """Random constructor-built expression over x, y, z, a, b with constants
+    0, 1, -1 and 2/3, subtrees shared through ``pool``, and every node kind."""
+    if pool and rng.random() < 0.2:
+        return rng.choice(pool)
+    if depth <= 0 or rng.random() < 0.2:
+        if rng.random() < 0.25:
+            return Const(rng.choice((Fraction(0), Fraction(1), Fraction(-1), Fraction(2, 3))))
+        return sym(rng.choice(GEN_SYMBOLS))
+
+    def sub():
+        return _constructor_expr(rng, depth - 1, pool)
+
+    build = rng.choice(
+        (
+            lambda: add(sub(), sub(), sub()),
+            lambda: mul(sub(), sub()),
+            lambda: neg(sub()),
+            lambda: div(sub(), sub()),
+            lambda: pow_int(sub(), rng.choice((-2, 2, 3))),
+            lambda: ln(sub()),
+            lambda: exp(sub()),
+        )
+    )
+    e = build()
+    pool.append(e)
+    return e
+
+
+class TestPrunedSubstitute:
+    def test_matches_the_full_walk_on_constructor_built_trees(self):
+        rng = random.Random(2802)
+        untouched = 0
+        for _ in range(500):
+            e = _constructor_expr(rng, 4, [])
+            bound = rng.sample(GEN_SYMBOLS, rng.randint(1, 2))
+            bindings = {v: _constructor_expr(rng, 2, []) for v in bound}
+            result = substitute(e, bindings)
+            assert result is _full_walk_substitute(e, bindings, {})
+            untouched += result is e
+        assert 50 < untouched < 450  # both cases occur
+
+    def test_a_subtree_without_a_bound_symbol_is_not_visited(self, monkeypatch):
+        e = parse_expr("beta*S*I - lam*I + ln(beta + lam)*S", SIR_SYMS)
+        expected = parse_expr("beta*S*R - lam*R + ln(beta + lam)*S", SIR_SYMS)
+        rebuilt = []
+        for name in ("add", "mul", "ln"):
+            constructor = getattr(odeobs.expr, name)
+            monkeypatch.setattr(
+                odeobs.expr, name, lambda *args, _c=constructor, _n=name: rebuilt.append(_n) or _c(*args)
+            )
+        assert substitute(e, {I: sym(R)}) is expected
+        # the sum and the two products that mention I; not ln(beta + lam)*S
+        assert sorted(rebuilt) == ["add", "mul", "mul"]
+
+    def test_hand_built_node_out_of_normal_form_is_returned_unrebuilt(self):
+        # add would drop the zero term: the full walk rebuilds the node, the
+        # pruned substitution returns it as it is when it mentions no bound
+        # symbol, and rebuilds it when it does
+        hand = Add((sym(A), Const(Fraction(0))))
+        assert substitute(hand, {X: sym(Y)}) is hand
+        assert _full_walk_substitute(hand, {X: sym(Y)}, {}) is sym(A)
+        hand_x = Add((sym(X), Const(Fraction(0))))
+        assert substitute(hand_x, {X: sym(Y)}) is sym(Y)
 
 
 class TestEval:
@@ -905,6 +1279,19 @@ class TestConstantFolding:
             lines.extend(to_str(diff(e, v)) for v in GEN_SYMBOLS)
         digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
         assert digest == "e1da1308cf3a0a2ed0544424b8877fd65f3e5ea56d8e61fa363643f4c576e837"
+
+    def test_minus_one_folds_as_a_sign(self):
+        # mul and neg read the interned -1 as a sign: the nodes are the ones
+        # that folding its Fraction value gives
+        minus_one, x, y = Const(Fraction(-1)), sym(X), sym(Y)
+        assert neg(ONE) is minus_one and neg(minus_one) is ONE
+        assert mul(minus_one, x) is neg(x) is Neg(x)
+        assert mul(minus_one, minus_one, x) is x
+        assert mul(minus_one, Neg(x), y) is Mul((x, y))
+        assert mul(Const(Fraction(2)), minus_one, x) is Neg(Mul((Const(Fraction(2)), x)))
+        assert mul(minus_one, Const(Fraction(-1, 2))) is Const(Fraction(1, 2))
+        assert mul(minus_one) is minus_one and mul(minus_one, ONE, minus_one) is ONE
+        assert type(mul(minus_one, minus_one).value) is Fraction
 
 
 class TestDiffMemo:

@@ -1,4 +1,5 @@
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,25 @@ import pytest
 import odeobs.conserved
 import odeobs.graph as graph_module
 import odeobs.report
-from odeobs.expr import Const, Symbol, add, diff, ln, mul, neg, parse_expr, sym, to_str
+from odeobs.expr import (
+    ZERO,
+    Const,
+    DivisionByZeroError,
+    ExprError,
+    Symbol,
+    add,
+    diff,
+    div,
+    free_symbols,
+    has_ln_exp,
+    ln,
+    mul,
+    neg,
+    parse_expr,
+    pow_int,
+    sym,
+    to_str,
+)
 from odeobs.graph import (
     InferenceGraph,
     build_graph,
@@ -16,12 +35,19 @@ from odeobs.graph import (
     minimal_sensor_sets,
     scc_condensation,
 )
-from odeobs.model import OdeSystem, parse_model, reduce_by_conserved, verify_all_conserved
-from odeobs.poly import is_zero
+from odeobs.model import (
+    OdeSystem,
+    load_model,
+    parse_model,
+    reduce_by_conserved,
+    verify_all_conserved,
+)
+from odeobs.poly import is_zero, rational_symbol_sets, rational_symbols
 from odeobs.report import build_report
 
-from conftest import random_expr
-from test_generated_reports import chain, twin
+from conftest import model_path, random_expr
+from test_generated_reports import chain, mm_tail, twin
+from test_rk4_pins import ring
 
 
 def names(symbols):
@@ -129,21 +155,170 @@ class TestBuildGraph:
         assert build_graph(scaled).edges == build_graph(sir).edges
 
 
+def _per_rhs_outcome(sys, seed=0):
+    """The edges that one dependency test per equation finds, or the type,
+    text and node of the first error it raises: the reference for the pass
+    that build_graph makes over the whole system."""
+    states = set(sys.states)
+    edges = []
+    try:
+        for src, rhs in zip(sys.states, sys.rhs):
+            candidates = free_symbols(rhs) & states
+            if not candidates:
+                deps = set()
+            elif has_ln_exp(rhs):
+                deps = {v for v in candidates if graph_module._nonzero(diff(rhs, v), seed)}
+            else:
+                deps = candidates & rational_symbols(rhs)
+            edges.extend((src, dst) for dst in sys.states if dst in deps)
+    except ExprError as error:
+        return type(error), str(error), getattr(error, "subexpr", None)
+    return tuple(edges)
+
+
+def _system_outcome(sys, seed=0):
+    try:
+        return build_graph(sys, seed).edges
+    except ExprError as error:
+        return type(error), str(error), getattr(error, "subexpr", None)
+
+
+def _models_and_reductions():
+    """The shipped models, the generated families, and each reduced by its
+    first conserved quantity for that quantity's first state."""
+    systems = [load_model(model_path(name)) for name in ("sir", "mm", "toy", "lv")]
+    systems += [parse_model(text) for text in (chain(6), twin(3), mm_tail(2), mm_tail(3))]
+    systems.append(ring(12))
+    reduced = []
+    for system in systems:
+        verified, verdicts = verify_all_conserved(system)
+        q = verified.conserved[0]
+        if verdicts[0].status == "exact" and not has_ln_exp(q.expr):
+            state = next(s for s in verified.states if s in free_symbols(q.expr))
+            reduced.append(reduce_by_conserved(verified, q, state))
+    return systems + reduced
+
+
+_XS = tuple(Symbol(n, "state") for n in ("x", "y", "z", "w"))
+_KS = (Symbol("a", "parameter"), Symbol("b", "parameter"))
+
+
+def _random_system(rng):
+    """A random system whose equations share subtrees; some equations have
+    a pole (a constant zero, or a denominator that cancels to zero), some
+    have only parameters, some repeat another, and a few take ln."""
+    symbols = _XS + _KS
+    pool = [random_expr(rng, depth=2, symbols=symbols) for _ in range(4)]
+    rhs = []
+    for _ in _XS:
+        parts = [
+            rng.choice(pool) if rng.random() < 0.6 else random_expr(rng, depth=2, symbols=symbols)
+            for _ in range(rng.randint(1, 3))
+        ]
+        e = add(*[mul(p, sym(rng.choice(symbols))) for p in parts])
+        r = rng.random()
+        if r < 0.06:
+            e = div(e, add(sym(_XS[0]), neg(sym(_XS[0]))))
+        elif r < 0.12:
+            e = add(e, div(sym(rng.choice(_XS)), ZERO))
+        elif r < 0.18:
+            e = div(sym(_KS[0]), add(sym(_KS[1]), neg(sym(_KS[1]))))
+        elif r < 0.24 and rhs:
+            e = rng.choice(rhs)
+        elif r < 0.28:
+            e = add(e, ln(add(pow_int(sym(rng.choice(_XS)), 2), Const(1))))
+        rhs.append(e)
+    return OdeSystem(name="random", states=_XS, params=_KS, rhs=tuple(rhs))
+
+
+class TestSystemDependencyPass:
+    @pytest.fixture(autouse=True)
+    def _cold_memo(self, monkeypatch):
+        monkeypatch.setattr(graph_module, "_rational_dependencies", weakref.WeakKeyDictionary())
+
+    def test_models_families_and_reductions(self):
+        for system in _models_and_reductions():
+            rational = [e for e in system.rhs if not has_ln_exp(e)]
+            assert rational_symbol_sets(rational) == ([rational_symbols(e) for e in rational], None)
+            expected = _per_rhs_outcome(system)
+            graph_module._rational_dependencies.clear()
+            assert build_graph(system).edges == expected
+
+    def test_random_systems(self):
+        rng = random.Random(2801)
+        failures = 0
+        for _ in range(300):
+            system = _random_system(rng)
+            expected = _per_rhs_outcome(system, seed=3)
+            graph_module._rational_dependencies.clear()
+            assert _system_outcome(system, seed=3) == expected
+            failures += bool(expected) and isinstance(expected[0], type)  # an error outcome
+            # the pass itself: one set per rational expression up to the first that fails
+            rational = list(dict.fromkeys(e for e in system.rhs if not has_ln_exp(e)))
+            sets, error = rational_symbol_sets(rational)
+            for e, found in zip(rational, sets):
+                assert found == rational_symbols(e)
+            if error is None:
+                assert len(sets) == len(rational)
+            else:
+                with pytest.raises(type(error)) as alone:
+                    rational_symbols(rational[len(sets)])
+                assert str(alone.value) == str(error)
+                assert alone.value.subexpr is error.subexpr
+        assert 20 < failures < 200  # both outcomes are well represented
+
+    def test_later_rhs_pole_raises_its_own_error(self):
+        x, y, z = _XS[:3]
+        table = {v.name: v for v in _XS + _KS}
+        rhs = (
+            parse_expr("a*x*y - b*y", table),
+            parse_expr("a*x*y + z/0", table),
+            parse_expr("x/(y - y)", table),
+        )
+        system = OdeSystem(name="poles", states=(x, y, z), params=_KS, rhs=rhs)
+        with pytest.raises(DivisionByZeroError) as alone:
+            rational_symbols(rhs[1])
+        with pytest.raises(DivisionByZeroError) as raised:
+            build_graph(system)
+        assert str(raised.value) == str(alone.value) == "division by zero in z/0"
+        assert raised.value.subexpr is alone.value.subexpr
+        sets, error = rational_symbol_sets(rhs)
+        assert sets == [rational_symbols(rhs[0])] and str(error) == "division by zero in z/0"
+
+    def test_parameter_only_pole_does_not_raise(self):
+        x, y = _XS[:2]
+        table = {v.name: v for v in _XS + _KS}
+        rhs = (parse_expr("a/0 + b/(a - a)", table), parse_expr("x*y", table))
+        system = OdeSystem(name="poles", states=(x, y), params=_KS, rhs=rhs)
+        assert build_graph(system).edge_names() == (("y", "x"), ("y", "y"))
+
+    def test_transcendental_error_comes_first_when_its_rhs_does(self):
+        # the ln equation's sampled test meets 1/0 before the later rational
+        # equation's pass fails, as one test per equation would
+        x, y = _XS[:2]
+        table = {v.name: v for v in _XS + _KS}
+        rhs = (parse_expr("ln(x) + x/0", table), parse_expr("x/(y - y)", table))
+        system = OdeSystem(name="poles", states=(x, y), params=_KS, rhs=rhs)
+        expected = _per_rhs_outcome(system)
+        assert expected[0] is DivisionByZeroError and expected[1] == "division by zero in 1/0"
+        assert _system_outcome(system) == expected
+
+
 class TestDependencyMemo:
     def _record(self, monkeypatch):
         normalized, graphs = [], []
-        normalize, build = graph_module.rational_symbols, graph_module.build_graph
+        normalize, build = graph_module.rational_symbol_sets, graph_module.build_graph
 
-        def recording_normalize(e, *args):
-            normalized.append(e)  # held, so no memo entry dies during the reports
-            return normalize(e, *args)
+        def recording_normalize(exprs, *args):
+            normalized.extend(exprs)  # held, so no memo entry dies during the reports
+            return normalize(exprs, *args)
 
         def recording_build(sys, seed=0):
             g = build(sys, seed)
             graphs.append((sys, seed, g))
             return g
 
-        monkeypatch.setattr(graph_module, "rational_symbols", recording_normalize)
+        monkeypatch.setattr(graph_module, "rational_symbol_sets", recording_normalize)
         for module in (odeobs.report, odeobs.conserved):
             monkeypatch.setattr(module, "build_graph", recording_build)
         return normalized, graphs
