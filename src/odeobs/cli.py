@@ -19,7 +19,7 @@ import math
 import sys as _sys
 from typing import List, Optional
 
-from .embedding import AllPointsDegenerateError
+from .embedding import AUTO_ORDER, DEFAULT_TRIALS, AllPointsDegenerateError
 from .expr import ExprError
 from .graph import build_graph, export_dot, scc_condensation
 from .linalg import SingularMatrixError
@@ -71,8 +71,8 @@ def _check_writable(path: Optional[str]) -> None:
 
 
 def _parse_k(text: str):
-    if text == "auto":
-        return "auto"
+    if text == AUTO_ORDER:
+        return AUTO_ORDER
     try:
         value = int(text)
     except ValueError:
@@ -236,8 +236,8 @@ def _parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_analyze = sub.add_parser("analyze", parents=[common], help="full analysis report")
-    p_analyze.add_argument("--k", default="auto", help="embedding order (int or 'auto')")
-    p_analyze.add_argument("--trials", type=int, default=8, help="rank sampling trials")
+    p_analyze.add_argument("--k", default=AUTO_ORDER, help="embedding order (int or 'auto')")
+    p_analyze.add_argument("--trials", type=int, default=DEFAULT_TRIALS, help="rank sampling trials")
     p_analyze.add_argument("--json", help="write the JSON report here")
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -85,7 +85,7 @@ from typing import Mapping, Optional, Sequence, Union
 
 ExprLike = Union["Expr", int, Fraction]
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
+NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")  # an identifier: a symbol or level name
 
 MAX_NESTING = 100  # open parentheses (calls included), unary minus and "/" signs
 
@@ -275,7 +275,7 @@ class Symbol(_Interned):
             symbol = entry()
             if symbol is not None:
                 return symbol
-        if not _NAME_RE.match(name):
+        if not NAME_RE.match(name):
             raise ValueError(f"invalid symbol name {name!r}")
         if kind not in ("state", "parameter"):
             raise ValueError(f"invalid symbol kind {kind!r}")

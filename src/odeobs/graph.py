@@ -13,9 +13,9 @@ from __future__ import annotations
 import itertools
 import weakref
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Set, Tuple
 
-from .expr import Expr, Symbol, diff, free_symbols, has_ln_exp
+from .expr import Expr, ExprError, Symbol, diff, free_symbols, has_ln_exp
 from .model import OdeSystem
 from .poly import ZeroTestUndecidedError, is_zero, rational_symbol_sets
 
@@ -64,37 +64,9 @@ class GraphicalVerdict:
 # rational rhs -> the symbols its rational form depends on.  Nodes are
 # interned, so a system that shares an equation with another (a reduced
 # system keeps its unchanged ones) shares its entry; an entry lives as long
-# as its rhs.  build_graph enters every rational rhs that has state
-# candidates and no entry yet through one rational_symbol_sets pass.
+# as its rhs.  rational_symbol_sets writes the entries, and build_graph
+# reads its edges from them: the memo is the only hand-off between the two.
 _rational_dependencies = weakref.WeakKeyDictionary()
-
-
-def _learn_dependencies(rhs: Sequence[Expr], states: frozenset) -> Optional[tuple]:
-    """Enter the rational rhs that mention a state and have no memo entry
-    yet, from one pass over them all; ``(rhs, error)`` for the first whose
-    pass fails, else None."""
-    pending = [
-        e
-        for e in dict.fromkeys(rhs)
-        if not (has_ln_exp(e) or e in _rational_dependencies or free_symbols(e).isdisjoint(states))
-    ]
-    if not pending:
-        return None
-    sets, error = rational_symbol_sets(pending)
-    for e, depends_on in zip(pending, sets):
-        _rational_dependencies[e] = depends_on
-    return None if error is None else (pending[len(sets)], error)
-
-
-def _dependencies(rhs: Expr, states: frozenset, seed: int) -> Set[Symbol]:
-    """The states an expression semantically depends on; a rational one's
-    are read from the memo."""
-    candidates = free_symbols(rhs) & states
-    if not candidates:
-        return set()
-    if has_ln_exp(rhs):
-        return {var for var in candidates if _nonzero(diff(rhs, var), seed)}
-    return candidates & _rational_dependencies[rhs]
 
 
 def _nonzero(e: Expr, seed: int) -> bool:
@@ -109,18 +81,39 @@ def _nonzero(e: Expr, seed: int) -> bool:
 def build_graph(sys: OdeSystem, seed: int = 0) -> InferenceGraph:
     """Edge x_i -> x_j iff x_j enters dx_i/dt after simplification.
 
-    The rational right-hand sides go through one dependency pass together
-    before the edges are read, and an error of that pass is raised where
-    the right-hand side it belongs to comes, so a system raises the error
-    of its first failing equation, as one pass per equation would.
+    The rational equations that mention a state and have no memo entry go
+    through one :func:`rational_symbol_sets` pass first, whose error is
+    held.  The equations are then read in order: an ln/exp one tests the
+    states it mentions in state order, a rational one reads its entry, and
+    the first rational one with no entry is the one whose pass failed, so
+    the held error is raised there.  A system thus raises the error of its
+    first failing equation, as one test per equation would.
     """
     states = frozenset(sys.states)
-    failed = _learn_dependencies(sys.rhs, states)
+    pending = [
+        e
+        for e in dict.fromkeys(sys.rhs)
+        if not (has_ln_exp(e) or e in _rational_dependencies or free_symbols(e).isdisjoint(states))
+    ]
+    error = None
+    try:
+        if pending:
+            rational_symbol_sets(pending, _rational_dependencies)
+    except ExprError as failure:
+        error = failure
     edges = []
     for src, rhs in zip(sys.states, sys.rhs):
-        if failed is not None and rhs is failed[0]:
-            raise failed[1]
-        deps = _dependencies(rhs, states, seed)
+        mentioned = free_symbols(rhs)
+        if mentioned.isdisjoint(states):
+            continue
+        if has_ln_exp(rhs):
+            edges.extend(
+                (src, dst) for dst in sys.states if dst in mentioned and _nonzero(diff(rhs, dst), seed)
+            )
+            continue
+        deps = _rational_dependencies.get(rhs)
+        if deps is None:
+            raise error
         edges.extend((src, dst) for dst in sys.states if dst in deps)
     return InferenceGraph(nodes=sys.states, edges=tuple(edges))
 

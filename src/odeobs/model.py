@@ -22,6 +22,7 @@ from dataclasses import dataclass, replace
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from .expr import (
+    NAME_RE,
     ZERO,
     Expr,
     Sym,
@@ -176,13 +177,12 @@ class OdeSystem:
 # model file parsing
 
 _EQ_RE = re.compile(r"d([A-Za-z][A-Za-z0-9_]*)\s*/\s*dt\s*=\s*(.+)\Z")
-_NAME_LIST_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*\Z")
 
 
 def _split_names(body: str, line_no: int) -> List[str]:
     names = [part.strip() for part in body.split(",")]
     for name in names:
-        if not _NAME_LIST_RE.match(name):
+        if not NAME_RE.match(name):
             raise ModelSyntaxError(f"invalid identifier {name!r}", line_no)
     if len(set(names)) != len(names):
         raise ModelSyntaxError("repeated identifier", line_no)
@@ -242,7 +242,7 @@ def parse_model(text: str) -> OdeSystem:
         pos += 1
         head, _, expr_text = content[len("conserved "):].partition(":")
         level = head.strip()
-        if not _NAME_LIST_RE.match(level):
+        if not NAME_RE.match(level):
             raise ModelSyntaxError(f"invalid level name {level!r}", line_no)
         if level in table:
             raise ModelSyntaxError(

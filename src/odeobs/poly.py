@@ -11,8 +11,8 @@ integral, a Fraction only otherwise.
 Each test compiles its expression once (:func:`odeobs.expr.compile_exact`).
 N/D is one pass over that program, which then runs at the witness samples.
 The dependency test of a whole system (:func:`rational_symbol_sets`, which
-the inference graph reads) compiles its expressions together, and one pass
-expands a subtree they share once.
+fills the inference graph's memo) compiles its expressions together, and one
+pass expands a subtree they share once.
 Inside the pass a polynomial is a dict from a packed monomial to its
 nonzero coefficient, as in Monagan & Pearce (CASC 2007): the exponent of
 the i-th variable sits in bits [i*w, (i+1)*w) of one int, so a product of
@@ -35,7 +35,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, Optional, Sequence, Union
+from typing import Mapping, MutableMapping, Optional, Sequence, Union
 
 from .expr import (
     Add,
@@ -406,32 +406,29 @@ def rational_symbols(e: Expr) -> Optional[frozenset]:
     """The symbols that ``e`` depends on as a rational function, or None
     when ``e`` has ln/exp: read before expanding, as :func:`is_zero` does.
 
-    The one-expression case of :func:`rational_symbol_sets`, raising the
-    error of its pass.
+    The one-expression case of :func:`rational_symbol_sets`.
     """
     if has_ln_exp(e):
         return None
-    sets, error = rational_symbol_sets((e,))
-    if error is not None:
-        raise error
-    return sets[0]
+    into: dict = {}
+    rational_symbol_sets((e,), into)
+    return into[e]
 
 
-def rational_symbol_sets(exprs: Sequence[Expr]) -> tuple:
-    """The symbols that each of the rational expressions ``exprs`` depends
-    on, from one pass over them all, as ``(sets, error)``.
+def rational_symbol_sets(exprs: Sequence[Expr], into: MutableMapping) -> None:
+    """Enter into ``into`` the symbols that each of the rational expressions
+    ``exprs`` depends on, from one pass over them all.
 
     The expressions are lowered together, so a subtree they share is
     expanded once, and one variable order (that of all their symbols) and
     one field width (the largest any of them needs) serve every one: the
-    answers are sets.  ``sets`` holds one frozenset per expression, in
-    order, up to the first whose expansion fails, and ``error`` is that
-    failure (None when there is none).  It is the error that expression
-    raises on its own: the pass raises the first error of the shared
-    post-order, whose first failing instruction belongs to the first
-    failing expression, and that expression's own post-order runs the same
-    instructions in the same order, less those that earlier expressions,
-    which did not fail, lowered first.
+    answers are sets.  Each expression's frozenset is entered in order, up
+    to the first whose expansion fails, which is not entered: the error of
+    that expression on its own is then raised.  It is the first error of
+    the shared post-order, whose first failing instruction belongs to the
+    first failing expression, and that expression's own post-order runs
+    the same instructions in the same order, less those that earlier
+    expressions, which did not fail, lowered first.
 
     With an expression ``e`` = N/D unreduced, x is one of its symbols iff
     d(N/D)/dx is not zero, that is iff N*dD/dx and D*dN/dx are different
@@ -450,10 +447,9 @@ def rational_symbol_sets(exprs: Sequence[Expr]) -> tuple:
     except ExprError as failure:
         error = failure
     mask = (1 << width) - 1
-    sets = []
     for e, out in zip(exprs, program.outputs[0]):
         if out >= len(pairs):  # the first failing expression
-            break
+            raise error
         num, den = pairs[out]
         in_num = in_den = 0
         for m in num:
@@ -469,8 +465,7 @@ def rational_symbol_sets(exprs: Sequence[Expr]) -> tuple:
                     found.append(var)
             elif in_num >> shift & mask:
                 found.append(var)
-        sets.append(frozenset(found))
-    return sets, error
+        into[e] = frozenset(found)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,13 @@ from .conserved import (
     ConservedSet,
     alternative_observables,
 )
-from .embedding import ObservabilityAssessment, RankVerdict, observability_verdict
+from .embedding import (
+    AUTO_ORDER,
+    DEFAULT_TRIALS,
+    ObservabilityAssessment,
+    RankVerdict,
+    observability_verdict,
+)
 from .graph import (
     build_graph,
     graphical_observable,
@@ -104,8 +110,8 @@ def _alternative_to_json(result: AlternativeSensorResult, seed: int) -> dict:
 def build_report(
     sys: OdeSystem,
     seed: int = 0,
-    k: Union[int, str] = "auto",
-    trials: int = 8,
+    k: Union[int, str] = AUTO_ORDER,
+    trials: int = DEFAULT_TRIALS,
 ) -> dict:
     """Run the full analysis pipeline and collect a serializable report.
 
@@ -184,7 +190,7 @@ def build_report(
         "tool": {"name": "odeobs", "version": __version__},
         "model": verified_sys.name,
         "seed": seed,
-        "k": k if isinstance(k, int) else "auto",
+        "k": k if isinstance(k, int) else AUTO_ORDER,
         "trials": trials,
         "states": [s.name for s in verified_sys.states],
         "params": [p.name for p in verified_sys.params],

@@ -7,6 +7,11 @@ below were recorded with the `Poly`-object rational forms, before the
 packed-monomial pass, for the shipped SIR and Michaelis-Menten models and a
 12-site Volterra ring, written out here.  The CI entry-point step compares
 the SIR pins with the installed console script's output.
+
+A model whose logs cancel, ``ln(x*y) - ln(x) - ln(y)``, takes the sampled
+test of the ln/exp path: its `graph` DOT and the observation line of
+`analyze` were recorded before the ln/exp states were tested in state
+order, and sympy confirms that the x -> y edge is rightly absent.
 """
 
 import pytest
@@ -34,6 +39,32 @@ dx11/dt = k*x10*x11 - k*x11*x0
 conserved T: x0 + x1 + x2 + x3 + x4 + x5 + x6 + x7 + x8 + x9 + x10 + x11
 observe site: x0
 """
+
+LOG_MODEL = """\
+model: logs
+params: k
+states: x, y
+dx/dt = k*y*(ln(x*y) - ln(x) - ln(y)) - k*x
+dy/dt = k*x
+observe y: y
+"""
+
+LOG_GRAPH_DOT = """\
+digraph inference {
+  subgraph cluster_0 {
+    label="scc_0";
+    x;
+  }
+  subgraph cluster_1 {
+    label="scc_1 (source)";
+    y [root=true, penwidth=2];
+  }
+  x -> x;
+  y -> x;
+}
+"""
+
+LOG_OBSERVATION_LINE = "  y = (y): graphical sufficient; rank 2/2 at k=1 (exact) -> observable-generic\n"
 
 SIR_VERIFY_STDOUT = """\
 N = S + I + R: exact
@@ -284,3 +315,27 @@ def test_stdout_is_pinned(model, command, expected, seed, tmp_path, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out == expected
+
+
+@pytest.mark.parametrize("seed", ["0", "1"])
+def test_cancelling_log_graph_is_pinned(seed, tmp_path, capsys):
+    path = tmp_path / "logs.model"
+    path.write_text(LOG_MODEL, encoding="utf-8")
+    assert main(["graph", str(path), "--seed", seed]) == 0
+    assert capsys.readouterr().out == LOG_GRAPH_DOT
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_cancelling_log_observation_line_is_pinned(seed, tmp_path, capsys):
+    path = tmp_path / "logs.model"
+    path.write_text(LOG_MODEL, encoding="utf-8")
+    assert main(["analyze", str(path), "--seed", seed]) == 0
+    lines = capsys.readouterr().out.splitlines(keepends=True)
+    assert [line for line in lines if line.startswith("  y = ")] == [LOG_OBSERVATION_LINE]
+
+
+def test_cancelling_log_has_no_x_to_y_edge_in_sympy():
+    sympy = pytest.importorskip("sympy")
+    x, y, k = sympy.symbols("x y k", positive=True)
+    f = k * y * (sympy.log(x * y) - sympy.log(x) - sympy.log(y)) - k * x
+    assert sympy.expand_log(sympy.diff(f, y), force=True) == 0

@@ -1,6 +1,10 @@
+import os
 import random
+import subprocess
+import sys
 import weakref
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -48,6 +52,19 @@ from odeobs.report import build_report
 from conftest import model_path, random_expr
 from test_generated_reports import chain, mm_tail, twin
 from test_rk4_pins import ring
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+# two poles in one ln equation: d/dx meets 0/0 and d/dy meets 1/0
+TWO_POLE_SCRIPT = """\
+from odeobs.graph import build_graph
+from odeobs.model import parse_model
+try:
+    build_graph(parse_model("model: poles\\nparams: k\\nstates: x, y\\ndx/dt = ln(x) + y/0\\ndy/dt = x\\n"))
+except Exception as error:
+    print(type(error).__name__, error)
+"""
 
 
 def names(symbols):
@@ -166,14 +183,39 @@ def _per_rhs_outcome(sys, seed=0):
             candidates = free_symbols(rhs) & states
             if not candidates:
                 deps = set()
-            elif has_ln_exp(rhs):
-                deps = {v for v in candidates if graph_module._nonzero(diff(rhs, v), seed)}
+            elif has_ln_exp(rhs):  # its candidates in state order
+                deps = {
+                    v for v in sys.states if v in candidates and graph_module._nonzero(diff(rhs, v), seed)
+                }
             else:
                 deps = candidates & rational_symbols(rhs)
             edges.extend((src, dst) for dst in sys.states if dst in deps)
     except ExprError as error:
         return type(error), str(error), getattr(error, "subexpr", None)
     return tuple(edges)
+
+
+def _check_pass_contract(exprs):
+    """``rational_symbol_sets(exprs, into)`` enters the set of every
+    expression before the first that fails on its own, none after it, and
+    raises that expression's own error (type, text and node)."""
+    failing, alone = len(exprs), None
+    for i, e in enumerate(exprs):
+        try:
+            rational_symbols(e)
+        except ExprError as error:
+            failing, alone = i, error
+            break
+    into = {}
+    if alone is None:
+        rational_symbol_sets(exprs, into)
+    else:
+        with pytest.raises(type(alone)) as raised:
+            rational_symbol_sets(exprs, into)
+        assert str(raised.value) == str(alone)
+        assert raised.value.subexpr is alone.subexpr
+    assert into == {e: rational_symbols(e) for e in exprs[:failing]}
+    return alone
 
 
 def _system_outcome(sys, seed=0):
@@ -239,7 +281,7 @@ class TestSystemDependencyPass:
     def test_models_families_and_reductions(self):
         for system in _models_and_reductions():
             rational = [e for e in system.rhs if not has_ln_exp(e)]
-            assert rational_symbol_sets(rational) == ([rational_symbols(e) for e in rational], None)
+            assert _check_pass_contract(rational) is None
             expected = _per_rhs_outcome(system)
             graph_module._rational_dependencies.clear()
             assert build_graph(system).edges == expected
@@ -254,17 +296,7 @@ class TestSystemDependencyPass:
             assert _system_outcome(system, seed=3) == expected
             failures += bool(expected) and isinstance(expected[0], type)  # an error outcome
             # the pass itself: one set per rational expression up to the first that fails
-            rational = list(dict.fromkeys(e for e in system.rhs if not has_ln_exp(e)))
-            sets, error = rational_symbol_sets(rational)
-            for e, found in zip(rational, sets):
-                assert found == rational_symbols(e)
-            if error is None:
-                assert len(sets) == len(rational)
-            else:
-                with pytest.raises(type(error)) as alone:
-                    rational_symbols(rational[len(sets)])
-                assert str(alone.value) == str(error)
-                assert alone.value.subexpr is error.subexpr
+            _check_pass_contract(list(dict.fromkeys(e for e in system.rhs if not has_ln_exp(e))))
         assert 20 < failures < 200  # both outcomes are well represented
 
     def test_later_rhs_pole_raises_its_own_error(self):
@@ -282,8 +314,7 @@ class TestSystemDependencyPass:
             build_graph(system)
         assert str(raised.value) == str(alone.value) == "division by zero in z/0"
         assert raised.value.subexpr is alone.value.subexpr
-        sets, error = rational_symbol_sets(rhs)
-        assert sets == [rational_symbols(rhs[0])] and str(error) == "division by zero in z/0"
+        assert str(_check_pass_contract(rhs)) == "division by zero in z/0"
 
     def test_parameter_only_pole_does_not_raise(self):
         x, y = _XS[:2]
@@ -302,6 +333,38 @@ class TestSystemDependencyPass:
         expected = _per_rhs_outcome(system)
         assert expected[0] is DivisionByZeroError and expected[1] == "division by zero in 1/0"
         assert _system_outcome(system) == expected
+
+
+class TestStateOrder:
+    def test_ln_exp_equation_tests_its_states_in_state_order(self, monkeypatch):
+        states = tuple(Symbol(f"x{i}", "state") for i in range(12))
+        table = {s.name: s for s in states}
+        f = parse_expr("ln(x0)*(" + " + ".join(table) + ")", table)
+        seen = []
+
+        def recording_diff(e, v, *args):
+            seen.append(v)
+            return diff(e, v, *args)
+
+        monkeypatch.setattr(graph_module, "diff", recording_diff)
+        system = OdeSystem(name="logs", states=states, params=(), rhs=(f,) * 12)
+        g = build_graph(system)
+        assert seen == list(states) * 12
+        assert g.edges == tuple((a, b) for a in states for b in states)
+
+    def test_first_pole_in_state_order_is_raised_in_every_process(self):
+        # symbols hash by address, so an order taken from a set of them
+        # would change from one interpreter to the next
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (str(ROOT / "src"), os.environ.get("PYTHONPATH")))
+        )
+        for _ in range(8):
+            done = subprocess.run(
+                [sys.executable, "-c", TWO_POLE_SCRIPT],
+                env=env, check=True, timeout=120, capture_output=True, text=True,
+            )
+            assert done.stdout == "DivisionByZeroError division by zero in 0/0\n"
 
 
 class TestDependencyMemo:
