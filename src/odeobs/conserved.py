@@ -149,16 +149,40 @@ def partition_jacobians(g: ConservedSet, p: Partition) -> PartitionJacobians:
     return PartitionJacobians(p, dg_dr, dg_ds)
 
 
+# Rank verdicts of one report's blocks, keyed by (entries, seed, trials).
+# Entries are interned nodes, so the key compares them by identity.
+RankMemo = Dict[tuple, RankVerdict]
+
+
+def _memo_rank(
+    rows: Tuple[Tuple[Expr, ...], ...], seed: int, trials: int, memo: Optional[RankMemo]
+) -> RankVerdict:
+    """``generic_rank_of(rows)``, sampled once per key of ``memo``."""
+    if memo is None:
+        return generic_rank_of(rows, seed=seed, trials=trials)
+    key = (rows, seed, trials)
+    verdict = memo.get(key)
+    if verdict is None:
+        verdict = memo[key] = generic_rank_of(rows, seed=seed, trials=trials)
+    return verdict
+
+
 def exchange_conditions(
-    pj: PartitionJacobians, seed: int = 0, trials: int = DEFAULT_TRIALS
+    pj: PartitionJacobians,
+    seed: int = 0,
+    trials: int = DEFAULT_TRIALS,
+    memo: Optional[RankMemo] = None,
 ) -> ExchangeConditions:
-    """Generic invertibility of dG/ds and full generic rank of dG/dr."""
+    """Generic invertibility of dG/ds and full generic rank of dG/dr.
+
+    A block already in ``memo`` is not sampled again.
+    """
     n_q = len(pj.dg_ds)
     n_s = len(pj.partition.s_vars)
     if n_q != n_s:
         raise NotSquareError(n_q, n_s)
-    ds_rank = generic_rank_of(pj.dg_ds, seed=seed, trials=trials)
-    dr_rank = generic_rank_of(pj.dg_dr, seed=seed, trials=trials)
+    ds_rank = _memo_rank(pj.dg_ds, seed, trials, memo)
+    dr_rank = _memo_rank(pj.dg_dr, seed, trials, memo)
     required = min(n_q, len(pj.partition.r_vars))
     return ExchangeConditions(
         ds_rank=ds_rank,
@@ -170,11 +194,18 @@ def exchange_conditions(
 
 
 def conserved_set_independent(
-    sys: OdeSystem, g: ConservedSet, seed: int = 0, trials: int = DEFAULT_TRIALS
+    sys: OdeSystem,
+    g: ConservedSet,
+    seed: int = 0,
+    trials: int = DEFAULT_TRIALS,
+    memo: Optional[RankMemo] = None,
 ) -> bool:
-    """Generic linear independence of the quantity gradients."""
+    """Generic linear independence of the quantity gradients.
+
+    A gradient already in ``memo`` is not sampled again.
+    """
     rows = tuple(tuple(diff(q.expr, s) for s in sys.states) for q in g.quantities)
-    verdict = generic_rank_of(rows, seed=seed, trials=trials)
+    verdict = _memo_rank(rows, seed, trials, memo)
     return verdict.generic_rank == len(g.quantities)
 
 
@@ -274,6 +305,7 @@ def alternative_observables(
     known_sufficient: Iterable[Symbol],
     seed: int = 0,
     trials: int = DEFAULT_TRIALS,
+    memo: Optional[RankMemo] = None,
 ) -> AlternativeSearch:
     """Search for sensor sets made sufficient by the conserved quantities.
 
@@ -284,7 +316,16 @@ def alternative_observables(
     hold and the quantities are affine, each r-side variable occurring in
     the conserved set is eliminated in turn and re-verified as a sensor by
     both the graphical and the rank test.
+
+    The gradient of the independence test and each partition's dG/ds and
+    dG/dr are ranked through ``memo``, a dict of rank verdicts keyed by
+    (block entries, seed, trials).  Searches of one report share one memo
+    (:func:`odeobs.report.build_report` makes it and drops it with the
+    report), so a block that two known sets both rank is sampled once.
+    Without one, the call gets a fresh memo of its own.
     """
+    if memo is None:
+        memo = {}
     for q in g.quantities:
         if q.verified == UNCHECKED:
             raise ModelError(
@@ -312,7 +353,7 @@ def alternative_observables(
             ),
             False,
         )
-    if not conserved_set_independent(sys, g, seed=seed, trials=trials):
+    if not conserved_set_independent(sys, g, seed=seed, trials=trials, memo=memo):
         return AlternativeSearch(
             (
                 AlternativeSensorResult(
@@ -333,7 +374,7 @@ def alternative_observables(
         r_vars = tuple(s for s in sys.states if s not in s_vars)
         part = Partition(r_vars=r_vars, s_vars=tuple(s_vars))
         pj = partition_jacobians(g, part)
-        conditions = exchange_conditions(pj, seed=seed, trials=trials)
+        conditions = exchange_conditions(pj, seed=seed, trials=trials, memo=memo)
         if not conditions.holds:
             failed = []
             if not conditions.ds_invertible:

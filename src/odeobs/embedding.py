@@ -14,7 +14,9 @@ window; a point where an entry leaves the float domain halves that window
 and is drawn again.  A matrix whose entries mention no symbol (the
 gradient of a linear conservation law, and its blocks) has one value
 whatever is drawn, so it is run and ranked once, and that rank stands for
-every draw.
+every draw.  Points come from :func:`odeobs.poly.draw_point`, which calls
+``getrandbits`` exactly as ``random.Random.randint`` draws: the same
+points, without randint's call chain per coordinate.
 
 Each derivative is taken once per verdict.  An embedding keeps one
 :func:`odeobs.expr.diff` memo per state and the gradient of each of its
@@ -54,7 +56,7 @@ from .expr import (
     diff,
 )
 from .model import ObservationSet, OdeSystem, along_field
-from .poly import FLOAT_ZERO_RTOL
+from .poly import FLOAT_ZERO_RTOL, draw_point
 
 AUTO_ORDER = "auto"
 DEFAULT_TRIALS = 8
@@ -158,7 +160,10 @@ def generic_rank_of(
 
     Points draw integer coordinates uniformly from [-1000, 1000] for every
     symbol appearing in the matrix, as Python ints: an exact value is an int
-    when it is integral and a Fraction only otherwise.  Draws that hit a
+    when it is integral and a Fraction only otherwise.  A point is
+    :func:`odeobs.poly.draw_point`, the ``getrandbits`` draws that
+    ``rng.randint`` would make for each symbol in ``sort_key`` order, so
+    the same point without randint's call chain.  Draws that hit a
     pole are retried, and the points are returned sorted by their values in
     symbol-name order.  An ln/exp matrix draws from [-16, 16], which keeps
     exp within the range of the rank tolerance; a draw where an entry is not
@@ -198,7 +203,7 @@ def generic_rank_of(
         attempts = 0
         while len(ranks) < trials and attempts < max_attempts:
             attempts += 1
-            point = {s: rng.randint(-bound, bound) for s in symbols}
+            point = draw_point(rng, symbols, bound)
             try:
                 r = _point_rank(program, point)
             except DivisionByZeroError:

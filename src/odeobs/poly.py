@@ -26,7 +26,10 @@ is the straightforward reference that the pass is tested against.
 
 An expression with ln/exp has no rational form and is sampled over floats;
 its top-level terms are compiled with it, and one float run per draw gives
-both the value and the scale it is compared against.
+both the value and the scale it is compared against.  Every sample point
+of the package, here and in the rank test, comes from :func:`draw_point`:
+``getrandbits`` calls exactly as ``random.Random.randint`` makes them, so
+the same points and generator states as ``randint`` per coordinate.
 """
 
 from __future__ import annotations
@@ -514,8 +517,25 @@ class ZeroTestResult:
         return self.kind in (ZERO_EXACT, PROBABLY_ZERO)
 
 
-def _sample_point(rng: random.Random, symbols: Sequence[Symbol]) -> dict:
-    return {s: rng.randint(-SAMPLE_BOUND, SAMPLE_BOUND) for s in symbols}
+def draw_point(rng: random.Random, symbols: Sequence[Symbol], bound: int) -> dict:
+    """One integer coordinate in [-bound, bound] per symbol, in order.
+
+    The draws are CPython's ``rng.randint(-bound, bound)``, one call of
+    ``getrandbits(k)`` at a time with k = (2*bound + 1).bit_length() and
+    values of 2*bound + 1 and above drawn again: the same numbers, and the
+    generator left in the same state, without randint's three Python calls
+    per coordinate.  Every sampler of the package draws its points here.
+    """
+    width = 2 * bound + 1
+    k = width.bit_length()
+    getrandbits = rng.getrandbits
+    point = {}
+    for s in symbols:
+        v = getrandbits(k)
+        while v >= width:
+            v = getrandbits(k)
+        point[s] = v - bound
+    return point
 
 
 def is_zero(e: Expr, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ZeroTestResult:
@@ -545,7 +565,7 @@ def is_zero(e: Expr, seed: int = 0, trials: int = DEFAULT_TRIALS) -> ZeroTestRes
     if len(num) == 1 and 0 in num:
         return ZeroTestResult(NONZERO_EXACT, witness={})
     for _ in range(4 * trials):
-        point = _sample_point(rng, symbols)
+        point = draw_point(rng, symbols, SAMPLE_BOUND)
         try:
             value = program.run(point)[0][0]
         except DivisionByZeroError:
@@ -567,7 +587,7 @@ def _sampled_zero_test(
     bound = SAMPLE_BOUND
     while done < trials and attempts < 100 * max(trials, 1):
         attempts += 1
-        point = {s: rng.randint(-bound, bound) for s in symbols}
+        point = draw_point(rng, symbols, bound)
         try:
             value, *term_values = program.run_float(point)[0]
             scale = 1.0 + max(abs(t) for t in term_values)

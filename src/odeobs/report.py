@@ -118,7 +118,10 @@ def build_report(
     Covers conserved-quantity verification, the graphical test and the rank
     test for every declared observation set, and the alternative-sensor
     search for each verified conserved quantity (plus all of them jointly
-    when there are several).
+    when there are several).  Every search of the report shares one memo
+    of rank verdicts, so a conserved-set block that several known sensor
+    sets rank (the independence gradient, a dG/ds or dG/dr) is sampled
+    once; the memo is made here and lives for this report only.
     """
     verified_sys, verdicts = verify_all_conserved(sys, seed=seed)
     graph = build_graph(verified_sys, seed=seed)
@@ -169,10 +172,11 @@ def build_report(
         groups.append(("+".join(q.level_name for q in usable), ConservedSet(tuple(usable))))
 
     alternatives_json = []
+    rank_memo: dict = {}
     for label, conserved_set in groups:
         for known in known_sets:
             search = alternative_observables(
-                verified_sys, conserved_set, known, seed=seed, trials=trials
+                verified_sys, conserved_set, known, seed=seed, trials=trials, memo=rank_memo
             )
             alternatives_json.append(
                 {

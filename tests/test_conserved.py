@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 import odeobs.conserved
+import odeobs.embedding
 from odeobs import linalg
 from odeobs.conserved import (
     NotSquareError,
@@ -25,6 +26,7 @@ from odeobs.model import (
     verify_all_conserved,
 )
 from odeobs.poly import normalize_rational
+from odeobs.report import _alternative_to_json, build_report, report_to_json
 
 from conftest import mat_mul
 
@@ -349,3 +351,62 @@ class TestAlternativeObservables:
     def test_independence_check(self, mm):
         updated, g = verified_set(mm)
         assert conserved_set_independent(updated, g, seed=0)
+
+
+def counted_rank_calls(monkeypatch):
+    """A list that grows by one at each ``generic_rank_of`` call, through
+    either module attribute that callers look it up by."""
+    calls = []
+    original = odeobs.embedding.generic_rank_of
+
+    def counted(*args, **kwargs):
+        calls.append(args[0])
+        return original(*args, **kwargs)
+
+    for module in (odeobs.embedding, odeobs.conserved):
+        monkeypatch.setattr(module, "generic_rank_of", counted)
+    return calls
+
+
+class TestReportRankMemo:
+    # two observation sets each, plus the blocks ranked once per report.
+    # lv: the gradient and the 1x1 blocks dQ/dr and dQ/dm, which swap roles
+    # between the known sets {r} and {m}; toy: the gradient, dG/ds = dG/dr =
+    # [[1]], and the candidate R
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("name, expected", [("lv", 5), ("toy", 5)])
+    def test_report_ranks_each_block_once(self, monkeypatch, request, name, expected, seed):
+        sys = request.getfixturevalue(name)
+        calls = counted_rank_calls(monkeypatch)
+        build_report(sys, seed=seed)
+        assert len(calls) == expected
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("name", ["sir", "mm", "toy", "lv"])
+    def test_searches_match_standalone_calls(self, request, name, seed):
+        sys = request.getfixturevalue(name)
+        report = build_report(sys, seed=seed)
+        updated, _ = verify_all_conserved(sys, seed=seed)
+        assert report["alternatives"]
+        for group in report["alternatives"]:
+            g = ConservedSet(
+                tuple(updated.conserved_named(level) for level in group["conserved"].split("+"))
+            )
+            known = [updated.state_named(v) for v in group["known_sufficient"]]
+            search = alternative_observables(updated, g, known, seed=seed)
+            standalone = {
+                **group,
+                "truncated": search.truncated,
+                "results": [_alternative_to_json(r, seed) for r in search.results],
+            }
+            assert report_to_json(standalone) == report_to_json(group)
+
+    @pytest.mark.parametrize("seed", range(8))
+    @pytest.mark.parametrize("name", ["sir", "mm", "toy", "lv"])
+    def test_no_verdict_carries_over_between_reports(self, monkeypatch, request, name, seed):
+        sys = request.getfixturevalue(name)
+        calls = counted_rank_calls(monkeypatch)
+        first = report_to_json(build_report(sys, seed=seed))
+        n_first = len(calls)
+        assert report_to_json(build_report(sys, seed=seed)) == first
+        assert len(calls) == 2 * n_first

@@ -13,6 +13,11 @@ The dimerization 2A <-> B carries numeric constants through the whole report
 path: 2 in its rates and in its conserved quantity, 1/2 in a level-equation
 solution.  It is observable from either state, so it is pinned apart from
 the families, whose every report has a verdict short of full rank.
+
+The closed three-species cycle A -> B -> C -> A has the menu {A}, {B}, {C}:
+every known set ranks the same blocks of T = A + B + C, which a report's
+searches share through one rank memo, and tries candidates that another
+known set tries too.
 """
 
 import hashlib
@@ -119,3 +124,25 @@ DIMER_DIGESTS = {
 def test_dimer_report_bytes_unchanged(seed):
     report = report_to_json(build_report(parse_model(DIMER), seed=seed))
     assert hashlib.sha256(report.encode("utf-8")).hexdigest() == DIMER_DIGESTS[seed]
+
+
+CYCLE = _model(
+    "cycle3",
+    ["k1", "k2", "k3"],
+    ["A", "B", "C"],
+    {"A": "k3*C - k1*A", "B": "k1*A - k2*B", "C": "k2*B - k3*C"},
+    [("T", "A + B + C")],
+    [("A", "A")],
+)
+
+# recorded before a report's searches shared their rank verdicts
+CYCLE_DIGESTS = {
+    0: "42349f24f135ab5aff8e12cd20724cc44a7e2a3134d50031d74ee42acf681810",
+    1: "93e988cd41321521aad3e99cb613a15037e610329a8482c0d6ad0592f3ced694",
+}
+
+
+@pytest.mark.parametrize("seed", sorted(CYCLE_DIGESTS))
+def test_cycle_report_bytes_unchanged(seed):
+    report = report_to_json(build_report(parse_model(CYCLE), seed=seed))
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == CYCLE_DIGESTS[seed]

@@ -34,10 +34,12 @@ from odeobs.poly import (
     Poly,
     ZeroTestUndecidedError,
     _default_order,
+    draw_point,
     is_zero,
     normalize_rational,
     rational_symbols,
 )
+from odeobs.report import build_report
 
 from conftest import random_expr, random_point
 
@@ -378,3 +380,30 @@ class TestPolyPower:
             # one square per bit below the top one, one product per set bit
             assert len(products) == max(n.bit_length() - 1, 0) + bin(n).count("1")
             expected = expected * base
+
+
+class TestDrawPoint:
+    @pytest.mark.parametrize("bound", [4, 8, 16, 1000, 10**6])
+    def test_same_point_and_state_as_randint(self, bound):
+        symbols = [Symbol(f"x{i}", "state") for i in range(6)]
+        for seed in range(50):
+            for n in range(7):
+                ours, theirs = random.Random(seed), random.Random(seed)
+                for _ in range(3):
+                    expected = {s: theirs.randint(-bound, bound) for s in symbols[:n]}
+                    assert draw_point(ours, symbols[:n], bound) == expected
+                assert ours.getstate() == theirs.getstate()
+
+    def test_no_sampler_calls_randint(self, monkeypatch, sir, lv):
+        def refused(self, a, b):
+            raise AssertionError("a sampler called randint")
+
+        monkeypatch.setattr(random.Random, "randint", refused)
+        for sys in (sir, lv):
+            build_report(sys, seed=3)
+        names = {"x": X, "y": Y}
+        # the sampled test, to a zero and to a nonzero verdict
+        assert is_zero(parse_expr("ln(x*y) - ln(x) - ln(y)", names)).kind == PROBABLY_ZERO
+        assert is_zero(parse_expr("exp(x) - x", names)).kind == PROBABLY_NONZERO
+        # the exact test's witness draw
+        assert is_zero(parse_expr("x - y", names)).witness
