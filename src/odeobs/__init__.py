@@ -46,7 +46,6 @@ from .graph import (
     scc_condensation,
 )
 from .embedding import (
-    EmbeddingJacobian,
     EmbeddingMap,
     RankVerdict,
     build_embedding,

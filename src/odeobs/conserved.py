@@ -11,6 +11,11 @@ of the transformed graph.  Every candidate produced this way is re-verified
 by both the graphical test and the embedding rank test; the implication is
 never trusted on its own.
 
+:func:`alternative_observables` runs this procedure as one loop over the
+admissible partitions.  Each pass checks one partition's conditions, solves
+its level equations, and eliminates and re-verifies its candidates, so a
+partition's results are complete before the next partition starts.
+
 Failures (rank conditions not met, non-affine quantities, size mismatches)
 are returned as data: a conserved set that does not help is a finding, not
 an error.
@@ -18,6 +23,7 @@ an error.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
@@ -299,6 +305,11 @@ def eliminate_states(
     )
 
 
+def _stopped(reason: str) -> AlternativeSearch:
+    """A search that ended before its first partition, for ``reason``."""
+    return AlternativeSearch((AlternativeSensorResult(reason, False),), False)
+
+
 def alternative_observables(
     sys: OdeSystem,
     g: ConservedSet,
@@ -310,12 +321,17 @@ def alternative_observables(
     """Search for sensor sets made sufficient by the conserved quantities.
 
     ``known_sufficient`` must already be a sufficient sensor set (graphical
-    or rank verified).  Partitions take the sufficient variables that occur
-    in the conserved set as the s block (all size-l subsets when more are
-    supplied than there are quantities).  Wherever the Jacobian conditions
-    hold and the quantities are affine, each r-side variable occurring in
-    the conserved set is eliminated in turn and re-verified as a sensor by
-    both the graphical and the rank test.
+    or rank verified) of states of ``sys``; any other symbol raises
+    :class:`UnknownSymbolError` before anything is sampled.  The search is
+    one loop over admissible partitions: each size-l subset of the known
+    variables that occur in the conserved set, in state order, is the s
+    block, up to ``PARTITION_CAP`` of them.  A partition checks the Jacobian
+    conditions, solves the level equations, and then eliminates each size-l
+    subset of the other variables occurring in the conserved set,
+    re-verifying it as a sensor by both the graphical and the rank test as
+    it goes; a subset the level equations cannot be solved for is skipped.
+    Each partition adds at least one result, and the search is truncated
+    when a partition was left over at the cap.
 
     The gradient of the independence test and each partition's dG/ds and
     dG/dr are ranked through ``memo``, a dict of rank verdicts keyed by
@@ -331,50 +347,33 @@ def alternative_observables(
             raise ModelError(
                 f"conserved quantity {q.level_name} must be verified first"
             )
+    known = tuple(known_sufficient)
+    for v in known:
+        if v not in sys.states:
+            raise UnknownSymbolError(v.name)
     n_q = len(g.quantities)
-    results: List[AlternativeSensorResult] = []
     if n_q == 0:
-        return AlternativeSearch(
-            (AlternativeSensorResult("no conserved quantities supplied", False),),
-            False,
-        )
-    order = {s: i for i, s in enumerate(sys.states)}
-    known = sorted(set(known_sufficient), key=lambda s: order[s])
-    g_vars = set(g.state_vars(sys))
-    pool = [v for v in known if v in g_vars]
+        return _stopped("no conserved quantities supplied")
+    g_vars = g.state_vars(sys)
+    pool = [v for v in g_vars if v in known]
     if len(pool) < n_q:
-        return AlternativeSearch(
-            (
-                AlternativeSensorResult(
-                    f"only {len(pool)} of the known sufficient variables occur in "
-                    f"the conserved set; {n_q} needed for an admissible partition",
-                    False,
-                ),
-            ),
-            False,
+        return _stopped(
+            f"only {len(pool)} of the known sufficient variables occur in "
+            f"the conserved set; {n_q} needed for an admissible partition"
         )
     if not conserved_set_independent(sys, g, seed=seed, trials=trials, memo=memo):
-        return AlternativeSearch(
-            (
-                AlternativeSensorResult(
-                    "conserved-quantity gradients are generically dependent",
-                    False,
-                ),
-            ),
-            False,
-        )
+        return _stopped("conserved-quantity gradients are generically dependent")
 
-    truncated = False
-    n_partitions = 0
-    for s_vars in itertools.combinations(pool, n_q):
-        if n_partitions >= PARTITION_CAP:
-            truncated = True
-            break
-        n_partitions += 1
-        r_vars = tuple(s for s in sys.states if s not in s_vars)
-        part = Partition(r_vars=r_vars, s_vars=tuple(s_vars))
-        pj = partition_jacobians(g, part)
-        conditions = exchange_conditions(pj, seed=seed, trials=trials, memo=memo)
+    results: List[AlternativeSensorResult] = []
+    partitions = itertools.combinations(pool, n_q)
+    for s_vars in itertools.islice(partitions, PARTITION_CAP):
+        part = Partition(tuple(v for v in sys.states if v not in s_vars), s_vars)
+        conditions = exchange_conditions(
+            partition_jacobians(g, part), seed=seed, trials=trials, memo=memo
+        )
+        result = functools.partial(
+            AlternativeSensorResult, partition=part, conditions=conditions
+        )
         if not conditions.holds:
             failed = []
             if not conditions.ds_invertible:
@@ -384,47 +383,28 @@ def alternative_observables(
                     f"dG/dr generic rank {conditions.dr_rank.generic_rank} "
                     f"< {conditions.dr_required}"
                 )
-            results.append(
-                AlternativeSensorResult(
-                    "; ".join(failed), False, partition=part, conditions=conditions
-                )
-            )
+            results.append(result("; ".join(failed), False))
             continue
         try:
-            solution = solve_affine(g, g.levels(), part)
+            result = functools.partial(result, solution=solve_affine(g, g.levels(), part))
         except _UNSOLVABLE:
             results.append(
-                AlternativeSensorResult(
+                result(
                     "conditions hold, but the conserved set is not affine in the "
                     "sufficient variables; no constructive substitution",
                     False,
-                    partition=part,
-                    conditions=conditions,
                 )
             )
             continue
-        r_pool = [v for v in part.r_vars if v in g_vars]
-        candidates = []
-        for w in itertools.combinations(r_pool, n_q):
+        n_before = len(results)
+        for w in itertools.combinations([v for v in g_vars if v not in s_vars], n_q):
             try:
-                candidates.append((w, eliminate_states(sys, g, w)))
+                transformed = eliminate_states(sys, g, w)
             except _UNSOLVABLE:
-                pass
-        if not candidates:
-            results.append(
-                AlternativeSensorResult(
-                    "conditions hold but no solvable replacement variables exist",
-                    False,
-                    partition=part,
-                    conditions=conditions,
-                    solution=solution,
-                )
+                continue
+            graphical = graphical_observable(
+                scc_condensation(build_graph(transformed, seed=seed)), w
             )
-            continue
-        for w, transformed in candidates:
-            graph = build_graph(transformed, seed=seed)
-            condensation = scc_condensation(graph)
-            graphical = graphical_observable(condensation, w)
             assessment = observability_verdict(
                 transformed,
                 ObservationSet(tuple(Sym(v) for v in w), "+".join(v.name for v in w)),
@@ -432,22 +412,20 @@ def alternative_observables(
                 trials=trials,
             )
             positive = assessment.observable
-            reason = (
-                "replacement sensors verified by rank"
-                if positive
-                else "rank re-verification failed on the transformed system"
-            )
             results.append(
-                AlternativeSensorResult(
-                    reason,
+                result(
+                    "replacement sensors verified by rank"
+                    if positive
+                    else "rank re-verification failed on the transformed system",
                     positive,
-                    partition=part,
-                    conditions=conditions,
-                    solution=solution,
                     candidate=w,
                     transformed=transformed,
                     graphical=graphical,
                     assessment=assessment,
                 )
             )
-    return AlternativeSearch(tuple(results), truncated)
+        if len(results) == n_before:
+            results.append(
+                result("conditions hold but no solvable replacement variables exist", False)
+            )
+    return AlternativeSearch(tuple(results), next(partitions, None) is not None)

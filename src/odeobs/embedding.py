@@ -24,12 +24,13 @@ components.  Row k of an output's block of the Jacobian is grad L^k y, and
 the next component is L^(k+1) y = grad L^k y . f: each gradient is both a
 Jacobian row and the seed of the next order, so one order is added by one
 :func:`odeobs.model.along_field` and one gradient per output, and
-:func:`jacobian` returns the stored rows.  When the rank falls short of n,
-whether it was still growing is a fact from order n-1 on: the rank of an
-output stacked with its derivatives stops growing at the first order that
-adds nothing, and that is order n-1 at the latest, so nothing of order n is
-built.  Below order n-1 the order k+1 check extends the order k embedding,
-and so its Jacobian, by one order instead of rebuilding them.
+:func:`jacobian` returns the embedding, whose ``entries`` are the stored
+rows.  When the rank falls short of n, whether it was still growing is a
+fact from order n-1 on: the rank of an output stacked with its derivatives
+stops growing at the first order that adds nothing, and that is order n-1
+at the latest, so nothing of order n is built.  Below order n-1 the order
+k+1 check extends the order k embedding, and so its Jacobian, by one order
+instead of rebuilding them.
 
 Differentiation is pruned: every expression node knows the symbols of its
 subtree, so a gradient entry walks only the subtrees that mention its
@@ -75,26 +76,21 @@ class AllPointsDegenerateError(Exception):
 class EmbeddingMap:
     """Outputs and their iterated Lie derivatives, grouped per output.
 
-    ``gradients`` holds the gradient over ``states`` of each component, in
-    the same order: these are the Jacobian's rows.  ``memos`` holds one diff
-    memo per state, shared with every embedding extended from this one.
+    ``entries`` holds the gradient over ``states`` of each component, in
+    the same order: these are the Jacobian's rows, so the embedding is its
+    own Jacobian.  ``memos`` holds one diff memo per state, shared with
+    every embedding extended from this one.
     """
 
     components: Tuple[Expr, ...]
     order: int
     n_outputs: int
     states: Tuple[Symbol, ...] = field(repr=False, compare=False)
-    gradients: Tuple[Tuple[Expr, ...], ...] = field(repr=False, compare=False)
+    entries: Tuple[Tuple[Expr, ...], ...] = field(repr=False, compare=False)
     memos: Tuple[dict, ...] = field(repr=False, compare=False)
 
     def component(self, output_index: int, derivative: int) -> Expr:
         return self.components[output_index * (self.order + 1) + derivative]
-
-
-@dataclass(frozen=True)
-class EmbeddingJacobian:
-    entries: Tuple[Tuple[Expr, ...], ...]  # rows x states
-    states: Tuple[Symbol, ...]
 
 
 @dataclass(frozen=True)
@@ -133,22 +129,24 @@ def _extend(sys: OdeSystem, embedding: EmbeddingMap) -> EmbeddingMap:
     and its gradient."""
     k = embedding.order
     components: List[Expr] = []
-    gradients: List[Tuple[Expr, ...]] = []
+    entries: List[Tuple[Expr, ...]] = []
     for o in range(embedding.n_outputs):
         group = slice(o * (k + 1), (o + 1) * (k + 1))
         components.extend(embedding.components[group])
-        gradients.extend(embedding.gradients[group])
-        components.append(along_field(sys, gradients[-1]))
-        gradients.append(_gradient(components[-1], embedding.states, embedding.memos))
+        entries.extend(embedding.entries[group])
+        components.append(along_field(sys, entries[-1]))
+        entries.append(_gradient(components[-1], embedding.states, embedding.memos))
     return replace(
-        embedding, components=tuple(components), order=k + 1, gradients=tuple(gradients)
+        embedding, components=tuple(components), order=k + 1, entries=tuple(entries)
     )
 
 
-def jacobian(embedding: EmbeddingMap, sys: OdeSystem) -> EmbeddingJacobian:
+def jacobian(embedding: EmbeddingMap, sys: OdeSystem) -> EmbeddingMap:
+    """The Jacobian of ``embedding`` over the states of ``sys``: the
+    embedding itself, whose ``entries`` are its rows."""
     if sys.states != embedding.states:
         raise ValueError("the embedding was built over other states")
-    return EmbeddingJacobian(embedding.gradients, sys.states)
+    return embedding
 
 
 def generic_rank_of(
@@ -265,12 +263,12 @@ def _float_rank(program: ExactProgram, point: Mapping[Symbol, int]) -> Optional[
 
 
 def generic_rank(
-    j: EmbeddingJacobian, seed: int = 0, trials: int = DEFAULT_TRIALS
+    j: EmbeddingMap, seed: int = 0, trials: int = DEFAULT_TRIALS
 ) -> RankVerdict:
     return generic_rank_of(j.entries, seed=seed, trials=trials)
 
 
-def rank_at_point(j: EmbeddingJacobian, point: Mapping[Symbol, Fraction]) -> int:
+def rank_at_point(j: EmbeddingMap, point: Mapping[Symbol, Fraction]) -> int:
     """Exact rank of the Jacobian at one fully bound rational point, where
     degenerate loci are checked.  A pole raises ``DivisionByZeroError``."""
     return linalg.rank(compile_exact(j.entries).run(point))

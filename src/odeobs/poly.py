@@ -21,8 +21,9 @@ total degree, taken over the same instructions before the pass, so no field
 can carry into its neighbour.  Only this module knows that format: the
 zero and dependency tests read the packed N and D directly, and
 :func:`normalize_rational` returns each as a :class:`Poly`, the sparse
-exponent-tuple map that is the output type.  :class:`Poly`'s own arithmetic
-is the straightforward reference that the pass is tested against.
+exponent-tuple map that is the output type.  The tests hold the
+straightforward arithmetic on :class:`Poly` that the pass is checked
+against.
 
 An expression with ln/exp has no rational form and is sampled over floats;
 its top-level terms are compiled with it, and one float run per draw gives
@@ -69,8 +70,8 @@ class Poly:
 
     Zero coefficients are dropped, and each other one is an int when it is
     integral and a Fraction otherwise.  :func:`normalize_rational` returns
-    N and D as Poly objects; the arithmetic here is not on that path, and
-    is the reference the packed pass is tested against.
+    N and D as Poly objects.  The straightforward arithmetic on this form
+    that the packed pass is tested against lives with the tests.
     """
 
     __slots__ = ("vars", "coeffs")
@@ -83,74 +84,9 @@ class Poly:
             if c
         }
 
-    # -- constructors -------------------------------------------------------
-
-    @classmethod
-    def zero(cls, vars: tuple) -> "Poly":
-        return cls(vars, {})
-
-    @classmethod
-    def constant(cls, vars: tuple, value: Union[int, Fraction]) -> "Poly":
-        return cls(vars, {(0,) * len(vars): value})
-
-    @classmethod
-    def variable(cls, vars: tuple, symbol: Symbol) -> "Poly":
-        mono = [0] * len(vars)
-        mono[vars.index(symbol)] = 1
-        return cls(vars, {tuple(mono): 1})
-
-    # -- predicates ---------------------------------------------------------
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
-
-    # -- arithmetic ---------------------------------------------------------
-
-    def __add__(self, other: "Poly") -> "Poly":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) + c
-        return Poly(self.vars, out)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        out = dict(self.coeffs)
-        for m, c in other.coeffs.items():
-            out[m] = out.get(m, 0) - c
-        return Poly(self.vars, out)
-
-    def __neg__(self) -> "Poly":
-        return Poly(self.vars, {m: -c for m, c in self.coeffs.items()})
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        out: dict = {}
-        for m1, c1 in self.coeffs.items():
-            for m2, c2 in other.coeffs.items():
-                m = tuple(a + b for a, b in zip(m1, m2))
-                out[m] = out.get(m, 0) + c1 * c2
-        return Poly(self.vars, out)
-
-    def derivative(self, index: int) -> "Poly":
-        """The partial derivative in ``vars[index]``."""
-        out = {}
-        for mono, coeff in self.coeffs.items():
-            e = mono[index]
-            if e:
-                out[mono[:index] + (e - 1,) + mono[index + 1 :]] = coeff * e
-        return Poly(self.vars, out)
-
-    def power(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power on a polynomial")
-        result = Poly.constant(self.vars, 1)
-        base = self
-        while n:
-            if n & 1:
-                result = result * base
-            n >>= 1
-            if n:  # the base is squared only for a bit still to come
-                base = base * base
-        return result
 
     def eval(self, point: Mapping[Symbol, Fraction]) -> Fraction:
         total = Fraction(0)
@@ -162,8 +98,6 @@ class Poly:
                     term *= value**e
             total += term
         return total
-
-    # -- equality -----------------------------------------------------------
 
     def __eq__(self, other) -> bool:
         return (
@@ -199,9 +133,9 @@ def _default_order(e: Expr) -> tuple:
 
 # -- packed polynomials -----------------------------------------------------
 #
-# Each operation below keeps the monomial order that the same operation on
-# Poly objects gives, so a Poly built from its result lists its terms in
-# the reference's order.
+# Each operation below keeps the monomial order that the same operation of
+# the tests' reference arithmetic on exponent tuples gives, so a Poly built
+# from its result lists its terms in the reference's order.
 
 
 def _field_width(instrs: tuple) -> int:
@@ -292,8 +226,9 @@ def _sum(terms) -> dict:
 
 
 def _power(p: dict, k: int) -> dict:
-    """``p**k`` for ``k >= 0``, by :meth:`Poly.power`'s square-and-multiply
-    without its last square, which the result never uses."""
+    """``p**k`` for ``k >= 0``, by square-and-multiply over the bits of
+    ``k`` from the lowest, with no square after the top bit, which the
+    result would never use."""
     result = None  # the constant 1, until a factor comes
     while k:
         if k & 1:

@@ -16,7 +16,17 @@ from odeobs.conserved import (
     partition_jacobians,
     solve_affine,
 )
-from odeobs.expr import Const, Sym, add, eval_exact, neg, parse_expr, substitute
+from odeobs.expr import (
+    Const,
+    Sym,
+    Symbol,
+    UnknownSymbolError,
+    add,
+    eval_exact,
+    neg,
+    parse_expr,
+    substitute,
+)
 from odeobs.model import (
     ConservedQuantity,
     ConservedSet,
@@ -241,13 +251,44 @@ class TestAlternativeObservables:
             assert result.conditions.holds
 
     def test_partition_cap_truncates_the_search(self, monkeypatch, sir):
-        # known {S, I, R} gives three partitions; the cap stops after the
-        # first, whose two candidates I and R are still verified
-        monkeypatch.setattr(odeobs.conserved, "PARTITION_CAP", 1)
+        # known {S, I, R} gives three partitions of two verified candidates
+        # each: a cap below three stops after that many and is truncated, a
+        # cap of three runs them all
         updated, g = verified_set(sir)
-        search = alternative_observables(updated, g, updated.states, seed=0)
-        assert search.truncated
-        assert len(search.results) == 2
+        for cap, truncated, n_results in ((1, True, 2), (2, True, 4), (3, False, 6)):
+            monkeypatch.setattr(odeobs.conserved, "PARTITION_CAP", cap)
+            search = alternative_observables(updated, g, updated.states, seed=0)
+            assert (search.truncated, len(search.results)) == (truncated, n_results)
+
+    def test_unsolvable_candidate_is_skipped(self):
+        # G is not affine in z: partition s = x offers only y, since the level
+        # equation cannot be solved for z, and partition s = z stops there
+        sys = parse_model(
+            "model: m\nparams: k\nstates: x, y, z\n"
+            "dx/dt = k*(y - x)\ndy/dt = k*(x - y)\ndz/dt = 0*z\n"
+            "conserved G: x + y + z^2\n"
+        )
+        updated, g = verified_set(sys)
+        x, y, z = updated.states
+        search = alternative_observables(updated, g, [x, z], seed=0)
+        assert [(r.partition.s_vars, r.candidate) for r in search.results] == [
+            ((x,), (y,)),
+            ((z,), None),
+        ]
+        assert "not affine" in search.results[1].reason
+        assert not search.truncated
+
+    @pytest.mark.parametrize(
+        "symbol", [Symbol("beta", "parameter"), Symbol("Q", "state")], ids=["param", "undeclared"]
+    )
+    def test_unknown_sensor_raises_before_sampling(self, monkeypatch, sir, symbol):
+        updated, g = verified_set(sir)
+        calls = counted_rank_calls(monkeypatch)
+        with pytest.raises(UnknownSymbolError):
+            alternative_observables(updated, g, [updated.state_named("R"), symbol], seed=0)
+        with pytest.raises(UnknownSymbolError):
+            eliminate_states(updated, g, (symbol,))
+        assert calls == []
 
     def test_mm_substrate_conservation_gives_s_and_c(self, mm):
         updated, g = verified_set(mm, "S0")
