@@ -14,8 +14,10 @@ Exit codes: 0 success (verdicts, including "insufficient", are data);
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
+import os
 import sys as _sys
 from typing import List, Optional
 
@@ -44,6 +46,10 @@ class _InputError(Exception):
     pass
 
 
+# the failures main reports by name: any other exception is an internal error
+_REPORTED = (_InputError, ModelError, ExprError, AllPointsDegenerateError, SingularMatrixError)
+
+
 def _load(path: str) -> OdeSystem:
     try:
         return load_model(path)
@@ -61,13 +67,25 @@ def _write(path: str, text: str, mode: str = "w") -> None:
         raise _InputError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
-def _check_writable(path: Optional[str]) -> None:
+@contextlib.contextmanager
+def _check_writable(path: Optional[str]):
     """Fail before the work, not after it, when ``path`` cannot be written.
 
-    Opening for appending creates a missing file and truncates nothing.
+    Opening for appending creates a missing file and truncates nothing.  A
+    file created here that the command leaves empty, as a failed command
+    does, is removed again; an internal error leaves it as it stood.
     """
+    created = bool(path) and not os.path.lexists(path)
     if path:
         _write(path, "", "a")
+    try:
+        yield
+    except Exception as exc:
+        created = created and isinstance(exc, _REPORTED)
+        raise
+    finally:
+        if created and os.path.getsize(path) == 0:
+            os.remove(path)
 
 
 def _parse_k(text: str):
@@ -87,39 +105,39 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     k = _parse_k(args.k)
     if args.trials < 1:
         raise _InputError(f"--trials must be at least 1, got {args.trials}")
-    _check_writable(args.json)
-    report = build_report(sys_model, seed=args.seed, k=k, trials=args.trials)
-    if args.json:
-        _write(args.json, report_to_json(report))
+    with _check_writable(args.json):
+        report = build_report(sys_model, seed=args.seed, k=k, trials=args.trials)
+        if args.json:
+            _write(args.json, report_to_json(report))
     _sys.stdout.write(render_text(report))
     return EXIT_OK
 
 
 def cmd_graph(args: argparse.Namespace) -> int:
     sys_model = _load(args.model)
-    _check_writable(args.dot)
-    if args.reduce:
-        level, sep, var_name = args.reduce.partition(":")
-        if not sep or not level or not var_name:
-            raise _InputError("--reduce expects LEVEL:VAR")
-        try:
-            quantity = sys_model.conserved_named(level)
-            var = sys_model.state_named(var_name)
-        except (ModelError, ExprError) as exc:
-            raise _InputError(str(exc)) from exc
-        verdict = verify_conserved(sys_model, quantity, seed=args.seed)
-        if verdict.status == "refuted":
-            _sys.stderr.write(f"conserved quantity {level} is refuted; not reducing\n")
-            return EXIT_REFUTED
-        quantity = quantity.with_verified(verdict.status)
-        sys_model = reduce_by_conserved(sys_model, quantity, var)
-    graph = build_graph(sys_model, seed=args.seed)
-    condensation = scc_condensation(graph)
-    dot = export_dot(graph, condensation)
-    if args.dot:
-        _write(args.dot, dot)
-    else:
-        _sys.stdout.write(dot)
+    with _check_writable(args.dot):
+        if args.reduce:
+            level, sep, var_name = args.reduce.partition(":")
+            if not sep or not level or not var_name:
+                raise _InputError("--reduce expects LEVEL:VAR")
+            try:
+                quantity = sys_model.conserved_named(level)
+                var = sys_model.state_named(var_name)
+            except (ModelError, ExprError) as exc:
+                raise _InputError(str(exc)) from exc
+            verdict = verify_conserved(sys_model, quantity, seed=args.seed)
+            if verdict.status == "refuted":
+                _sys.stderr.write(f"conserved quantity {level} is refuted; not reducing\n")
+                return EXIT_REFUTED
+            quantity = quantity.with_verified(verdict.status)
+            sys_model = reduce_by_conserved(sys_model, quantity, var)
+        graph = build_graph(sys_model, seed=args.seed)
+        condensation = scc_condensation(graph)
+        dot = export_dot(graph, condensation)
+        if args.dot:
+            _write(args.dot, dot)
+        else:
+            _sys.stdout.write(dot)
     return EXIT_OK
 
 
@@ -190,21 +208,21 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         raise _InputError(
             f"--T {args.T} over --dt {args.dt} is more steps than an array can index"
         )
-    _check_writable(args.csv)
-    try:
-        traj = integrate_rk4(sys_model, x0, params, args.dt, args.T)
-    except KeyError as exc:
-        raise _InputError(exc.args[0]) from exc
-    except MemoryError:
-        raise _InputError(
-            f"--T {args.T} over --dt {args.dt} needs a {size:.3g}-byte trajectory, "
-            "more memory than can be allocated"
-        ) from None
-    except EvaluationError as exc:
-        _sys.stderr.write(f"integration failed: {exc}\n")
-        return EXIT_ANALYSIS
-    if args.csv:
-        _write(args.csv, trajectory_to_csv(traj))
+    with _check_writable(args.csv):
+        try:
+            traj = integrate_rk4(sys_model, x0, params, args.dt, args.T)
+        except KeyError as exc:
+            raise _InputError(exc.args[0]) from exc
+        except MemoryError:
+            raise _InputError(
+                f"--T {args.T} over --dt {args.dt} needs a {size:.3g}-byte trajectory, "
+                "more memory than can be allocated"
+            ) from None
+        except EvaluationError as exc:
+            _sys.stderr.write(f"integration failed: {exc}\n")
+            return EXIT_ANALYSIS
+        if args.csv:
+            _write(args.csv, trajectory_to_csv(traj))
     _sys.stdout.write(
         f"integrated {sys_model.name}: {len(traj.times)} points, "
         f"dt={args.dt}, T={args.T}\n"

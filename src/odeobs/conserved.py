@@ -25,9 +25,8 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from . import linalg
 from .expr import (
@@ -79,27 +78,31 @@ class NotSquareError(Exception):
         self.n_sufficient = n_sufficient
 
 
-@dataclass(frozen=True)
-class Partition:
+class _PartitionFields(NamedTuple):
     r_vars: Tuple[Symbol, ...]
     s_vars: Tuple[Symbol, ...]
 
-    def __post_init__(self):
+
+class Partition(_PartitionFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if set(self.r_vars) & set(self.s_vars):
             raise ValueError("partition blocks overlap")
         if not self.s_vars:
             raise ValueError("sufficient block must be nonempty")
+        return self
 
 
-@dataclass(frozen=True)
-class PartitionJacobians:
+class PartitionJacobians(NamedTuple):
     partition: Partition
     dg_dr: Tuple[Tuple[Expr, ...], ...]  # quantities x r_vars
     dg_ds: Tuple[Tuple[Expr, ...], ...]  # quantities x s_vars
 
 
-@dataclass(frozen=True)
-class ExchangeConditions:
+class ExchangeConditions(NamedTuple):
     """Verdicts for the two Jacobian-block conditions of the sensor exchange."""
 
     ds_rank: RankVerdict
@@ -113,8 +116,7 @@ class ExchangeConditions:
         return self.ds_invertible and self.dr_full_rank
 
 
-@dataclass(frozen=True)
-class AlternativeSensorResult:
+class AlternativeSensorResult(NamedTuple):
     """One outcome of the alternative-sensor search.
 
     Positive results carry the candidate sensor variables, the transformed
@@ -134,8 +136,7 @@ class AlternativeSensorResult:
     assessment: Optional[ObservabilityAssessment] = None
 
 
-@dataclass(frozen=True)
-class AlternativeSearch:
+class AlternativeSearch(NamedTuple):
     results: Tuple[AlternativeSensorResult, ...]
     truncated: bool
 
@@ -295,13 +296,11 @@ def eliminate_states(
         suffix = f"{g.quantities[0].level_name}_for_{eliminate[0].name}"
     else:
         suffix = "joint_for_" + "_".join(v.name for v in eliminate)
-    return OdeSystem(
+    return sys._replace(
         name=f"{sys.name}.{suffix}",
-        states=sys.states,
         params=sys.params + levels,
         rhs=tuple(new_rhs),
         conserved=tuple(q.with_verified(UNCHECKED) for q in sys.conserved),
-        observations=sys.observations,
     )
 
 

@@ -42,9 +42,8 @@ for the rank sampler's symbol draws either.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
-from typing import List, Mapping, Optional, Sequence, Tuple, Union
+from typing import List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from . import linalg
 from .expr import (
@@ -72,8 +71,7 @@ class AllPointsDegenerateError(Exception):
     """Every sampled point hit a pole of the matrix entries."""
 
 
-@dataclass(frozen=True)
-class EmbeddingMap:
+class EmbeddingMap(NamedTuple):
     """Outputs and their iterated Lie derivatives, grouped per output.
 
     ``entries`` holds the gradient over ``states`` of each component, in
@@ -85,16 +83,15 @@ class EmbeddingMap:
     components: Tuple[Expr, ...]
     order: int
     n_outputs: int
-    states: Tuple[Symbol, ...] = field(repr=False, compare=False)
-    entries: Tuple[Tuple[Expr, ...], ...] = field(repr=False, compare=False)
-    memos: Tuple[dict, ...] = field(repr=False, compare=False)
+    states: Tuple[Symbol, ...]
+    entries: Tuple[Tuple[Expr, ...], ...]
+    memos: Tuple[dict, ...]
 
     def component(self, output_index: int, derivative: int) -> Expr:
         return self.components[output_index * (self.order + 1) + derivative]
 
 
-@dataclass(frozen=True)
-class RankVerdict:
+class RankVerdict(NamedTuple):
     generic_rank: int
     trials: int
     sample_points: Tuple[dict, ...]
@@ -136,9 +133,7 @@ def _extend(sys: OdeSystem, embedding: EmbeddingMap) -> EmbeddingMap:
         entries.extend(embedding.entries[group])
         components.append(along_field(sys, entries[-1]))
         entries.append(_gradient(components[-1], embedding.states, embedding.memos))
-    return replace(
-        embedding, components=tuple(components), order=k + 1, entries=tuple(entries)
-    )
+    return embedding._replace(components=tuple(components), order=k + 1, entries=tuple(entries))
 
 
 def jacobian(embedding: EmbeddingMap, sys: OdeSystem) -> EmbeddingMap:
@@ -274,8 +269,7 @@ def rank_at_point(j: EmbeddingMap, point: Mapping[Symbol, Fraction]) -> int:
     return linalg.rank(compile_exact(j.entries).run(point))
 
 
-@dataclass(frozen=True)
-class ObservabilityAssessment:
+class ObservabilityAssessment(NamedTuple):
     k: int
     n: int
     rank: RankVerdict

@@ -79,7 +79,7 @@ import operator
 import re
 import weakref
 from collections import Counter
-from dataclasses import FrozenInstanceError, dataclass
+from dataclasses import FrozenInstanceError
 from fractions import Fraction
 from typing import Mapping, Optional, Sequence, Union
 
@@ -778,7 +778,6 @@ class _Lowering:
         return value
 
 
-@dataclass(eq=False, repr=False)
 class ExactProgram:
     """A matrix of expressions compiled to straight-line code.
 
@@ -794,10 +793,12 @@ class ExactProgram:
     """
 
     __slots__ = ("symbols", "rational", "instrs", "outputs")
-    symbols: frozenset  # every symbol the matrix mentions
-    rational: bool  # no ln/exp node
-    instrs: tuple  # the instructions, in the format of the module docstring
-    outputs: tuple  # the value id of each entry, row by row
+
+    def __init__(self, symbols: frozenset, rational: bool, instrs: tuple, outputs: tuple):
+        self.symbols = symbols  # every symbol the matrix mentions
+        self.rational = rational  # no ln/exp node
+        self.instrs = instrs  # the instructions, in the format of the module docstring
+        self.outputs = outputs  # the value id of each entry, row by row
 
     def run(self, point: Mapping[Symbol, Fraction]) -> list:
         """Exact values of the entries at ``point``, as a list of rows of int

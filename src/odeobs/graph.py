@@ -12,8 +12,7 @@ from __future__ import annotations
 
 import itertools
 import weakref
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Set, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Set, Tuple
 
 from .expr import Expr, ExprError, Symbol, diff, free_symbols, has_ln_exp
 from .model import OdeSystem
@@ -22,8 +21,7 @@ from .poly import ZeroTestUndecidedError, is_zero, rational_symbol_sets
 DEFAULT_SENSOR_SET_CAP = 10_000
 
 
-@dataclass(frozen=True)
-class InferenceGraph:
+class InferenceGraph(NamedTuple):
     nodes: Tuple[Symbol, ...]
     edges: Tuple[Tuple[Symbol, Symbol], ...]  # sorted by node order, deterministic
 
@@ -31,8 +29,7 @@ class InferenceGraph:
         return tuple((a.name, b.name) for a, b in self.edges)
 
 
-@dataclass(frozen=True)
-class Condensation:
+class Condensation(NamedTuple):
     components: Tuple[Tuple[Symbol, ...], ...]  # each in state order
     dag_edges: Tuple[Tuple[int, int], ...]  # indices into components
     roots: Tuple[int, ...]  # component indices with no incoming edge
@@ -41,22 +38,19 @@ class Condensation:
         return tuple(self.components[i] for i in self.roots)
 
 
-@dataclass(frozen=True)
-class SensorSet:
+class SensorSet(NamedTuple):
     variables: frozenset
 
     def names(self) -> Tuple[str, ...]:
         return tuple(sorted(s.name for s in self.variables))
 
 
-@dataclass(frozen=True)
-class SensorMenu:
+class SensorMenu(NamedTuple):
     sets: Tuple[SensorSet, ...]
     truncated: bool
 
 
-@dataclass(frozen=True)
-class GraphicalVerdict:
+class GraphicalVerdict(NamedTuple):
     sufficient: bool
     missing_roots: Tuple[Tuple[Symbol, ...], ...]
 

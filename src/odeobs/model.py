@@ -18,8 +18,7 @@ system built from that quantity.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, NamedTuple, Optional, Sequence, Tuple
 
 from .expr import (
     NAME_RE,
@@ -76,8 +75,7 @@ class ZeroCoefficientError(ModelError):
         self.var = var
 
 
-@dataclass(frozen=True)
-class ConservedQuantity:
+class ConservedQuantity(NamedTuple):
     """A scalar function of the state that stays constant along trajectories."""
 
     expr: Expr
@@ -88,11 +86,10 @@ class ConservedQuantity:
         return Symbol(self.level_name, "parameter")
 
     def with_verified(self, status: str) -> "ConservedQuantity":
-        return replace(self, verified=status)
+        return self._replace(verified=status)
 
 
-@dataclass(frozen=True)
-class ConservedSet:
+class ConservedSet(NamedTuple):
     """An ordered collection of conserved quantities treated jointly."""
 
     quantities: Tuple[ConservedQuantity, ...]
@@ -107,16 +104,22 @@ class ConservedSet:
         return tuple(q.level_symbol() for q in self.quantities)
 
 
-@dataclass(frozen=True)
-class ObservationSet:
-    """Outputs assumed measurable, as expressions over the declared symbols."""
-
+class _ObservationFields(NamedTuple):
     outputs: Tuple[Expr, ...]
     label: str
 
-    def __post_init__(self):
+
+class ObservationSet(_ObservationFields):
+    """Outputs assumed measurable, as expressions over the declared symbols."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if not self.outputs:
             raise ModelError(f"observation set {self.label!r} has no outputs")
+        return self
 
     def observed_states(self) -> frozenset:
         seen = set()
@@ -125,8 +128,7 @@ class ObservationSet:
         return frozenset(seen)
 
 
-@dataclass(frozen=True)
-class OdeSystem:
+class _SystemFields(NamedTuple):
     name: str
     states: Tuple[Symbol, ...]
     params: Tuple[Symbol, ...]
@@ -134,7 +136,13 @@ class OdeSystem:
     conserved: Tuple[ConservedQuantity, ...] = ()
     observations: Tuple[ObservationSet, ...] = ()
 
-    def __post_init__(self):
+
+class OdeSystem(_SystemFields):
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
+
+    def __new__(cls, *args, **kwargs):
+        self = super().__new__(cls, *args, **kwargs)
         if len(self.rhs) != len(self.states):
             raise ModelError("one right-hand side per state required")
         names = [s.name for s in self.states + self.params]
@@ -146,6 +154,7 @@ class OdeSystem:
             if undeclared:
                 bad = sorted(undeclared, key=lambda x: x.name)[0]
                 raise UnknownSymbolError(bad.name)
+        return self
 
     @property
     def n(self) -> int:
@@ -170,7 +179,7 @@ class OdeSystem:
         raise ModelError(f"no conserved quantity with level {level_name!r}")
 
     def with_conserved(self, quantities: Iterable[ConservedQuantity]) -> "OdeSystem":
-        return replace(self, conserved=tuple(quantities))
+        return self._replace(conserved=tuple(quantities))
 
 
 # ---------------------------------------------------------------------------
@@ -293,8 +302,7 @@ def load_model(path) -> OdeSystem:
 # conserved-quantity verification
 
 
-@dataclass(frozen=True)
-class ConservedVerdict:
+class ConservedVerdict(NamedTuple):
     status: str  # exact | probabilistic | refuted
     witness: Optional[dict] = None
     detail: Optional[ZeroTestResult] = None

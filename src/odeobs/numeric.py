@@ -38,8 +38,7 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple, Union
 
 from .expr import Expr, FloatPrinter, Symbol
 from .graph import build_graph, forward_closure
@@ -56,8 +55,7 @@ class EvaluationError(Exception):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class Trajectory:
+class Trajectory(NamedTuple):
     states: Tuple[Symbol, ...]
     times: np.ndarray  # uniform grid starting at 0
     values: np.ndarray  # len(times) x n
@@ -65,8 +63,7 @@ class Trajectory:
     diverged: bool = False
 
 
-@dataclass(frozen=True)
-class WitnessPair:
+class WitnessPair(NamedTuple):
     x0_a: Tuple[float, ...]
     x0_b: Tuple[float, ...]
     output_distance: float

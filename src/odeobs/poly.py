@@ -37,9 +37,8 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Mapping, MutableMapping, Optional, Sequence, Union
+from typing import Mapping, MutableMapping, NamedTuple, Optional, Sequence, Union
 
 from .expr import (
     Add,
@@ -111,8 +110,7 @@ class Poly:
 # rational forms
 
 
-@dataclass(frozen=True)
-class RationalForm:
+class RationalForm(NamedTuple):
     """A quotient num/den of polynomials.  Wherever its expression is
     defined, den is nonzero and the quotient equals the expression.  It is
     not reduced: num and den may share a factor."""
@@ -431,8 +429,7 @@ class ZeroTestUndecidedError(ExprError):
         return f"zero test: none of {draws} sample points is in the domain of {e}"
 
 
-@dataclass(frozen=True)
-class ZeroTestResult:
+class ZeroTestResult(NamedTuple):
     """Outcome of an identity-with-zero test.
 
     ``kind`` is one of ``zero`` / ``nonzero`` (exact verdicts from the

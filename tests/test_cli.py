@@ -765,3 +765,48 @@ def test_unwritable_path_fails_before_the_work(tmp_path, capsys, monkeypatch, co
     code, _, err = run(capsys, command, str(model_path("sir")), *options, str(path))
     assert (code, err) == (2, f"internal error: {work} ran\n")
     assert path.read_text() == ""
+
+
+
+POLE_MODEL = "model: pole\nparams: k\nstates: x\ndx/dt = k/(x - x)\n"
+# command -> its model, options, output flag, exit code and message
+FAILURES = {
+    "analyze": (POLE_MODEL, (), "--json", 2, "analysis error: division by zero in k/(x - x)\n"),
+    "graph": (POLE_MODEL, (), "--dot", 2, "analysis error: division by zero in k/(x - x)\n"),
+    "simulate": (
+        POLE_MODEL,
+        ("--x0", "1", "--params", "k=1", "--dt", "0.1", "--T", "1"),
+        "--csv",
+        2,
+        "integration failed: evaluation failed at t=0.0: division by zero\n",
+    ),
+    # a refuted quantity is not reduced, and no graph is written
+    "graph --reduce": (
+        "model: grow\nparams: k\nstates: x\ndx/dt = k\nconserved Q: x\n",
+        ("--reduce", "Q:x"),
+        "--dot",
+        3,
+        "conserved quantity Q is refuted; not reducing\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(FAILURES))
+def test_failed_command_leaves_no_output_file_behind(tmp_path, capsys, command):
+    text, options, flag, code, message = FAILURES[command]
+    model = tmp_path / "failing.model"
+    model.write_text(text)
+    argv = [command.split()[0], str(model), *options, flag]
+    # a path that did not exist is absent again after the failure
+    path = tmp_path / "new.out"
+    assert run(capsys, *argv, str(path)) == (code, "", message)
+    assert not path.exists()
+    # an existing file keeps its bytes
+    path.write_bytes(b"kept\r\n")
+    assert run(capsys, *argv, str(path)) == (code, "", message)
+    assert path.read_bytes() == b"kept\r\n"
+    # an unwritable path still fails before any work
+    path = tmp_path / "missing" / "new.out"
+    assert run(capsys, *argv, str(path)) == (
+        1, "", f"error: cannot write {path}: No such file or directory\n"
+    )

@@ -1,9 +1,10 @@
-"""numpy stays unloaded on the exact path.
+"""numpy stays unloaded on the exact path, and no class is a dataclass.
 
 ``analyze``, ``verify`` and ``graph`` answer from exact arithmetic; numpy is
-imported only by the functions that build or read a float array.  Each case
-runs in a fresh interpreter, because this test process has loaded numpy
-long before.
+imported only by the functions that build or read a float array.  The
+records are named tuples, which ``@dataclass`` would cost start-up time to
+generate code for.  Each case runs in a fresh interpreter, because this test
+process has loaded numpy long before.
 """
 
 import json
@@ -45,6 +46,20 @@ def test_import_leaves_numpy_unloaded(module):
         import {module}
         print(json.dumps("numpy" in sys.modules))
     """) is False
+
+
+def test_no_odeobs_class_is_a_dataclass():
+    assert _fresh("""
+        import inspect, json, sys
+        import odeobs.cli
+        print(json.dumps(sorted(
+            f"{name}.{cls.__name__}"
+            for name, module in list(sys.modules.items())
+            if name == "odeobs" or name.startswith("odeobs.")
+            for _, cls in inspect.getmembers(module, inspect.isclass)
+            if hasattr(cls, "__dataclass_fields__")
+        )))
+    """) == []
 
 
 def test_compiled_rk4_loop_leaves_numpy_unloaded():
